@@ -6,8 +6,11 @@ always returns the unique reduced basis (monic, inter-reduced, sorted by
 ascending leading monomial).
 
 Also here: a linear-algebra path (`groebner_from_matrices`) that rebuilds the
-reduced basis of an ideal from its multiplication matrices by incremental
-dependence testing.  The solver uses it when a basis for a linear change of
+reduced DRL basis of an ideal from its multiplication matrices, one total
+degree at a time: the coordinate vectors of a degree's candidate monomials
+come from one matrix product per variable, and a block elimination in
+ascending order sorts them into standard monomials and leading monomials
+with their tails.  The solver uses it when a basis for a linear change of
 coordinates of an already-understood ideal is needed at scales where term
 rewriting is hopeless; its output is bit-identical to Buchberger's by
 uniqueness of the reduced basis.
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import NotShapePosition, NotZeroDimensional
 from .field import PrimeField
-from .linalg import Matrix, _mul_arrays
+from .linalg import Matrix, _mul_arrays, _unit_ut_solve
 from .poly import Monomial, Polynomial, TermOrder, _Reducer, _reduce_prepped, s_polynomial
 
 
@@ -30,12 +33,15 @@ class GroebnerBasis:
 
     __slots__ = ("field", "n", "order", "polys", "leading_monomials")
 
-    def __init__(self, field: PrimeField, n: int, order: TermOrder, polys: list[Polynomial]):
+    def __init__(self, field: PrimeField, n: int, order: TermOrder, polys: list[Polynomial],
+                 leading_monomials: list[Monomial] | None = None):
         self.field = field
         self.n = n
         self.order = order
         self.polys = polys
-        self.leading_monomials = [g.leading_monomial(order) for g in polys]
+        if leading_monomials is None:
+            leading_monomials = [g.leading_monomial(order) for g in polys]
+        self.leading_monomials = leading_monomials
 
     def leading_set(self) -> set[Monomial]:
         return set(self.leading_monomials)
@@ -187,101 +193,189 @@ def shape_rep_from_lex(gb: GroebnerBasis):
     return UnivariateRep(gb.field, n, [list(c) for c in coeffs])
 
 
+# candidates per elimination: each row of the in-chunk elimination costs
+# about _CHUNK * D, while smaller chunks mean more, smaller products (64 and
+# 128 measured the same at D = 512..2048; 16 and whole degrees were slower)
+_CHUNK = 64
+
+
+def _eliminate_block(w: np.ndarray, p: int):
+    """Row-order elimination of a block of vectors.
+
+    Each row of ``w`` is reduced by the pivot rows above it and, if
+    anything is left, becomes a pivot row on its first nonzero entry.
+    Returns ``(new, dep, rel, echelon, pcols, gmat)``: the indices of the
+    independent and of the dependent rows, ``w[dep] = rel @ w[new]``
+    (every dependence uses earlier rows only), and
+    ``echelon = gmat @ w[new]``, whose rows are the identity at ``pcols``.
+    """
+    c, f = w.shape
+    a = np.hstack([w, np.eye(c, dtype=np.int64)])  # row ops ride along
+    new: list[int] = []
+    dep: list[int] = []
+    pcols: list[int] = []
+    for i in range(c):
+        nz = np.flatnonzero(a[i, :f])
+        if nz.size == 0:
+            dep.append(i)
+            continue
+        q = int(nz[0])
+        end = f + i + 1  # the row operations so far touch rows 0..i only
+        a[i, :end] = a[i, :end] * pow(int(a[i, q]), -1, p) % p
+        rows = np.flatnonzero(a[i + 1:, q]) + (i + 1)
+        if rows.size:
+            a[rows, :end] = (a[rows, :end] - np.outer(a[rows, q], a[i, :end])) % p
+        new.append(i)
+        pcols.append(q)
+    ops = f + np.array(new, dtype=np.intp)
+    rel = (-a[np.ix_(dep, ops)]) % p
+    # each pivot row is zero at the pivot columns of the rows above it, so
+    # at the pivot columns the pivot rows form a unit upper triangle
+    piv = a[new]
+    red = _unit_ut_solve(piv[:, pcols], np.hstack([piv[:, :f], piv[:, ops]]), p)
+    return new, dep, rel, red[:, :f], pcols, red[:, f:]
+
+
+def _candidates(prev: list[Monomial], order: TermOrder):
+    """The degree-d candidates, given the standard monomials of degree d-1.
+
+    A monomial m is a standard monomial or a minimal leading monomial
+    exactly when every divisor m/x_j is standard.  The smallest of those
+    divisors under DRL is m/x_j for the smallest j in m's support, so m is
+    produced only from that parent b, as x_i b with i <= min support of b,
+    which yields each candidate once.  Returns ``(m, index of b in prev, i)``
+    triples in ascending order.
+    """
+    n = order.n
+    kept = {b.exps for b in prev}
+    out = []
+    for parent, b in enumerate(prev):
+        e = b.exps
+        first = next((j for j, v in enumerate(e) if v), n - 1)
+        for i in range(first + 1):
+            exps = e[:i] + (e[i] + 1,) + e[i + 1:]
+            if all(exps[:j] + (exps[j] - 1,) + exps[j + 1:] in kept
+                   for j in range(i + 1, n) if exps[j]):
+                out.append((Monomial(exps), parent, i))
+    out.sort(key=lambda t: order.key(t[0]))
+    return out
+
+
+class _Echelon:
+    """Echelon form of a growing list of independent vectors.
+
+    ``rows[:k] = transform[:k, :k] @ (the k vectors kept so far)``, and
+    ``rows[:k]`` is the identity at the columns ``pivots``.
+    """
+
+    def __init__(self, dim: int, p: int):
+        self.p = p
+        self.rows = np.zeros((dim, dim), dtype=np.int64)
+        self.transform = np.zeros((dim, dim), dtype=np.int64)
+        self.pivots: list[int] = []
+        self.is_free = np.ones(dim, dtype=bool)
+
+    def insert(self, vecs: np.ndarray):
+        """Take the rows of ``vecs`` in order, keeping each one that is
+        independent of every vector kept before it.
+
+        Returns ``(new, dep, coords)``: the indices of the kept and of the
+        dependent rows, and for each dependent row its coordinates on all
+        kept vectors, the earlier ones first, then ``vecs[new]``.
+        """
+        p = self.p
+        k = len(self.pivots)
+        y = vecs[:, self.pivots]
+        resid = (vecs - _mul_arrays(y, self.rows[:k], p)) % p
+        expr = _mul_arrays(y, self.transform[:k, :k], p)  # vecs - resid = expr @ kept
+        free = np.flatnonzero(self.is_free)
+        new, dep, rel, echelon, pcols, gmat = _eliminate_block(resid[:, free], p)
+        # resid[dep] = rel @ resid[new], and resid[new] = vecs[new] - expr[new] @ kept
+        coords = np.hstack([(expr[dep] - _mul_arrays(rel, expr[new], p)) % p, rel])
+        s = len(new)
+        if s:
+            dim = self.rows.shape[1]
+            new_piv = free[pcols]
+            new_rows = np.zeros((s, dim), dtype=np.int64)
+            new_rows[:, free] = echelon
+            new_tr = np.hstack([-_mul_arrays(gmat, expr[new], p) % p, gmat])
+            h = self.rows[:k, new_piv]
+            self.rows[:k] = (self.rows[:k] - _mul_arrays(h, new_rows, p)) % p
+            self.transform[:k, :k + s] = (self.transform[:k, :k + s]
+                                          - _mul_arrays(h, new_tr, p)) % p
+            self.rows[k:k + s] = new_rows
+            self.transform[k:k + s, :k + s] = new_tr
+            self.pivots.extend(new_piv.tolist())
+            self.is_free[new_piv] = False
+        return new, dep, coords
+
+
 def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
-                           order: TermOrder, one_vector=None) -> GroebnerBasis:
-    """Reduced Groebner basis from multiplication matrices.
+                           order: TermOrder) -> GroebnerBasis:
+    """Reduced DRL Groebner basis from multiplication matrices.
 
     ``mats[i]`` must represent multiplication by (the image of) x_i on a
-    D-dimensional quotient, in a basis whose coordinate vector for 1 is
-    ``one_vector`` (default: first unit vector).  Candidate monomials are
-    enumerated in increasing order; each one's coordinate vector is obtained
-    with a single matrix-vector product from its parent, and linear
-    dependence on the kept (standard) monomials yields exactly the reduced
-    basis elements.
+    D-dimensional quotient, in a basis whose coordinate vector for 1 is the
+    first unit vector.  Monomials are taken one total degree at a time, as
+    under DRL only leading monomials of lower degree can make a degree-d
+    monomial a non-candidate.  For each degree:
+
+    * the candidates' coordinate vectors come from one product per
+      variable, (vectors of their degree-(d-1) parents) @ M_i^T;
+    * in ascending order and in chunks of at most ``_CHUNK`` rows, one
+      product reduces them against the echelon form of the standard
+      monomials' vectors found so far, and an elimination inside the chunk
+      finds which are standard monomials; each other one is the leading
+      monomial of a reduced basis element, whose tail its dependence gives;
+    * the new standard monomials' rows join the echelon form and its
+      transform with one product each.
+
+    Every product is exact (``_mul_arrays``).  The output comes out sorted
+    by leading monomial and is bit-identical to Buchberger's, by uniqueness
+    of the reduced basis.
     """
     if not mats:
         raise ValueError("need at least one multiplication matrix")
+    if order.kind != "drl":
+        raise ValueError("the degree-by-degree rebuild needs the DRL order")
     p = field.p
     dim = mats[0].nrows
-    # float64 residency: products below 2^53 are exact, and BLAS-backed
-    # matvecs avoid per-candidate dtype conversions of the big arrays
-    use_float = dim * (p - 1) * (p - 1) < (1 << 53)
-    dtype = np.float64 if use_float else np.int64
-    mats_arr = [m.a.astype(dtype) for m in mats]
-    if one_vector is None:
-        one_vector = np.zeros(dim, dtype=dtype)
-        one_vector[0] = 1
-    else:
-        one_vector = (np.asarray(one_vector, dtype=np.int64) % p).astype(dtype)
-
+    echelon = _Echelon(dim, p)
     kept_monos: list[Monomial] = []
-    kept_vecs = np.zeros((dim, dim), dtype=dtype)
-    rref = np.zeros((dim, dim), dtype=dtype)   # RREF of kept vectors
-    transform = np.zeros((dim, dim), dtype=dtype)  # rref row = transform row . kept_vecs
-    piv_cols: list[int] = []
     lead_monos: list[Monomial] = []
     out_polys: list[Polynomial] = []
 
-    one = Monomial.one(n)
-    heap: list[tuple[tuple, Monomial, int, int]] = [(order.key(one), one, -1, -1)]
-    seen = {one}
-
-    while heap:
-        _, m, parent_idx, via_var = heapq.heappop(heap)
-        if any(lm.divides(m) for lm in lead_monos):
-            continue
-        if parent_idx < 0:
-            vec = one_vector.copy()
-        elif use_float:
-            vec = mats_arr[via_var] @ kept_vecs[parent_idx] % p
-        else:
-            vec = _mul_arrays(mats_arr[via_var], kept_vecs[parent_idx][:, None], p).ravel()
-        k = len(kept_monos)
-        if k:
-            coeffs = vec[piv_cols]
-            if use_float:
-                red = (vec - coeffs @ rref[:k] % p) % p
-                expr = coeffs @ transform[:k, :k] % p
-            else:
-                red = (vec - _mul_arrays(coeffs[None, :], rref[:k], p).ravel()) % p
-                expr = _mul_arrays(coeffs[None, :], transform[:k, :k], p).ravel()
-        else:
-            red = vec % p
-            expr = np.zeros(0, dtype=dtype)
-        nz = np.nonzero(red)[0]
-        if nz.size == 0:
-            # dependent: m - sum(expr_j * kept_j) is a reduced basis element
-            tail = [(kept_monos[j], (-int(expr[j])) % p) for j in range(k) if expr[j]]
-            out_polys.append(Polynomial.from_terms(field, n, [(m, 1)] + tail))
-            lead_monos.append(m)
-            continue
-        # independent: m is a standard monomial
-        pc = int(nz[0])
-        inv = pow(int(red[pc]), -1, p)
-        new_row = red * inv % p
-        new_tr = np.zeros(dim, dtype=dtype)
-        new_tr[:k] = (-expr) % p
-        new_tr[k] = 1
-        new_tr = new_tr * inv % p
-        if k:
-            col = rref[:k, pc].copy()
-            mask = col != 0
-            if mask.any():
-                rref[:k][mask] = (rref[:k][mask] - np.outer(col[mask], new_row)) % p
-                transform[:k][mask] = (transform[:k][mask] - np.outer(col[mask], new_tr)) % p
-        kept_vecs[k] = vec
-        rref[k] = new_row
-        transform[k] = new_tr
-        piv_cols.append(pc)
-        kept_monos.append(m)
+    monos = [Monomial.one(n)]
+    vecs = np.zeros((1, dim), dtype=np.int64)
+    vecs[0, 0] = 1
+    while True:
+        std: list[int] = []  # rows of vecs that are standard monomials
+        for lo in range(0, len(monos), _CHUNK):
+            new, dep, coords = echelon.insert(vecs[lo:lo + _CHUNK])
+            names = kept_monos + [monos[lo + r] for r in new]
+            for r, row in zip(dep, (-coords % p).tolist()):
+                m = monos[lo + r]
+                terms = {m: 1}
+                for sm, c in zip(names, row):
+                    if c:
+                        terms[sm] = c
+                out_polys.append(Polynomial(field, n, terms))
+                lead_monos.append(m)
+            kept_monos = names
+            std.extend(lo + r for r in new)
+        if not std:
+            break
+        prev_vecs = vecs[std]
+        cands = _candidates([monos[r] for r in std], order)
+        monos = [m for m, _b, _i in cands]
+        vecs = np.empty((len(cands), dim), dtype=np.int64)
         for i in range(n):
-            child = m.mul_var(i)
-            if child not in seen:
-                seen.add(child)
-                heapq.heappush(heap, (order.key(child), child, k, i))
+            rows = [r for r, c in enumerate(cands) if c[2] == i]
+            if rows:
+                parents = prev_vecs[[cands[r][1] for r in rows]]
+                vecs[rows] = _mul_arrays(parents, mats[i].a.T, p)
 
     if len(kept_monos) != dim:
         raise NotZeroDimensional(
             f"multiplication matrices span a {len(kept_monos)}-dimensional quotient, expected {dim}")
-    out_polys.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(field, n, order, out_polys)
+    return GroebnerBasis(field, n, order, out_polys, lead_monos)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
 from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimensional
-from .linalg import MatMulConfig, Matrix, OpCounter
+from .linalg import _INT64_SAFE, MatMulConfig, Matrix, OpCounter
 from .poly import Polynomial, TermOrder, apply_change_of_variables
 from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
                        compute_frontier, try_read_Tn)
@@ -153,13 +153,24 @@ def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
     p = fld.p
     n = gb0.n
     ginv = g.inverse().a
+    # acc holds a canonical residue plus up to per_reduction products, each
+    # at most (p-1)^2, without leaving int64 (at least two for p < 2^31)
+    per_reduction = (_INT64_SAFE - (p - 1)) // ((p - 1) ** 2)
+    term = np.empty_like(mats0[0])
     mats = []
     for j in range(n):
         acc = np.zeros_like(mats0[0])
+        pending = 0
         for k in range(n):
             c = int(ginv[j, k])
             if c:
-                acc = (acc + c * mats0[k] % p) % p
+                np.multiply(mats0[k], c, out=term)
+                acc += term
+                pending += 1
+                if pending == per_reduction:
+                    acc %= p
+                    pending = 0
+        acc %= p
         mats.append(Matrix(fld, acc))
     return groebner_from_matrices(mats, fld, n, TermOrder.drl(n))
 
@@ -172,10 +183,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
     system, with ``g`` attached (original solutions are {g v})."""
     cfg = config or SolveConfig()
     if max_restarts is not None:
-        cfg = SolveConfig(max_restarts=max_restarts, r_retries=cfg.r_retries,
-                          hankel_method=cfg.hankel_method,
-                          gb_matrix_threshold=cfg.gb_matrix_threshold,
-                          root_scan_limit=cfg.root_scan_limit, matmul=cfg.matmul)
+        cfg = replace(cfg, max_restarts=max_restarts)
     rng = rng or random.Random(0)
     fld, n = _require_system(F)
     t0 = time.perf_counter()
@@ -188,13 +196,15 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
         raise NotZeroDimensional("some variable has no pure-power leading term")
     Q0 = compute_basis(gb0)
     D = Q0.dimension
+    times.gb += time.perf_counter() - t0
     prep_nf = 0
     mats0 = None
     if D > cfg.gb_matrix_threshold:
+        t1 = time.perf_counter()
         mats_full, bstats0 = build_matrices_echelon(Q0, gb0, config=cfg.matmul)
         mats0 = [m.matrix.a for m in mats_full]
         prep_nf = bstats0.type2_nf
-    times.gb += time.perf_counter() - t0
+        times.matrices += time.perf_counter() - t1
 
     read_failures = 0
     chord_failures = 0
@@ -203,6 +213,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
         g = first_transform if (attempt == 0 and first_transform is not None) \
             else fld.random_nonsingular_matrix(n, rng)
         t1 = time.perf_counter()
+        FT = None
         if mats0 is not None:
             gbT = _transformed_gb_from_matrices(gb0, Q0, mats0, g, cfg)
         else:
@@ -243,7 +254,8 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
                            tn_density=tn.matrix.density(),
                            read_ops=counter, retries=retries, restarts=attempt,
                            times=times, chord=cstats, prep_nf_total=prep_nf)
-        FT = [apply_change_of_variables(f, g) for f in F]
+        if FT is None:
+            FT = [apply_change_of_variables(f, g) for f in F]
         return SolveReport("las_vegas", g, rep, stats, list(F), FT)
     raise ExhaustedRestarts(cfg.max_restarts, read_failures, chord_failures)
 

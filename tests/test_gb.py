@@ -1,16 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_zero_dim_system, shape_instance
+from helpers import monomials_up_to, random_zero_dim_system, shape_instance
+from polysolve.bench import appendix_family
 from polysolve.errors import NotShapePosition, NotZeroDimensional
 from polysolve.field import PrimeField
 from polysolve.gb import (buchberger, degree, groebner_from_matrices,
                           is_zero_dimensional, lex_oracle, shape_rep_from_lex)
-from polysolve.poly import (Monomial, Polynomial, TermOrder, normal_form,
-                            s_polynomial)
+from polysolve.linalg import Matrix
+from polysolve.poly import (Monomial, Polynomial, TermOrder,
+                            apply_change_of_variables, normal_form, s_polynomial)
 from polysolve.quotient import build_matrices_echelon, compute_basis
+from polysolve.solver import SolveConfig, _transformed_gb_from_matrices
 
 
 def _xy(field):
@@ -131,6 +135,94 @@ def test_groebner_from_matrices_matches_buchberger():
         rebuilt = groebner_from_matrices([m.matrix for m in mats], field, n,
                                          TermOrder.drl(n))
         assert rebuilt.polys == gb.polys
+
+
+def _assert_same_basis(rebuilt, reference):
+    assert rebuilt.polys == reference.polys
+    assert rebuilt.leading_monomials == reference.leading_monomials
+    assert all(type(c) is int for g in rebuilt.polys for c in g.terms.values())
+
+
+# p = 65521 keeps every product on the float64 path; at 2^31 - 1 the
+# products take the int64 (chunked) path and the matrix combination reduces
+# after every two terms
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_transformed_rebuild_matches_buchberger(p, n):
+    field = PrimeField(p)
+    F = appendix_family(n, field, seed=n)
+    g = field.random_nonsingular_matrix(n, random.Random(p + n))
+    order = TermOrder.drl(n)
+    gb0 = buchberger(F, order)
+    quotient = compute_basis(gb0)
+    mats, _stats = build_matrices_echelon(quotient, gb0)
+    rebuilt = _transformed_gb_from_matrices(gb0, quotient, [m.matrix.a for m in mats],
+                                            g, SolveConfig())
+    reference = buchberger([apply_change_of_variables(f, g) for f in F], order)
+    _assert_same_basis(rebuilt, reference)
+
+
+def _pure_power_system(field, n, degrees, rng):
+    """x_i^d_i plus a random coefficient on every monomial below it in DRL:
+    dense, and already a Groebner basis (coprime leading terms)."""
+    order = TermOrder.drl(n)
+    system = []
+    for i, d in enumerate(degrees):
+        lead = Monomial(tuple(d if j == i else 0 for j in range(n)))
+        tail = [(m, rng.randrange(field.p)) for m in monomials_up_to(n, d)
+                if order.greater(lead, m)]
+        system.append(Polynomial.from_terms(field, n, [(lead, 1)] + tail))
+    return system
+
+
+def _interleaves(gb, standard) -> bool:
+    """Some leading monomial lies strictly between two standard monomials
+    of its own degree."""
+    for lm in gb.leading_monomials:
+        same = [s for s in standard if s.deg == lm.deg]
+        if (any(gb.order.greater(lm, s) for s in same)
+                and any(gb.order.greater(s, lm) for s in same)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+def test_rebuild_interleaved_degree_blocks(p):
+    # generic coordinates put the standard monomials of each degree below
+    # its leading monomials; pure-power leading terms do not
+    rng = random.Random(p)
+    field = PrimeField(p)
+    for degrees in ((3, 2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 3)):
+        n = len(degrees)
+        gb = buchberger(_pure_power_system(field, n, degrees, rng), TermOrder.drl(n))
+        quotient = compute_basis(gb)
+        assert _interleaves(gb, quotient.basis)
+        mats, _stats = build_matrices_echelon(quotient, gb)
+        rebuilt = groebner_from_matrices([m.matrix for m in mats], field, n,
+                                         TermOrder.drl(n))
+        _assert_same_basis(rebuilt, gb)
+
+
+def test_groebner_from_matrices_rejects_bad_input():
+    field = PrimeField(65521)
+    n = 3
+    gb = buchberger(appendix_family(n, field), TermOrder.drl(n))
+    quotient = compute_basis(gb)
+    mats, _stats = build_matrices_echelon(quotient, gb)
+    with pytest.raises(ValueError):
+        groebner_from_matrices([], field, n, TermOrder.drl(n))
+    with pytest.raises(ValueError):
+        groebner_from_matrices([m.matrix for m in mats], field, n, TermOrder.lex(n))
+    # one extra coordinate that no monomial ever reaches: the matrices span
+    # a D-dimensional quotient inside a (D+1)-dimensional space
+    dim = quotient.dimension
+    padded = []
+    for m in mats:
+        a = np.zeros((dim + 1, dim + 1), dtype=np.int64)
+        a[:dim, :dim] = m.matrix.a
+        padded.append(Matrix(field, a))
+    with pytest.raises(NotZeroDimensional):
+        groebner_from_matrices(padded, field, n, TermOrder.drl(n))
 
 
 @settings(max_examples=10, deadline=None)
