@@ -23,18 +23,10 @@ import numpy as np
 from .errors import ChangeOrderingFailed
 from .field import PrimeField
 from .gb import GroebnerBasis
-from .linalg import KrylovStats, Matrix, MatMulConfig, OpCounter, krylov_columns
+from .linalg import KrylovStats, Matrix, OpCounter, krylov_columns
 from .poly import Monomial, Polynomial
 from .quotient import QuotientStructure
-from .recur import berlekamp_massey, hankel_solve
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    """Drop trailing zeros: canonical ascending coefficient list."""
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+from .recur import _trim_coeffs, berlekamp_massey, hankel_solve
 
 
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
@@ -64,7 +56,7 @@ class UnivariateRep:
     coeffs: list[list[int]]
 
     def __post_init__(self):
-        self.coeffs = [_trim(c) for c in self.coeffs]
+        self.coeffs = [_trim_coeffs(c) for c in self.coeffs]
 
     @property
     def degree(self) -> int:
@@ -103,8 +95,7 @@ class ChangeOrderStats:
 
 
 def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
-                    rng, hankel_method: str = "auto",
-                    config: MatMulConfig | None = None) -> tuple[UnivariateRep, ChangeOrderStats]:
+                    rng, hankel_method: str = "auto") -> tuple[UnivariateRep, ChangeOrderStats]:
     """Shape-position representation from the last multiplication matrix.
 
     Raises ChangeOrderingFailed when the minimal recurrence of the random
@@ -125,7 +116,7 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     # One Krylov sweep gives every projection the rest of the algorithm
     # reads: row psi(1) is S itself, row psi(x_i) is the Hankel right-hand
     # side for x_i.  Row extraction costs no field operations.
-    K = krylov_columns(tn.transpose(), r, D, config, stats.krylov)
+    K = krylov_columns(tn.transpose(), r, D, stats=stats.krylov)
     S = [int(v) for v in K.a[quotient.psi(Monomial.one(n))]]
     mu = berlekamp_massey(S, fld)
     stats.bm_degree = len(mu) - 1
@@ -141,7 +132,7 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
         xi = Monomial.variable(n, i)
         if xi in quotient.index:
             b = [int(v) for v in K.a[quotient.psi(xi), :D]]
-            coeffs[i] = _trim(hankel_solve(seq, b, fld, method=hankel_method))
+            coeffs[i] = _trim_coeffs(hankel_solve(seq, b, fld, method=hankel_method))
             stats.hankel_solves += 1
         else:
             deferred.append(i)
@@ -162,7 +153,7 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
             part = _poly_mod([0, 1], mu, p) if j == n - 1 else coeffs[j]
             for k, a in enumerate(part):
                 total[k] = (total[k] - cval * a) % p
-        coeffs[i] = _trim(total)
+        coeffs[i] = _trim_coeffs(total)
     return UnivariateRep(fld, n, coeffs), stats
 
 

@@ -1,11 +1,21 @@
 """Dense exact linear algebra over a prime field.
 
-Matrices hold canonical residues in C-contiguous int64 numpy arrays.  All
-paths are exact: the float64 BLAS fast path for multiplication is only taken
-when ``inner_dim * (p-1)^2 < 2^53``, in which case every product and partial
-sum is exactly representable; otherwise an int64 path (chunked if even that
-could overflow) is used.  Strassen multiplication exists behind a config
-switch and is bit-for-bit equal to the classical product.
+Matrices hold canonical residues in C-contiguous int64 numpy arrays.  Every
+product goes through one exact kernel, ``_mul_arrays``, built on float64
+BLAS for the whole range 2 < p < 2^31.  With inner dimension k it takes one
+of two cases:
+
+* while ``k * (p-1)^2 < 2^53`` a single float64 GEMM is exact, because every
+  product and partial sum is an integer below 2^53;
+* otherwise each operand is split into 16-bit halves, A = A1 2^16 + A0, and
+  the four half products are separate float64 GEMMs.  Every partial product
+  of two halves is below 2^32, so each GEMM (and the sum of the two middle
+  ones) is exact while k < 2^21; the parts are recombined modulo p in int64.
+  A product that needs the split with k >= 2^21 raises DimensionMismatch.
+
+This is the splitting approach of FFLAS-FFPACK (Dumas, Giorgi and Pernet,
+ACM TOMS 2008).  A product modulo p is unique, so both cases return the same
+residues as exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,19 +28,8 @@ from .errors import DimensionMismatch, NotUnitTriangular, SingularMatrix
 from .field import PrimeField
 
 _FLOAT_EXACT = 1 << 53
-_INT64_SAFE = (1 << 63) - 1
-
-
-@dataclass
-class MatMulConfig:
-    """Multiplication strategy knobs.  Strassen is off by default; when on it
-    kicks in once every dimension exceeds the threshold."""
-
-    use_strassen: bool = False
-    strassen_threshold: int = 64
-
-
-DEFAULT_MATMUL = MatMulConfig()
+_HALF = 1 << 16
+_SPLIT_MAX_K = 1 << 21
 
 
 @dataclass
@@ -60,60 +59,36 @@ def _as_array(rows) -> np.ndarray:
     return a
 
 
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X1, X0) in float64 with X = X1 2^16 + X0 and 0 <= X0 < 2^16."""
+    x = x.astype(np.float64, copy=False)
+    hi = np.floor(x * (1.0 / _HALF))  # scaling by a power of two is exact
+    lo = hi * -_HALF
+    lo += x
+    return hi, lo
+
+
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for canonical int64 inputs."""
+    """Exact (a @ b) mod p as int64, for canonical int64 or float64 inputs."""
     k = a.shape[1]
-    if k == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    worst = k * (p - 1) * (p - 1)
-    if worst < _FLOAT_EXACT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
+    if k * (p - 1) * (p - 1) < _FLOAT_EXACT:
+        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
         return prod.astype(np.int64) % p
-    if worst <= _INT64_SAFE:
-        return (a @ b) % p
-    # chunk the inner dimension so partial int64 sums cannot overflow
-    step = max(1, _INT64_SAFE // ((p - 1) * (p - 1)))
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(0, k, step):
-        acc = (acc + a[:, i:i + step] @ b[i:i + step, :]) % p
-    return acc
-
-
-def _strassen(a: np.ndarray, b: np.ndarray, p: int, threshold: int) -> np.ndarray:
-    m, k = a.shape
-    n = b.shape[1]
-    if min(m, k, n) <= threshold:
-        return _mul_arrays(a, b, p)
-    mm, kk, nn = m + (m & 1), k + (k & 1), n + (n & 1)
-    if (mm, kk, nn) != (m, k, n):
-        ap = np.zeros((mm, kk), dtype=np.int64)
-        bp = np.zeros((kk, nn), dtype=np.int64)
-        ap[:m, :k] = a
-        bp[:k, :n] = b
-        return _strassen(ap, bp, p, threshold)[:m, :n]
-    h, hk, hn = m // 2, k // 2, n // 2
-    a11, a12, a21, a22 = a[:h, :hk], a[:h, hk:], a[h:, :hk], a[h:, hk:]
-    b11, b12, b21, b22 = b[:hk, :hn], b[:hk, hn:], b[hk:, :hn], b[hk:, hn:]
-
-    def add(x, y):
-        return (x + y) % p
-
-    def sub(x, y):
-        return (x - y) % p
-
-    m1 = _strassen(add(a11, a22), add(b11, b22), p, threshold)
-    m2 = _strassen(add(a21, a22), b11, p, threshold)
-    m3 = _strassen(a11, sub(b12, b22), p, threshold)
-    m4 = _strassen(a22, sub(b21, b11), p, threshold)
-    m5 = _strassen(add(a11, a12), b22, p, threshold)
-    m6 = _strassen(sub(a21, a11), add(b11, b12), p, threshold)
-    m7 = _strassen(sub(a12, a22), add(b21, b22), p, threshold)
-    c = np.empty((m, n), dtype=np.int64)
-    c[:h, :hn] = (m1 + m4 - m5 + m7) % p
-    c[:h, hn:] = (m3 + m5) % p
-    c[h:, :hn] = (m2 + m4) % p
-    c[h:, hn:] = (m1 - m2 + m3 + m6) % p
-    return c
+    if k >= _SPLIT_MAX_K:
+        raise DimensionMismatch(f"inner dimension {k} is too large for an exact product mod {p}")
+    a1, a0 = _halves(a)
+    b1, b0 = _halves(b)
+    # ((A1 B1 2^16 + A1 B0 + A0 B1) 2^16 + A0 B0) mod p, reduced after each
+    # step so int64 never sees more than 2^47 + 2^53; halves are dropped
+    # as soon as their last product is taken
+    acc = (a1 @ b1).astype(np.int64) % p
+    mid = a1 @ b0
+    del a1
+    mid += a0 @ b1
+    del b1
+    acc = (acc * _HALF + mid.astype(np.int64)) % p
+    del mid
+    return (acc * _HALF + (a0 @ b0).astype(np.int64)) % p
 
 
 def _rref_arrays(a: np.ndarray, p: int):
@@ -270,16 +245,11 @@ class Matrix:
         return float(np.count_nonzero(self.a)) / total if total else 0.0
 
 
-def mat_mul(a: Matrix, b: Matrix, config: MatMulConfig | None = None) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     a._check_same_field(b)
     if a.ncols != b.nrows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    cfg = config or DEFAULT_MATMUL
-    if cfg.use_strassen and min(a.nrows, a.ncols, b.ncols) > cfg.strassen_threshold:
-        out = _strassen(a.a, b.a, a.field.p, cfg.strassen_threshold)
-    else:
-        out = _mul_arrays(a.a, b.a, a.field.p)
-    return Matrix(a.field, out)
+    return Matrix(a.field, _mul_arrays(a.a, b.a, a.field.p))
 
 
 def binary_power_table(t: Matrix, k: int) -> list[Matrix]:
@@ -309,8 +279,7 @@ def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
     return np.vstack([x1, x2])
 
 
-def block_echelon(t: Matrix, b: Matrix, c: Matrix, d: Matrix,
-                  config: MatMulConfig | None = None) -> Matrix:
+def block_echelon(t: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """Reduced rows of a block [T | B | C] against prior rows [0 | Id | D].
 
     T must be unit upper triangular.  The returned block is
@@ -325,11 +294,11 @@ def block_echelon(t: Matrix, b: Matrix, c: Matrix, d: Matrix,
         raise NotUnitTriangular("pivot block is not unit upper triangular")
     if b.ncols != d.nrows or t.nrows != b.nrows or c.nrows != t.nrows or c.ncols != d.ncols:
         raise DimensionMismatch("inconsistent block shapes")
-    rhs = (c.a - mat_mul(b, d, config).a) % p
+    rhs = (c.a - mat_mul(b, d).a) % p
     return Matrix(t.field, _unit_ut_solve(ta, rhs, p))
 
 
-def krylov_columns(t: Matrix, r, width: int, config: MatMulConfig | None = None,
+def krylov_columns(t: Matrix, r, width: int, *,
                    stats: KrylovStats | None = None) -> Matrix:
     """Columns [r | Tr | T^2 r | ... | T^(2*width-1) r] by doubling.
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ClassificationFailure, NotReadable, NotZeroDimensional
 from .field import PrimeField
 from .gb import GroebnerBasis, is_zero_dimensional
-from .linalg import Matrix, MatMulConfig, OpCounter, block_echelon, _mul_arrays
+from .linalg import Matrix, OpCounter, block_echelon, _mul_arrays
 from .poly import Monomial, Polynomial, TermOrder
 
 
@@ -192,18 +192,14 @@ class BuildStats:
     type2_for_var: list[int] = dc_field(default_factory=list)
 
 
-def _tail_vector(quotient: QuotientStructure, g: Polynomial, lm: Monomial, dtype) -> np.ndarray:
+def _tail_vector(quotient: QuotientStructure, g: Polynomial, lm: Monomial) -> np.ndarray:
     """psi(-tail) of a monic reduced generator, i.e. psi(NF(lm))."""
     p = quotient.field.p
-    v = np.zeros(len(quotient.basis), dtype=dtype)
+    v = np.zeros(len(quotient.basis), dtype=np.int64)
     for m, c in g.terms.items():
         if m != lm:
             v[quotient.index[m]] = p - c
     return v
-
-
-def _use_float(dim: int, p: int) -> bool:
-    return dim * (p - 1) * (p - 1) < (1 << 53)
 
 
 def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
@@ -220,9 +216,8 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
     n = quotient.n
     p = quotient.field.p
     dim = quotient.dimension
-    floaty = _use_float(dim, p)
-    dtype = np.float64 if floaty else np.int64
-    mats = [np.zeros((dim, dim), dtype=dtype) for _ in range(n)]
+    # float64-resident, so the kernel reads them without a conversion
+    mats = [np.zeros((dim, dim), dtype=np.float64) for _ in range(n)]
     for j, eps in enumerate(quotient.basis):
         for i in range(n):
             t = eps.mul_var(i)
@@ -232,13 +227,10 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
     type2 = 0
     for mem in frontier:
         if mem.kind == "generator":
-            vec = _tail_vector(quotient, mem.generator, mem.monomial, dtype)
+            vec = _tail_vector(quotient, mem.generator, mem.monomial)
         else:
             alpha = nf[mem.witness]
-            if floaty:
-                vec = (mats[mem.witness_var] @ alpha) % p
-            else:
-                vec = _mul_arrays(mats[mem.witness_var], alpha[:, None], p).ravel()
+            vec = _mul_arrays(mats[mem.witness_var], alpha[:, None], p).ravel()
             type2 += 1
         nf[mem.monomial] = vec
         for i in mem.parent_vars:
@@ -251,8 +243,7 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
 
 def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
                            frontier: Frontier | None = None,
-                           variables: list[int] | None = None,
-                           config: MatMulConfig | None = None) -> tuple[list[MulMatrix], BuildStats]:
+                           variables: list[int] | None = None) -> tuple[list[MulMatrix], BuildStats]:
     """Multiplication matrices degree by degree.
 
     For each frontier degree d the rows (generator rows: the generator
@@ -327,7 +318,7 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
             b_blk[r, fr_idx[~cur]] = fr_vals[~cur]
         d_blk = (-nf_rows[:filled]) % p
         x = block_echelon(Matrix(fld, t_blk), Matrix(fld, b_blk),
-                          Matrix(fld, c_blk), Matrix(fld, d_blk), config)
+                          Matrix(fld, c_blk), Matrix(fld, d_blk))
         nf_rows[filled:filled + s] = (-x.a) % p
         filled += s
 

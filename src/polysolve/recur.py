@@ -77,8 +77,7 @@ def hankel_matrix(seq, dim: int, field: PrimeField) -> Matrix:
     return Matrix(field, s[idx])
 
 
-def _hankel_solve_dense(s: np.ndarray, rhs: np.ndarray, dim: int, p: int,
-                        field: PrimeField) -> np.ndarray:
+def _hankel_solve_dense(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> np.ndarray:
     idx = np.add.outer(np.arange(dim), np.arange(dim))
     aug = np.hstack([s[idx], rhs[:, None]])
     pivots = _rref_arrays(aug, p)
@@ -143,16 +142,17 @@ def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense") -> list[int
             return [int(v) for v in _hankel_solve_levinson(s, rhs_arr, dim, p)]
         except _LevinsonBreakdown:
             pass
-        return [int(v) for v in _hankel_solve_dense(s, rhs_arr, dim, p, field)]
+        return [int(v) for v in _hankel_solve_dense(s, rhs_arr, dim, p)]
     if method != "dense":
         raise ValueError(f"unknown Hankel method {method!r}")
-    return [int(v) for v in _hankel_solve_dense(s, rhs_arr, dim, p, field)]
+    return [int(v) for v in _hankel_solve_dense(s, rhs_arr, dim, p)]
 
 
 # -- univariate utilities ---------------------------------------------------
 
 
 def _trim_coeffs(c: list[int]) -> list[int]:
+    """Drop trailing zeros: canonical ascending coefficient list."""
     out = list(c)
     while out and out[-1] == 0:
         out.pop()

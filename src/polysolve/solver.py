@@ -22,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +32,12 @@ from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
 from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimensional
-from .linalg import _INT64_SAFE, MatMulConfig, Matrix, OpCounter
+from .linalg import Matrix, OpCounter
 from .poly import Polynomial, TermOrder, apply_change_of_variables
 from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
                        compute_frontier, try_read_Tn)
+
+_INT64_SAFE = (1 << 63) - 1
 
 
 @dataclass
@@ -46,7 +49,6 @@ class SolveConfig:
     #                                basis is derived from multiplication
     #                                matrices instead of rerunning Buchberger
     root_scan_limit: int = 1 << 20
-    matmul: MatMulConfig | None = None
 
 
 @dataclass
@@ -79,7 +81,14 @@ class SolveReport:
     rep: UnivariateRep
     stats: SolveStats
     system: list[Polynomial]
-    transformed_system: list[Polynomial] | None = None
+
+    @cached_property
+    def transformed_system(self) -> list[Polynomial] | None:
+        """The input system under X -> g X (None without a change of
+        variables); computed on first read, since no solve step needs it."""
+        if self.g is None:
+            return None
+        return [apply_change_of_variables(f, self.g) for f in self.system]
 
 
 def _require_system(F: list[Polynomial]) -> tuple[PrimeField, int]:
@@ -104,8 +113,7 @@ def solve_deterministic(F: list[Polynomial], rng=None,
     t1 = time.perf_counter()
     Q = compute_basis(gbd)
     frontier = compute_frontier(Q, gbd)
-    mats, bstats = build_matrices_echelon(Q, gbd, frontier, variables=[n - 1],
-                                          config=cfg.matmul)
+    mats, bstats = build_matrices_echelon(Q, gbd, frontier, variables=[n - 1])
     tn = mats[0]
     t_mat = time.perf_counter() - t1
 
@@ -117,8 +125,7 @@ def solve_deterministic(F: list[Polynomial], rng=None,
     for _ in range(cfg.r_retries):
         try:
             rep, cstats = change_ordering(tn, gbd, Q, rng,
-                                          hankel_method=cfg.hankel_method,
-                                          config=cfg.matmul)
+                                          hankel_method=cfg.hankel_method)
             break
         except ChangeOrderingFailed as exc:
             retries += 1
@@ -201,7 +208,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
     mats0 = None
     if D > cfg.gb_matrix_threshold:
         t1 = time.perf_counter()
-        mats_full, bstats0 = build_matrices_echelon(Q0, gb0, config=cfg.matmul)
+        mats_full, bstats0 = build_matrices_echelon(Q0, gb0)
         mats0 = [m.matrix.a for m in mats_full]
         prep_nf = bstats0.type2_nf
         times.matrices += time.perf_counter() - t1
@@ -213,7 +220,6 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
         g = first_transform if (attempt == 0 and first_transform is not None) \
             else fld.random_nonsingular_matrix(n, rng)
         t1 = time.perf_counter()
-        FT = None
         if mats0 is not None:
             gbT = _transformed_gb_from_matrices(gb0, Q0, mats0, g, cfg)
         else:
@@ -238,8 +244,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
         for _ in range(cfg.r_retries):
             try:
                 rep, cstats = change_ordering(tn, gbT, QT, rng,
-                                              hankel_method=cfg.hankel_method,
-                                              config=cfg.matmul)
+                                              hankel_method=cfg.hankel_method)
                 break
             except ChangeOrderingFailed:
                 retries += 1
@@ -254,9 +259,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
                            tn_density=tn.matrix.density(),
                            read_ops=counter, retries=retries, restarts=attempt,
                            times=times, chord=cstats, prep_nf_total=prep_nf)
-        if FT is None:
-            FT = [apply_change_of_variables(f, g) for f in F]
-        return SolveReport("las_vegas", g, rep, stats, list(F), FT)
+        return SolveReport("las_vegas", g, rep, stats, list(F))
     raise ExhaustedRestarts(cfg.max_restarts, read_failures, chord_failures)
 
 

@@ -143,8 +143,8 @@ def _assert_same_basis(rebuilt, reference):
     assert all(type(c) is int for g in rebuilt.polys for c in g.terms.values())
 
 
-# p = 65521 keeps every product on the float64 path; at 2^31 - 1 the
-# products take the int64 (chunked) path and the matrix combination reduces
+# p = 65521 keeps every product on the single float64 GEMM; at 2^31 - 1 the
+# products take the 16-bit split kernel and the matrix combination reduces
 # after every two terms
 @pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
 @pytest.mark.parametrize("n", [4, 5, 6])

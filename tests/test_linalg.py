@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from polysolve.errors import (DimensionMismatch, NotUnitTriangular,
                               SingularMatrix)
 from polysolve.field import PrimeField
-from polysolve.linalg import (KrylovStats, MatMulConfig, Matrix,
-                              binary_power_table, block_echelon,
-                              krylov_columns, mat_mul)
+from polysolve.linalg import (KrylovStats, Matrix, binary_power_table,
+                              block_echelon, krylov_columns, mat_mul)
 
 
 def _random_matrix(field, r, c, rng):
@@ -49,23 +48,30 @@ def test_matrix_ring_ops(f7):
 
 def test_mat_mul_matches_naive_random():
     rng = random.Random(3)
-    for p in (7, 101, 65521):
+    for p in (7, 101, 65521, 2 ** 26 - 5, 2 ** 31 - 1):
         field = PrimeField(p)
         for _ in range(5):
             r, k, c = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 9)
             a = _random_matrix(field, r, k, rng)
             b = _random_matrix(field, k, c, rng)
             assert mat_mul(a, b) == _naive_mul(a, b)
+    # every entry p - 1 at inner dimensions on both sides of the float64
+    # bound k (p-1)^2 < 2^53; past it the 16-bit split kernel runs
+    def float_k(p):
+        return ((1 << 53) - 1) // (p - 1) ** 2
 
-
-def test_strassen_matches_classical():
-    rng = random.Random(5)
-    field = PrimeField(65521)
-    cfg = MatMulConfig(use_strassen=True, strassen_threshold=8)
-    for size in (9, 16, 33):
-        a = _random_matrix(field, size, size, rng)
-        b = _random_matrix(field, size, size, rng)
-        assert mat_mul(a, b, cfg) == mat_mul(a, b)
+    worst = [(65521, float_k(65521)), (2 ** 26 - 5, float_k(2 ** 26 - 5)),
+             (2 ** 26 - 5, float_k(2 ** 26 - 5) + 1)]
+    worst += [(2 ** 31 - 1, k) for k in (1, 2, 3, 64)]
+    for p, k in worst:
+        field = PrimeField(p)
+        a = Matrix(field, np.full((1, k), p - 1, dtype=np.int64))
+        assert mat_mul(a, a.transpose()) == _naive_mul(a, a.transpose())
+    # for p <= 2^16 + 1 one step past the float64 bound is already k >= 2^21,
+    # where the split parts are no longer exact: refused, not rounded
+    row = Matrix(PrimeField(65521), np.full((1, float_k(65521) + 1), 65520, dtype=np.int64))
+    with pytest.raises(DimensionMismatch):
+        mat_mul(row, row.transpose())
 
 
 def test_mat_mul_shape_check(f7):
