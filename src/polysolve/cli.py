@@ -103,6 +103,7 @@ def _cmd_solve(args) -> int:
     import random
 
     from .bench import record_from_report
+    from .errors import BudgetExceeded
     from .solver import (SolveConfig, rational_solutions, solve_deterministic,
                          solve_lasvegas)
     from .sysfile import parse_system
@@ -115,9 +116,10 @@ def _cmd_solve(args) -> int:
     else:
         report = solve_deterministic(system.polys, rng, config=cfg)
     record = record_from_report(report)
-    solutions = None
-    if system.field.p <= cfg.root_scan_limit:
+    try:
         solutions = rational_solutions(report)
+    except BudgetExceeded:   # the field is too large to scan for roots
+        solutions = None
 
     if args.json:
         payload = {

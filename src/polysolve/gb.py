@@ -10,10 +10,10 @@ reduced DRL basis of an ideal from its multiplication matrices, one total
 degree at a time: the coordinate vectors of a degree's candidate monomials
 come from one matrix product per variable, and a block elimination in
 ascending order sorts them into standard monomials and leading monomials
-with their tails.  The solver uses it when a basis for a linear change of
-coordinates of an already-understood ideal is needed at scales where term
-rewriting is hopeless; its output is bit-identical to Buchberger's by
-uniqueness of the reduced basis.
+with their tails.  The Las Vegas solver takes every basis after a linear
+change of coordinates from it, fed with combinations of the original
+ideal's multiplication matrices, so no second Buchberger run happens; its
+output is bit-identical to Buchberger's by uniqueness of the reduced basis.
 """
 
 from __future__ import annotations

@@ -21,13 +21,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularHankel
 from .field import PrimeField
-from .linalg import Matrix, _mul_arrays, _rref_arrays
+from .linalg import Matrix, _rref_arrays
 
 
 def _safe_dot(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return int(_mul_arrays(a[None, :], b[:, None], p)[0, 0])
+    # canonical residues below 2^31: each product is below 2^62 and each
+    # reduced term below 2^31, so the int64 sum is exact
+    return int((a * b % p).sum() % p)
 
 
 def berlekamp_massey(seq, field: PrimeField) -> list[int]:

@@ -1,15 +1,20 @@
 """End-to-end pipelines.
 
-``solve_deterministic``: basis in the degree order, multiplication matrix of
-the last variable by the degree-by-degree builder, then the recurrence-based
-change of ordering (retried with fresh random vectors a few times before
-concluding the ideal is not in shape position for these coordinates).
+Both pipelines share one prefix (reduced DRL basis, zero-dimensionality
+checks, quotient basis) and one retry loop around the change of ordering.
 
-``solve_lasvegas``: draw an invertible change of variables g, compute the
-transformed ideal's basis, and insist on reading the last multiplication
-matrix for free; restart with a new g whenever reading or the ordering
-change fails.  Output is always correct when produced — failure is only
-ever reported as ExhaustedRestarts with diagnostics.
+``solve_deterministic``: multiplication matrix of the last variable by the
+degree-by-degree builder, then the recurrence-based change of ordering
+(retried with fresh random vectors a few times before concluding the ideal
+is not in shape position for these coordinates).
+
+``solve_lasvegas``: build the n multiplication matrices of the original
+ideal once; then draw an invertible change of variables g, derive the
+transformed ideal's reduced basis from those matrices (no second Groebner
+computation), and insist on reading the last multiplication matrix for
+free; restart with a new g whenever reading or the ordering change fails.
+Output is always correct when produced — failure is only ever reported as
+ExhaustedRestarts with diagnostics.
 
 Also: the closed-form success-probability lower bound for a random g, and a
 brute-force rational-solution oracle used by the cross-checking tests.
@@ -44,11 +49,6 @@ _INT64_SAFE = (1 << 63) - 1
 class SolveConfig:
     max_restarts: int = 8          # fresh g draws in the Las Vegas loop
     r_retries: int = 4             # fresh random vectors per ordering change
-    hankel_method: str = "auto"
-    gb_matrix_threshold: int = 48  # above this dimension the transformed
-    #                                basis is derived from multiplication
-    #                                matrices instead of rerunning Buchberger
-    root_scan_limit: int = 1 << 20
 
 
 @dataclass
@@ -71,7 +71,7 @@ class SolveStats:
     restarts: int                  # g draws beyond the first (always 0 deterministic)
     times: StageTimes
     chord: ChangeOrderStats | None = None
-    prep_nf_total: int = 0         # matrix-route preparation normal forms (Las Vegas)
+    prep_nf_total: int = 0         # normal forms of the up-front matrix build (Las Vegas)
 
 
 @dataclass
@@ -97,6 +97,32 @@ def _require_system(F: list[Polynomial]) -> tuple[PrimeField, int]:
     return F[0].field, F[0].n
 
 
+def _drl_prefix(F: list[Polynomial], fld: PrimeField,
+                n: int) -> tuple[GroebnerBasis, QuotientStructure]:
+    """Reduced DRL basis of a zero-dimensional ideal and its quotient basis."""
+    gb = buchberger(F, TermOrder.drl(n), field=fld)
+    if gb.contains_one():
+        raise NotZeroDimensional("the ideal contains 1; the system has no solutions")
+    if not is_zero_dimensional(gb):
+        raise NotZeroDimensional("some variable has no pure-power leading term")
+    return gb, compute_basis(gb)
+
+
+def _change_ordering_retries(tn, gb: GroebnerBasis, Q: QuotientStructure, rng,
+                             cfg: SolveConfig):
+    """Up to ``cfg.r_retries`` ordering changes with fresh random vectors.
+
+    Returns (rep or None, its stats, failed attempts, last failure)."""
+    last = None
+    for failures in range(cfg.r_retries):
+        try:
+            rep, cstats = change_ordering(tn, gb, Q, rng)
+            return rep, cstats, failures, None
+        except ChangeOrderingFailed as exc:
+            last = exc
+    return None, None, cfg.r_retries, last
+
+
 def solve_deterministic(F: list[Polynomial], rng=None,
                         config: SolveConfig | None = None) -> SolveReport:
     """Shape-position representation without changing coordinates."""
@@ -104,44 +130,24 @@ def solve_deterministic(F: list[Polynomial], rng=None,
     rng = rng or random.Random(0)
     fld, n = _require_system(F)
     t0 = time.perf_counter()
-    gbd = buchberger(F, TermOrder.drl(n), field=fld)
-    t_gb = time.perf_counter() - t0
-    if gbd.contains_one():
-        raise NotZeroDimensional("the ideal contains 1; the system has no solutions")
-    if not is_zero_dimensional(gbd):
-        raise NotZeroDimensional("some variable has no pure-power leading term")
+    gbd, Q = _drl_prefix(F, fld, n)
     t1 = time.perf_counter()
-    Q = compute_basis(gbd)
     frontier = compute_frontier(Q, gbd)
     mats, bstats = build_matrices_echelon(Q, gbd, frontier, variables=[n - 1])
     tn = mats[0]
-    t_mat = time.perf_counter() - t1
-
     t2 = time.perf_counter()
-    rep = None
-    cstats = None
-    retries = 0
-    last = None
-    for _ in range(cfg.r_retries):
-        try:
-            rep, cstats = change_ordering(tn, gbd, Q, rng,
-                                          hankel_method=cfg.hankel_method)
-            break
-        except ChangeOrderingFailed as exc:
-            retries += 1
-            last = exc
+    rep, cstats, retries, last = _change_ordering_retries(tn, gbd, Q, rng, cfg)
     if rep is None:
         raise NotShapePosition(
             f"minimal recurrence degree stayed at {last.degree} < {last.expected} "
             f"after {cfg.r_retries} random vectors")
-    t_chord = time.perf_counter() - t2
+    t3 = time.perf_counter()
     stats = SolveStats(n=n, D=Q.dimension,
                        nf_type2_total=bstats.type2_nf,
                        nf_type2_tn=frontier.type2_for_var(n - 1),
                        tn_density=tn.matrix.density(),
                        read_ops=OpCounter(), retries=retries, restarts=0,
-                       times=StageTimes(t_gb, t_mat, t_chord,
-                                        time.perf_counter() - t0),
+                       times=StageTimes(t1 - t0, t2 - t1, t3 - t2, t3 - t0),
                        chord=cstats)
     return SolveReport("deterministic", None, rep, stats, list(F))
 
@@ -195,23 +201,12 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
     fld, n = _require_system(F)
     t0 = time.perf_counter()
     times = StageTimes()
-
-    gb0 = buchberger(F, TermOrder.drl(n), field=fld)
-    if gb0.contains_one():
-        raise NotZeroDimensional("the ideal contains 1; the system has no solutions")
-    if not is_zero_dimensional(gb0):
-        raise NotZeroDimensional("some variable has no pure-power leading term")
-    Q0 = compute_basis(gb0)
-    D = Q0.dimension
-    times.gb += time.perf_counter() - t0
-    prep_nf = 0
-    mats0 = None
-    if D > cfg.gb_matrix_threshold:
-        t1 = time.perf_counter()
-        mats_full, bstats0 = build_matrices_echelon(Q0, gb0)
-        mats0 = [m.matrix.a for m in mats_full]
-        prep_nf = bstats0.type2_nf
-        times.matrices += time.perf_counter() - t1
+    gb0, Q0 = _drl_prefix(F, fld, n)
+    t1 = time.perf_counter()
+    times.gb = t1 - t0
+    mats_full, bstats0 = build_matrices_echelon(Q0, gb0)
+    mats0 = [m.matrix.a for m in mats_full]
+    times.matrices = time.perf_counter() - t1
 
     read_failures = 0
     chord_failures = 0
@@ -220,45 +215,35 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
         g = first_transform if (attempt == 0 and first_transform is not None) \
             else fld.random_nonsingular_matrix(n, rng)
         t1 = time.perf_counter()
-        if mats0 is not None:
-            gbT = _transformed_gb_from_matrices(gb0, Q0, mats0, g, cfg)
-        else:
-            FT = [apply_change_of_variables(f, g) for f in F]
-            gbT = buchberger(FT, TermOrder.drl(n), field=fld)
+        gbT = _transformed_gb_from_matrices(gb0, Q0, mats0, g, cfg)
         QT = compute_basis(gbT)
-        times.gb += time.perf_counter() - t1
-
         t2 = time.perf_counter()
+        times.gb += t2 - t1
+
         counter = OpCounter()
         try:
             tn = try_read_Tn(QT, gbT, counter)
         except NotReadable:
             read_failures += 1
-            times.matrices += time.perf_counter() - t2
             continue
-        times.matrices += time.perf_counter() - t2
+        finally:
+            times.matrices += time.perf_counter() - t2
 
         t3 = time.perf_counter()
-        rep = None
-        cstats = None
-        for _ in range(cfg.r_retries):
-            try:
-                rep, cstats = change_ordering(tn, gbT, QT, rng,
-                                              hankel_method=cfg.hankel_method)
-                break
-            except ChangeOrderingFailed:
-                retries += 1
+        rep, cstats, failed, _ = _change_ordering_retries(tn, gbT, QT, rng, cfg)
+        retries += failed
         times.change_order += time.perf_counter() - t3
         if rep is None:
             chord_failures += 1
             continue
 
         times.total = time.perf_counter() - t0
-        stats = SolveStats(n=n, D=D, nf_type2_total=0,
+        stats = SolveStats(n=n, D=Q0.dimension, nf_type2_total=0,
                            nf_type2_tn=0,
                            tn_density=tn.matrix.density(),
                            read_ops=counter, retries=retries, restarts=attempt,
-                           times=times, chord=cstats, prep_nf_total=prep_nf)
+                           times=times, chord=cstats,
+                           prep_nf_total=bstats0.type2_nf)
         return SolveReport("las_vegas", g, rep, stats, list(F))
     raise ExhaustedRestarts(cfg.max_restarts, read_failures, chord_failures)
 

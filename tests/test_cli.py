@@ -125,6 +125,21 @@ def test_probbound_output(capsys):
     assert "characteristic condition q > 3: satisfied" in out
 
 
+def test_solve_at_largest_modulus_omits_root_scan(tmp_path, capsys):
+    # p = 2^31 - 1 is past the root-scan budget: no solutions are listed
+    path = tmp_path / "big.txt"
+    path.write_text("p = 2147483647\nvars = x, y\nx - y^2 - 3\ny^3 - 2*y + 5\n")
+    assert main(["solve", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p"] == 2 ** 31 - 1
+    assert payload["solutions"] is None
+    assert len(payload["rep"]["minimal_polynomial"]) == 4
+    assert main(["solve", str(path), "--lv"]) == 0
+    out = capsys.readouterr().out
+    assert "pipeline: las_vegas" in out
+    assert "rational solutions:" not in out
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("p = 7\nvars = x\nx + + 1\n")

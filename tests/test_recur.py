@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polysolve.errors import SingularHankel
 from polysolve.field import PrimeField
-from polysolve.recur import (berlekamp_massey, hankel_matrix, hankel_solve,
-                             is_squarefree, minimal_polynomial_degree,
+from polysolve.recur import (_safe_dot, berlekamp_massey, hankel_matrix,
+                             hankel_solve, is_squarefree, minimal_polynomial_degree,
                              univariate_derivative, univariate_gcd)
 
 
@@ -143,3 +144,10 @@ def test_gcd_divides_both_inputs(seed):
         return all(c == 0 for c in f)
 
     assert divides(g, a) and divides(g, b)
+
+
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("k", [0, 1, 2048])
+def test_safe_dot_exact_on_largest_residues(p, k):
+    a = np.full(k, p - 1, dtype=np.int64)
+    assert _safe_dot(a, a.copy(), p) == sum(int(u) * int(v) for u, v in zip(a, a)) % p

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_zero_dim_system, shape_instance
+from polysolve import solver
 from polysolve.errors import (BudgetExceeded, ExhaustedRestarts,
                               NotShapePosition, NotZeroDimensional)
 from polysolve.field import PrimeField
-from polysolve.poly import Polynomial
-from polysolve.solver import (SolveConfig, enumerate_rational_solutions,
+from polysolve.gb import buchberger, lex_oracle
+from polysolve.poly import Monomial, Polynomial, TermOrder
+from polysolve.solver import (enumerate_rational_solutions,
                               probability_bound, rational_solutions,
                               solve_deterministic, solve_lasvegas)
 
@@ -110,17 +112,57 @@ def test_exhausted_restarts_on_never_cyclic_ideal(f101):
     assert err.value.read_failures + err.value.chord_failures == 3
 
 
-def test_threshold_routes_agree(f101):
-    # below/above the matrix-route threshold must be a pure implementation
-    # switch: same transforms, same answer
-    rng = random.Random(9)
-    system, _rep = shape_instance(f101, 2, 6, rng)
-    lo = solve_lasvegas(system, random.Random(4),
-                        config=SolveConfig(gb_matrix_threshold=0))
-    hi = solve_lasvegas(system, random.Random(4),
-                        config=SolveConfig(gb_matrix_threshold=10 ** 6))
-    assert lo.rep.coeffs == hi.rep.coeffs
-    assert lo.g == hi.g
+def _d1_system():
+    f101 = PrimeField(101)
+    x, y = _xy(f101)
+    return [x - _c(f101, 3), y - _c(f101, 5)]
+
+
+_LEX_ORACLE_CASES = {
+    "shape-p101-D6": lambda: shape_instance(PrimeField(101), 2, 6, random.Random(9))[0],
+    # the linear equation makes x_0 a leading monomial of every transformed
+    # basis, so change_ordering takes its deferred branch
+    "linear-equation": lambda: random_zero_dim_system(PrimeField(65521), 3, (1, 2, 2),
+                                                      random.Random(3))[0],
+    "D1": _d1_system,
+    "p2^31-1": lambda: random_zero_dim_system(PrimeField(2 ** 31 - 1), 2, (2, 3),
+                                              random.Random(4))[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEX_ORACLE_CASES))
+def test_lasvegas_matches_lex_oracle_on_transformed_system(case):
+    system = _LEX_ORACLE_CASES[case]()
+    fld, n = system[0].field, system[0].n
+    report = solve_lasvegas(system, random.Random(4))
+    assert report.rep.coeffs == lex_oracle(report.transformed_system, n, fld).coeffs
+    again = solve_lasvegas(system, random.Random(4))
+    assert again.g == report.g
+    assert again.rep.coeffs == report.rep.coeffs
+    if case == "linear-equation":
+        gbT = buchberger(report.transformed_system, TermOrder.drl(n), field=fld)
+        assert Monomial.variable(n, 0) in gbT.leading_monomials
+
+
+def test_lasvegas_runs_buchberger_once(f101, monkeypatch):
+    # every transformed basis comes from the multiplication matrices: the
+    # only Groebner computation of a solve is the one on the input system
+    calls = []
+    real = solver.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "buchberger", counting)
+    system, _gb = random_zero_dim_system(f101, 2, (2, 2), random.Random(7))
+    solve_lasvegas(system, random.Random(0))
+    assert len(calls) == 1
+    calls.clear()
+    x, y = _xy(f101)
+    with pytest.raises(ExhaustedRestarts):
+        solve_lasvegas([x * x, y * y], random.Random(0), max_restarts=3)
+    assert len(calls) == 1
 
 
 def test_solution_recovery_applies_the_transform(f101):
