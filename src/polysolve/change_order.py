@@ -4,13 +4,13 @@ Given the multiplication matrix of the last variable on a D-dimensional
 quotient, a random linear form r yields the scalar sequence
 S_j = r(x_n^j mod I).  Its minimal linear recurrence is the minimal
 polynomial h_n of x_n; when deg h_n = D the ideal is in shape position and
-every other variable satisfies x_i = h_i(x_n) with h_i recovered from one
-Hankel system (or, for variables that are themselves leading terms of the
-input basis, by a linear recombination of already-known parametrizations).
+every other variable satisfies x_i = h_i(x_n).  All the h_i share one
+Hankel matrix built from S, so they come from one block solve whose i-th
+right-hand side is the sequence r(x_n^j NF(x_i)).
 
-The whole transcript of S and of the right-hand sides is read off a single
-Krylov matrix built with O(log D) matrix products; no further products of
-full matrices are needed.
+S and every right-hand side are read off a single Krylov matrix built with
+O(log D) matrix products, the right-hand sides by one product with the
+normal-form coordinates of the variables.
 """
 
 from __future__ import annotations
@@ -23,22 +23,10 @@ import numpy as np
 from .errors import ChangeOrderingFailed
 from .field import PrimeField
 from .gb import GroebnerBasis
-from .linalg import KrylovStats, Matrix, OpCounter, krylov_columns
+from .linalg import KrylovStats, Matrix, _mul_arrays, krylov_columns
 from .poly import Monomial, Polynomial
-from .quotient import QuotientStructure
+from .quotient import QuotientStructure, _tail_vector
 from .recur import _trim_coeffs, berlekamp_massey, hankel_solve
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of ascending-coefficient a modulo monic ascending m."""
-    r = [c % p for c in a]
-    d = len(m) - 1
-    while len(r) > d:
-        lead = r.pop()
-        if lead:
-            for k in range(d):
-                r[len(r) - d + k] = (r[len(r) - d + k] - lead * m[k]) % p
-    return r
 
 
 @dataclass
@@ -88,7 +76,6 @@ class UnivariateRep:
 @dataclass
 class ChangeOrderStats:
     krylov: KrylovStats = dc_field(default_factory=KrylovStats)
-    extract_ops: OpCounter = dc_field(default_factory=OpCounter)
     bm_degree: int = 0
     hankel_solves: int = 0
     hankel_method: str = "dense"
@@ -113,9 +100,8 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     stats.hankel_method = ("levinson" if hankel_method == "levinson"
                            or (hankel_method == "auto" and D >= 64) else "dense")
     r = fld.random_vector(D, rng)
-    # One Krylov sweep gives every projection the rest of the algorithm
-    # reads: row psi(1) is S itself, row psi(x_i) is the Hankel right-hand
-    # side for x_i.  Row extraction costs no field operations.
+    # Row psi(m) of K is the sequence r(x_n^j m), so row psi(1) is S and
+    # c K is the sequence of the element with normal-form coordinates c.
     K = krylov_columns(tn.transpose(), r, D, stats=stats.krylov)
     S = [int(v) for v in K.a[quotient.psi(Monomial.one(n))]]
     mu = berlekamp_massey(S, fld)
@@ -123,38 +109,20 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     if stats.bm_degree < D:
         raise ChangeOrderingFailed(stats.bm_degree, D)
 
-    coeffs: list[list[int] | None] = [None] * n
-    coeffs[n - 1] = mu
-    seq = S[: 2 * D - 1]
+    # NF(x_i) is x_i itself when it is standard, else minus the tail of the
+    # basis element it leads
     lm_to_poly = dict(zip(gb.leading_monomials, gb.polys))
-    deferred = []
+    C = np.zeros((n - 1, D), dtype=np.int64)
     for i in range(n - 1):
         xi = Monomial.variable(n, i)
         if xi in quotient.index:
-            b = [int(v) for v in K.a[quotient.psi(xi), :D]]
-            coeffs[i] = _trim_coeffs(hankel_solve(seq, b, fld, method=hankel_method))
-            stats.hankel_solves += 1
+            C[i, quotient.psi(xi)] = 1
         else:
-            deferred.append(i)
-    # Variables that are themselves leading terms: the basis contains
-    # x_i + (linear tail in standard monomials), so h_i is minus the tail
-    # with every standard variable replaced by its parametrization.
-    for i in deferred:
-        xi = Monomial.variable(n, i)
-        g = lm_to_poly[xi]
-        total = [0] * D
-        for m, cval in g.terms.items():
-            if m == xi:
-                continue
-            if m.is_one():
-                total[0] = (total[0] - cval) % p
-                continue
-            j = m.support()[0]
-            part = _poly_mod([0, 1], mu, p) if j == n - 1 else coeffs[j]
-            for k, a in enumerate(part):
-                total[k] = (total[k] - cval * a) % p
-        coeffs[i] = _trim_coeffs(total)
-    return UnivariateRep(fld, n, coeffs), stats
+            C[i] = _tail_vector(quotient, lm_to_poly[xi], xi)
+    rhs = _mul_arrays(C, K.a[:, :D], p).T
+    h = hankel_solve(S[: 2 * D - 1], rhs, fld, method=hankel_method)
+    stats.hankel_solves = 1
+    return UnivariateRep(fld, n, h.T.tolist() + [mu]), stats
 
 
 # -- verification against the original system ------------------------------
@@ -187,6 +155,18 @@ def _powmod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+def _eval_points(f: Polynomial, coords: np.ndarray, p: int) -> np.ndarray:
+    """f at every column of the n x N array of points."""
+    acc = np.zeros(coords.shape[1], dtype=np.int64)
+    for mono, c in f.terms.items():
+        term = np.full(coords.shape[1], c, dtype=np.int64)
+        for i, e in enumerate(mono.exps):
+            if e:
+                term = term * _powmod_vec(coords[i], e, p) % p
+        acc = (acc + term) % p
+    return acc
+
+
 def verify_rep(rep: UnivariateRep, system: list[Polynomial],
                sample_budget: int = 1 << 20, rng=None) -> VerifyResult:
     """Check that every root of h_n in the base field maps to a common zero
@@ -213,13 +193,6 @@ def verify_rep(rep: UnivariateRep, system: list[Polynomial],
         coords[i] = _horner_vec(rep.coeffs[i], roots, p)
     coords[rep.n - 1] = roots
     for f in system:
-        acc = np.zeros(roots.size, dtype=np.int64)
-        for mono, c in f.terms.items():
-            term = np.full(roots.size, c, dtype=np.int64)
-            for i, e in enumerate(mono.exps):
-                if e:
-                    term = term * _powmod_vec(coords[i], e, p) % p
-            acc = (acc + term) % p
-        if np.any(acc):
+        if np.any(_eval_points(f, coords, p)):
             return VerifyResult(False, int(roots.size))
     return VerifyResult(True, int(roots.size))

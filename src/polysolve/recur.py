@@ -79,11 +79,11 @@ def hankel_matrix(seq, dim: int, field: PrimeField) -> Matrix:
 
 def _hankel_solve_dense(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> np.ndarray:
     idx = np.add.outer(np.arange(dim), np.arange(dim))
-    aug = np.hstack([s[idx], rhs[:, None]])
+    aug = np.hstack([s[idx], rhs])
     pivots = _rref_arrays(aug, p)
     if pivots != list(range(dim)):
         raise SingularHankel(f"Hankel matrix of size {dim} is singular")
-    return aug[:, dim].copy()
+    return aug[:, dim:].copy()
 
 
 class _LevinsonBreakdown(Exception):
@@ -92,7 +92,8 @@ class _LevinsonBreakdown(Exception):
 
 def _hankel_solve_levinson(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> np.ndarray:
     # Reversing the rows of H gives a Toeplitz matrix T[i][j] = s[D-1+j-i];
-    # solve T x = reversed(b) by the asymmetric Levinson recursion.
+    # solve T X = reversed(B) by the asymmetric Levinson recursion.  f, g and
+    # every breakdown test depend on s only, so all columns share them.
     y = rhs[::-1]
     t0 = int(s[dim - 1])
     if t0 == 0:
@@ -100,7 +101,8 @@ def _hankel_solve_levinson(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> 
     inv0 = pow(t0, -1, p)
     f = np.array([inv0], dtype=np.int64)   # T_k f = e_first
     g = np.array([inv0], dtype=np.int64)   # T_k g = e_last
-    x = np.array([int(y[0]) * inv0 % p], dtype=np.int64)
+    x = np.zeros_like(rhs)                 # rows :k+1 solve the order-k system
+    x[0] = y[0] * inv0 % p
     for k in range(1, dim):
         below = s[dim - 1 - k:dim - 1]       # (t_-k, ..., t_-1)
         above = s[dim:dim + k]               # (t_1, ..., t_k)
@@ -114,38 +116,45 @@ def _hankel_solve_levinson(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> 
         gx = np.concatenate([np.zeros(1, dtype=np.int64), g])
         f = (fx - ea * gx) % p * inv_den % p
         g = (gx - eb * fx) % p * inv_den % p
-        defect = (int(y[k]) - _safe_dot(below, x, p)) % p
-        x = np.concatenate([x, np.zeros(1, dtype=np.int64)])
-        x = (x + defect * g) % p
+        # exact for the same reason as _safe_dot, column by column
+        defect = (y[k] - (below[:, None] * x[:k] % p).sum(axis=0)) % p
+        x[:k + 1] = (x[:k + 1] + g[:, None] * defect) % p
     return x
 
 
-def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense") -> list[int]:
+def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense"):
     """Solve H c = b where H[i][j] = seq[i+j] and b has length D.
 
+    ``rhs`` is one right-hand side (returns the solution as a list) or a
+    D x m block of them (returns the D x m int64 solution array); a block
+    costs one recursion or one elimination, not m.
     method: "dense" (elimination), "levinson" (fast path with dense
     fallback on a singular leading minor), or "auto" (levinson for D >= 64).
     Raises SingularHankel when the system has no unique solution.
     """
     p = field.p
-    rhs_arr = np.asarray(list(rhs), dtype=np.int64) % p
-    dim = rhs_arr.shape[0]
+    block = np.asarray(rhs if isinstance(rhs, np.ndarray) else list(rhs),
+                       dtype=np.int64) % p
+    single = block.ndim == 1
+    if single:
+        block = block[:, None]
+    dim = block.shape[0]
     s = np.asarray(list(seq), dtype=np.int64) % p
     if s.shape[0] < 2 * dim - 1:
         raise DimensionMismatch(f"need {2 * dim - 1} sequence entries, got {s.shape[0]}")
-    if dim == 0:
-        return []
     if method == "auto":
         method = "levinson" if dim >= 64 else "dense"
-    if method == "levinson":
-        try:
-            return [int(v) for v in _hankel_solve_levinson(s, rhs_arr, dim, p)]
-        except _LevinsonBreakdown:
-            pass
-        return [int(v) for v in _hankel_solve_dense(s, rhs_arr, dim, p)]
-    if method != "dense":
+    if method not in ("dense", "levinson"):
         raise ValueError(f"unknown Hankel method {method!r}")
-    return [int(v) for v in _hankel_solve_dense(s, rhs_arr, dim, p)]
+    x = None
+    if method == "levinson" and dim:
+        try:
+            x = _hankel_solve_levinson(s, block, dim, p)
+        except _LevinsonBreakdown:
+            pass    # a singular leading minor: the whole block goes dense
+    if x is None:
+        x = _hankel_solve_dense(s, block, dim, p)
+    return [int(v) for v in x[:, 0]] if single else x
 
 
 # -- univariate utilities ---------------------------------------------------

@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .change_order import (ChangeOrderStats, UnivariateRep, _horner_vec,
-                           _powmod_vec, change_ordering)
+from .change_order import (ChangeOrderStats, UnivariateRep, _eval_points,
+                           _horner_vec, change_ordering)
 from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
@@ -281,14 +281,7 @@ def enumerate_rational_solutions(F: list[Polynomial],
     coords = np.stack([a.ravel() for a in axes])
     alive = np.ones(coords.shape[1], dtype=bool)
     for f in F:
-        acc = np.zeros(coords.shape[1], dtype=np.int64)
-        for mono, c in f.terms.items():
-            term = np.full(coords.shape[1], c, dtype=np.int64)
-            for i, e in enumerate(mono.exps):
-                if e:
-                    term = term * _powmod_vec(coords[i], e, p) % p
-            acc = (acc + term) % p
-        alive &= acc == 0
+        alive &= _eval_points(f, coords, p) == 0
     return sorted(tuple(int(v) for v in coords[:, j]) for j in np.nonzero(alive)[0])
 
 

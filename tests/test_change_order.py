@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import shape_instance
+from helpers import random_zero_dim_system, shape_instance
+from polysolve import change_order
 from polysolve.change_order import (UnivariateRep, change_ordering, verify_rep)
 from polysolve.errors import ChangeOrderingFailed
 from polysolve.field import PrimeField
@@ -45,7 +46,6 @@ def test_change_ordering_worked_example(f7):
     assert rep.coeffs == [[0, 0, 1], [5, 0, 0, 1]]
     assert stats.bm_degree == 3
     assert stats.hankel_solves == 1
-    assert stats.extract_ops.is_zero()   # projections are read, not computed
     assert stats.hankel_method == "dense"
 
 
@@ -70,15 +70,15 @@ def test_change_ordering_is_canonical_across_vectors(f7):
 
 
 def test_change_ordering_deferred_variable(f7):
-    # when x_1 itself is a leading term the parametrization is recombined
-    # from the generator's tail instead of a Hankel solve
+    # when x_1 itself is a leading term its Hankel right-hand side comes
+    # from the generator's tail, in the same block solve
     x, y = _xy(f7)
     polys = [x + y + Polynomial.constant(f7, 2, 1),
              y * y + Polynomial.constant(f7, 2, 1)]
     gb, q, mats = _pipeline_inputs(f7, polys)
     rep, stats = change_ordering(mats[1], gb, q, random.Random(0))
     assert rep.coeffs == [[6, 6], [1, 0, 1]]   # x = -y - 1, y^2 = -1
-    assert stats.hankel_solves == 0
+    assert stats.hankel_solves == 1
     assert rep.coeffs == lex_oracle(polys, 2).coeffs
 
 
@@ -159,3 +159,30 @@ def test_verify_rep_sampling_mode(f101):
     assert 0 <= res.points_checked <= 2   # only sampled roots are certified
     full = verify_rep(rep, system)
     assert full.ok and full.points_checked == 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+def test_change_ordering_mixed_targets_one_hankel_solve(p, n, monkeypatch):
+    # x_0 leads the linear generator and x_1 .. x_{n-2} are standard: every
+    # right-hand side comes from one product with the Krylov matrix (on the
+    # split path at p = 2^31 - 1) and all are solved together
+    field = PrimeField(p)
+    rng = random.Random(11)
+    polys, gb = random_zero_dim_system(field, n, (1,) + (2,) * (n - 1), rng)
+    q = compute_basis(gb)
+    assert Monomial.variable(n, 0) in gb.leading_monomials
+    assert all(Monomial.variable(n, i) in q.index for i in range(1, n - 1))
+    mats, _ = build_matrices_fglm(q, gb)
+    calls = []
+    real = change_order.hankel_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(change_order, "hankel_solve", counting)
+    rep, stats = change_ordering(mats[n - 1], gb, q, rng)
+    assert rep.coeffs == lex_oracle(polys, n, field).coeffs
+    assert len(calls) == 1
+    assert stats.hankel_solves == 1

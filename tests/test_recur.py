@@ -86,6 +86,57 @@ def test_hankel_solve_methods_agree(f65521):
         assert list(h.apply(dense)) == [r % 65521 for r in rhs]
 
 
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+def test_hankel_block_solve_matches_columns(p):
+    field = PrimeField(p)
+    rng = random.Random(p % 1000)
+    for dim in (1, 3, 64, 80):
+        while True:   # a singular draw is rare; redraw it
+            seq = _recurrent_sequence(field, dim, 2 * dim - 1, rng)
+            try:
+                hankel_solve(seq, [0] * dim, field, method="levinson")
+                break
+            except SingularHankel:
+                continue
+        for m in (0, 1, 3):
+            block = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(dim)],
+                             dtype=np.int64).reshape(dim, m)
+            for method in ("dense", "levinson", "auto"):
+                got = hankel_solve(seq, block, field, method=method)
+                assert isinstance(got, np.ndarray) and got.dtype == np.int64
+                assert got.shape == (dim, m)
+                for j in range(m):
+                    col = hankel_solve(seq, [int(v) for v in block[:, j]], field,
+                                       method=method)
+                    assert [int(v) for v in got[:, j]] == col
+
+
+def test_hankel_block_levinson_breakdown_falls_back(f101):
+    # seq[dim-1] is the first leading minor of the reversed system, so
+    # Levinson breaks down at once and the whole block is solved densely
+    rng = random.Random(5)
+    dim = 6
+    while True:
+        seq = [rng.randrange(101) for _ in range(2 * dim - 1)]
+        seq[dim - 1] = 0
+        if hankel_matrix(seq, dim, f101).rank() == dim:
+            break
+    block = np.array([[rng.randrange(101) for _ in range(3)] for _ in range(dim)])
+    dense = hankel_solve(seq, block, f101, method="dense")
+    assert np.array_equal(hankel_solve(seq, block, f101, method="levinson"), dense)
+    h = hankel_matrix(seq, dim, f101).a
+    assert np.array_equal(h @ dense % 101, block % 101)
+
+
+def test_hankel_block_singular_raises(f101):
+    rng = random.Random(8)
+    seq = _recurrent_sequence(f101, 3, 2 * 5 - 1, rng)   # rank 3 < 5
+    block = np.ones((5, 2), dtype=np.int64)
+    for method in ("dense", "levinson"):
+        with pytest.raises(SingularHankel):
+            hankel_solve(seq, block, f101, method=method)
+
+
 def test_hankel_rank_equals_minimal_polynomial_degree(f101):
     rng = random.Random(77)
     for _ in range(100):

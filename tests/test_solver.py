@@ -121,7 +121,7 @@ def _d1_system():
 _LEX_ORACLE_CASES = {
     "shape-p101-D6": lambda: shape_instance(PrimeField(101), 2, 6, random.Random(9))[0],
     # the linear equation makes x_0 a leading monomial of every transformed
-    # basis, so change_ordering takes its deferred branch
+    # basis, so change_ordering reads NF(x_0) from that generator's tail
     "linear-equation": lambda: random_zero_dim_system(PrimeField(65521), 3, (1, 2, 2),
                                                       random.Random(3))[0],
     "D1": _d1_system,
