@@ -3,15 +3,18 @@ multiplication matrices.
 
 Given a reduced degree-reverse-lexicographic basis, this module computes the
 monomial basis B of the quotient (standard monomials, sorted increasingly),
-classifies the frontier {x_i * eps : eps in B} \\ B, and builds the
-multiplication matrices three ways:
+classifies the frontier {x_i * eps : eps in B} \\ B together with a table
+``targets`` that locates every product x_k * eps_l in B or in the frontier,
+and builds the multiplication matrices three ways:
 
 * ``build_matrices_fglm``     — one normal form at a time, in increasing
   order, each product-type frontier monomial costing one matrix-vector
   product against the partially built matrix (the classical approach);
-* ``build_matrices_echelon``  — degree by degree, all rows of a degree at
-  once, reduced against the previous degrees by one Schur-style update and a
-  unit-triangular solve;
+* ``build_matrices_echelon``  — degree by degree: each degree is one
+  contiguous slice of the frontier, its rows are scattered through
+  ``targets`` and reduced against the previous degrees by one Schur-style
+  update and a unit-triangular solve, and each matrix is one gather from
+  ``targets``;
 * ``try_read_Tn``             — the free path: succeeds only when every
   column of the last variable's matrix is a unit vector or a (negated)
   generator tail, and performs zero field operations.
@@ -119,23 +122,21 @@ class FrontierMember:
 
 
 class Frontier:
-    """All frontier members, sorted increasingly in the working order."""
+    """All frontier members, sorted increasingly in the working order, and
+    the n x D table ``targets`` built by ``compute_frontier``."""
 
-    __slots__ = ("members", "index", "degrees")
+    __slots__ = ("members", "index", "targets")
 
-    def __init__(self, members: list[FrontierMember]):
+    def __init__(self, members: list[FrontierMember], targets: np.ndarray):
         self.members = members
         self.index = {m.monomial: i for i, m in enumerate(members)}
-        self.degrees = sorted({m.degree for m in members})
+        self.targets = targets
 
     def __len__(self):
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    def of_degree(self, d: int) -> list[FrontierMember]:
-        return [m for m in self.members if m.degree == d]
 
     def type2_total(self) -> int:
         return sum(1 for m in self.members if m.kind == "product")
@@ -147,31 +148,42 @@ class Frontier:
 
 
 def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier:
+    """Classify the frontier and locate every product x_k * eps_l.
+
+    ``targets[k, l]`` is j < D when x_k * eps_l is the basis monomial eps_j,
+    and D + f when it is frontier member f; for a fixed k the map is
+    injective.  This is the one place that decides where a product lands.
+    """
     n = quotient.n
+    dim = quotient.dimension
     order = quotient.order
     lm_to_poly = dict(zip(gb.leading_monomials, gb.polys))
-    parents: dict[Monomial, list[int]] = {}
-    for eps in quotient.basis:
+    targets = [[0] * dim for _ in range(n)]
+    cells: dict[Monomial, list[tuple[int, int]]] = {}
+    for l, eps in enumerate(quotient.basis):
         for i in range(n):
             t = eps.mul_var(i)
-            if t in quotient.index:
-                continue
-            parents.setdefault(t, []).append(i)
+            j = quotient.index.get(t)
+            if j is None:
+                cells.setdefault(t, []).append((i, l))
+            else:
+                targets[i][l] = j
     members = []
-    frontier_set = set(parents)
-    for t in sorted(parents, key=order.key):
-        pv = tuple(sorted(parents[t]))
+    for f, t in enumerate(sorted(cells, key=order.key)):
+        for i, l in cells[t]:
+            targets[i][l] = dim + f
+        pv = tuple(sorted(i for i, _ in cells[t]))
         if t in lm_to_poly:
             members.append(FrontierMember(t, "generator", pv, generator=lm_to_poly[t]))
             continue
         for k in t.support():
             t_prev = t.div_var(k)
-            if t_prev in frontier_set:
+            if t_prev in cells:
                 members.append(FrontierMember(t, "product", pv, witness_var=k, witness=t_prev))
                 break
         else:
             raise ClassificationFailure(f"{t} is neither a leading monomial nor a shifted frontier monomial")
-    return Frontier(members)
+    return Frontier(members, np.array(targets, dtype=np.int64))
 
 
 @dataclass
@@ -246,16 +258,23 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
                            variables: list[int] | None = None) -> tuple[list[MulMatrix], BuildStats]:
     """Multiplication matrices degree by degree.
 
-    For each frontier degree d the rows (generator rows: the generator
-    itself; product rows: m - x_k NF(m/x_k)) are assembled over the columns
-    [frontier_d desc | processed frontier | B] and reduced in one shot: the
-    leading block is unit upper triangular by construction, the processed
-    rows are known to reduce to [0 | Id | -NF], so the new normal forms are
-    -T^(-1)(C - B . NF_prev).  Equals the one-at-a-time builder exactly.
+    Under DRL the frontier is sorted by degree first, so each frontier
+    degree d is one contiguous slice [lo, hi).  Its rows (generator rows:
+    the generator itself; product rows: m - x_k NF(m/x_k)) are laid out
+    over the columns [B | frontier[:hi]], so a column index is a value of
+    ``frontier.targets``: all product rows of one witness variable k are
+    one scatter through ``targets[k]``, restricted to the basis monomials
+    of degree < d, where NF(m/x_k) lives.  Taken in descending order the
+    slice's own columns form a unit upper triangular block T, the earlier
+    frontier columns B are known to reduce to [0 | Id | -NF], so the new
+    normal forms are -T^(-1)(C - B . (-NF_prev)).  Each matrix is then one
+    gather through ``targets``.  Equals the one-at-a-time builder exactly.
 
-    ``variables`` restricts which matrices are column-assembled at the end
-    (the normal-form table is shared); default all n.
+    ``variables`` restricts which matrices are gathered at the end (the
+    normal-form table is shared); default all n.
     """
+    if quotient.order.kind != "drl":
+        raise ValueError("the degree-by-degree builder needs the DRL order")
     if frontier is None:
         frontier = compute_frontier(quotient, gb)
     n = quotient.n
@@ -263,77 +282,44 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     p = fld.p
     dim = quotient.dimension
     total = len(frontier)
-    # processing order: degree ascending, inside a degree descending
-    proc: list[FrontierMember] = []
-    for d in frontier.degrees:
-        proc.extend(sorted(frontier.of_degree(d), key=lambda m: quotient.order.key(m.monomial),
-                           reverse=True))
-    row_of = {mem.monomial: i for i, mem in enumerate(proc)}
-    # scatter targets for x_k * eps_l: either a B column or a frontier row
-    tgt_kind = np.zeros((n, dim), dtype=np.int8)
-    tgt_idx = np.zeros((n, dim), dtype=np.int64)
-    for k in range(n):
-        for l, eps in enumerate(quotient.basis):
-            u = eps.mul_var(k)
-            if u in quotient.index:
-                tgt_idx[k, l] = quotient.index[u]
-            else:
-                tgt_kind[k, l] = 1
-                tgt_idx[k, l] = row_of[u]
+    members = frontier.members
+    targets = frontier.targets
+    witness_var = np.array([m.witness_var for m in members], dtype=np.int64)
+    witness_row = np.array([frontier.index[m.witness] if m.kind == "product" else -1
+                            for m in members], dtype=np.int64)
+    basis_deg = np.array([eps.deg for eps in quotient.basis], dtype=np.int64)
+    cuts = (np.flatnonzero(np.diff([m.degree for m in members])) + 1).tolist()
 
-    nf_rows = np.zeros((total, dim), dtype=np.int64)
-    filled = 0
-    pos = 0
-    type2 = 0
-    while pos < len(proc):
-        d = proc[pos].degree
-        block = []
-        while pos < len(proc) and proc[pos].degree == d:
-            block.append(proc[pos])
-            pos += 1
-        s = len(block)
-        t_blk = np.zeros((s, s), dtype=np.int64)
-        b_blk = np.zeros((s, filled), dtype=np.int64)
-        c_blk = np.zeros((s, dim), dtype=np.int64)
-        for r, mem in enumerate(block):
-            t_blk[r, r] = 1
+    # row f holds -NF(frontier member f), in frontier order
+    neg_nf = np.zeros((total, dim), dtype=np.int64)
+    for lo, hi in zip([0] + cuts, cuts + [total]):
+        s = hi - lo
+        low = int(np.searchsorted(basis_deg, members[lo].degree))
+        rows = np.zeros((s, dim + hi), dtype=np.int64)
+        rows[np.arange(s), dim + lo + np.arange(s)] = 1
+        for r, mem in enumerate(members[lo:hi]):
             if mem.kind == "generator":
-                mono = mem.monomial
-                for m, c in mem.generator.terms.items():
-                    if m != mono:
-                        c_blk[r, quotient.index[m]] = c
-                continue
-            type2 += 1
-            alpha = nf_rows[row_of[mem.witness]]
-            nz = np.nonzero(alpha)[0]
-            kinds = tgt_kind[mem.witness_var, nz]
-            idxs = tgt_idx[mem.witness_var, nz]
-            vals = (p - alpha[nz]) % p
-            bmask = kinds == 0
-            c_blk[r, idxs[bmask]] = vals[bmask]
-            fr_idx = idxs[~bmask]
-            fr_vals = vals[~bmask]
-            cur = fr_idx >= filled
-            t_blk[r, fr_idx[cur] - filled] = fr_vals[cur]
-            b_blk[r, fr_idx[~cur]] = fr_vals[~cur]
-        d_blk = (-nf_rows[:filled]) % p
-        x = block_echelon(Matrix(fld, t_blk), Matrix(fld, b_blk),
-                          Matrix(fld, c_blk), Matrix(fld, d_blk))
-        nf_rows[filled:filled + s] = (-x.a) % p
-        filled += s
+                rows[r, :dim] = (-_tail_vector(quotient, mem.generator, mem.monomial)) % p
+        for k in range(n):
+            rk = np.flatnonzero(witness_var[lo:hi] == k)
+            if rk.size:
+                rows[rk[:, None], targets[k, :low]] = neg_nf[witness_row[lo + rk], :low]
+        # descending order: T, B and C are column slices of the reversed rows
+        desc = rows[::-1]
+        x = block_echelon(Matrix(fld, desc[:, dim + lo:][:, ::-1]),
+                          Matrix(fld, desc[:, dim:dim + lo]), Matrix(fld, desc[:, :dim]),
+                          Matrix(fld, neg_nf[:lo]))
+        neg_nf[lo:hi] = x.a[::-1]
 
-    wanted = range(n) if variables is None else variables
     out = []
-    for i in wanted:
+    for i in (range(n) if variables is None else variables):
+        tgt = targets[i]
+        unit = tgt < dim
         mat = np.zeros((dim, dim), dtype=np.int64)
-        for j, eps in enumerate(quotient.basis):
-            t = eps.mul_var(i)
-            if t in quotient.index:
-                mat[quotient.index[t], j] = 1
-            else:
-                mat[:, j] = nf_rows[row_of[t]]
+        mat[tgt[unit], np.flatnonzero(unit)] = 1
+        mat[:, ~unit] = (-neg_nf[tgt[~unit] - dim].T) % p
         out.append(MulMatrix(i, Matrix(fld, mat)))
-    stats = BuildStats("echelon", dim, total, type2,
+    stats = BuildStats("echelon", dim, total, frontier.type2_total(),
                        [frontier.type2_for_var(i) for i in range(n)])
     return out, stats
 
@@ -350,7 +336,6 @@ def try_read_Tn(quotient: QuotientStructure, gb: GroebnerBasis,
     """
     n = quotient.n
     last = n - 1
-    p = quotient.field.p
     dim = quotient.dimension
     lm_to_poly = dict(zip(gb.leading_monomials, gb.polys))
     mat = np.zeros((dim, dim), dtype=np.int64)
@@ -359,10 +344,7 @@ def try_read_Tn(quotient: QuotientStructure, gb: GroebnerBasis,
         if t in quotient.index:
             mat[quotient.index[t], j] = 1
         elif t in lm_to_poly:
-            g = lm_to_poly[t]
-            for m, c in g.terms.items():
-                if m != t:
-                    mat[quotient.index[m], j] = p - c  # sign flip, not a counted op
+            mat[:, j] = _tail_vector(quotient, lm_to_poly[t], t)  # sign flips, not counted ops
         else:
             raise NotReadable(t)
     return MulMatrix(last, Matrix(quotient.field, mat))

@@ -37,12 +37,12 @@ from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
 from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimensional
-from .linalg import Matrix, OpCounter
+from .linalg import Matrix, OpCounter, _mul_arrays
 from .poly import Polynomial, TermOrder, apply_change_of_variables
 from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
                        compute_frontier, try_read_Tn)
 
-_INT64_SAFE = (1 << 63) - 1
+_BAND = 16
 
 
 @dataclass
@@ -163,28 +163,16 @@ def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
     those matrices reproduces the transformed ideal's reduced basis exactly.
     """
     fld = gb0.field
-    p = fld.p
     n = gb0.n
+    dim = mats0[0].shape[0]
     ginv = g.inverse().a
-    # acc holds a canonical residue plus up to per_reduction products, each
-    # at most (p-1)^2, without leaving int64 (at least two for p < 2^31)
-    per_reduction = (_INT64_SAFE - (p - 1)) // ((p - 1) ** 2)
-    term = np.empty_like(mats0[0])
-    mats = []
-    for j in range(n):
-        acc = np.zeros_like(mats0[0])
-        pending = 0
-        for k in range(n):
-            c = int(ginv[j, k])
-            if c:
-                np.multiply(mats0[k], c, out=term)
-                acc += term
-                pending += 1
-                if pending == per_reduction:
-                    acc %= p
-                    pending = 0
-        acc %= p
-        mats.append(Matrix(fld, acc))
+    # (g^-1) . [T_0; ...; T_{n-1}], each T_k flattened to one row, taken in
+    # bands of _BAND matrix rows so the float64 operands stay small
+    combined = np.empty((n, dim, dim), dtype=np.int64)
+    for r in range(0, dim, _BAND):
+        band = np.stack([m[r:r + _BAND] for m in mats0]).reshape(n, -1)
+        combined[:, r:r + _BAND] = _mul_arrays(ginv, band, fld.p).reshape(n, -1, dim)
+    mats = [Matrix(fld, combined[j]) for j in range(n)]
     return groebner_from_matrices(mats, fld, n, TermOrder.drl(n))
 
 

@@ -113,6 +113,36 @@ def test_frontier_covers_all_products():
                                       and m.monomial.div_var(i) in basis)
 
 
+def test_frontier_targets_locate_products():
+    rng = random.Random(8)
+    for p, n, degs in ((101, 2, (2, 3)), (101, 3, (2, 2, 3)), (65521, 3, (1, 2, 3))):
+        _, gb = random_zero_dim_system(PrimeField(p), n, degs, rng)
+        q = compute_basis(gb)
+        fr = compute_frontier(q, gb)
+        dim = q.dimension
+        assert fr.targets.shape == (n, dim)
+        for k in range(n):
+            for l, eps in enumerate(q.basis):
+                t = eps.mul_var(k)
+                v = int(fr.targets[k, l])
+                if v < dim:
+                    assert q.basis[v] == t
+                else:
+                    assert fr.members[v - dim].monomial == t
+            assert len(set(fr.targets[k].tolist())) == dim
+
+
+def test_echelon_rejects_non_drl_basis():
+    # a LEX frontier is not sorted by degree, so the degree slices the
+    # builder relies on do not exist
+    rng = random.Random(12)
+    F, _ = random_zero_dim_system(PrimeField(101), 3, (2, 2, 2), rng)
+    gb = buchberger(F, TermOrder.lex(3))
+    q = compute_basis(gb)
+    with pytest.raises(ValueError, match="DRL"):
+        build_matrices_echelon(q, gb)
+
+
 def _frozen_system(f7):
     x, y = _xy(f7)
     return buchberger([x - y * y, y ** 3 - Polynomial.constant(f7, 2, 2)],
@@ -148,9 +178,12 @@ def test_matrix_columns_are_normal_forms():
 
 def test_builders_agree():
     rng = random.Random(31)
-    for p in (101, 65521):
+    # (3, (2, 3, 3)) and (3, (1, 2, 3)) mix generator rows with product rows
+    # of two witness variables in one degree; p = 2^31 - 1 sends the block
+    # products down the split path
+    for p in (101, 65521, 2**31 - 1):
         field = PrimeField(p)
-        for n, degs in ((2, (2, 3)), (3, (2, 2, 2))):
+        for n, degs in ((2, (2, 3)), (3, (2, 2, 2)), (3, (2, 3, 3)), (3, (1, 2, 3))):
             _, gb = random_zero_dim_system(field, n, degs, rng)
             q = compute_basis(gb)
             fr = compute_frontier(q, gb)
