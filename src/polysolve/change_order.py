@@ -25,8 +25,8 @@ from .field import PrimeField
 from .gb import GroebnerBasis
 from .linalg import KrylovStats, Matrix, _mul_arrays, krylov_columns
 from .poly import Monomial, Polynomial
-from .quotient import QuotientStructure, _tail_vector
-from .recur import _trim_coeffs, berlekamp_massey, hankel_solve
+from .quotient import QuotientStructure, _nf_rows
+from .recur import _hankel_method, _trim_coeffs, berlekamp_massey, hankel_solve
 
 
 @dataclass
@@ -97,8 +97,7 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     n = quotient.n
     D = quotient.dimension
     stats = ChangeOrderStats()
-    stats.hankel_method = ("levinson" if hankel_method == "levinson"
-                           or (hankel_method == "auto" and D >= 64) else "dense")
+    stats.hankel_method = _hankel_method(hankel_method, D)
     r = fld.random_vector(D, rng)
     # Row psi(m) of K is the sequence r(x_n^j m), so row psi(1) is S and
     # c K is the sequence of the element with normal-form coordinates c.
@@ -109,16 +108,8 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     if stats.bm_degree < D:
         raise ChangeOrderingFailed(stats.bm_degree, D)
 
-    # NF(x_i) is x_i itself when it is standard, else minus the tail of the
-    # basis element it leads
-    lm_to_poly = dict(zip(gb.leading_monomials, gb.polys))
-    C = np.zeros((n - 1, D), dtype=np.int64)
-    for i in range(n - 1):
-        xi = Monomial.variable(n, i)
-        if xi in quotient.index:
-            C[i, quotient.psi(xi)] = 1
-        else:
-            C[i] = _tail_vector(quotient, lm_to_poly[xi], xi)
+    # each x_i is standard or a leading monomial, so no row is unreadable
+    C = _nf_rows(quotient, [Monomial.variable(n, i) for i in range(n - 1)])
     rhs = _mul_arrays(C, K.a[:, :D], p).T
     h = hankel_solve(S[: 2 * D - 1], rhs, fld, method=hankel_method)
     stats.hankel_solves = 1

@@ -8,8 +8,8 @@ Subcommands:
   probbound --n N --q Q --degrees ...  success-probability lower bound
 
 Exit codes: 0 success, 1 parse errors, 2 violated preconditions
-(non-prime modulus, not zero-dimensional, not in shape position, budget),
-3 exhausted restarts.
+(non-prime modulus, not zero-dimensional, not in shape position, budget,
+invalid bench or probbound arguments), 3 exhausted restarts.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="quotient dimension D (default: product of the degrees)")
 
     return ap
+
+
+def _bad_argument(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _read_file(path: str) -> str:
@@ -201,6 +206,8 @@ def _cmd_matrices(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import format_table, run_bench
 
+    if args.n < 1:
+        return _bad_argument(f"--n must be at least 1, got {args.n}")
     records = run_bench(args.n, seed=args.seed, with_fglm=args.with_fglm)
     if args.json:
         print(json.dumps([r.to_dict() for r in records], indent=2))
@@ -212,7 +219,14 @@ def _cmd_bench(args) -> int:
 def _cmd_probbound(args) -> int:
     from .solver import probability_bound
 
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    try:
+        degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    except ValueError:
+        return _bad_argument(f"--degrees must be comma-separated integers, got {args.degrees!r}")
+    if len(degrees) != args.n:
+        return _bad_argument(f"--n {args.n} needs {args.n} degrees, got {len(degrees)}")
+    if args.q < 2:
+        return _bad_argument(f"--q must be at least 2, got {args.q}")
     pb = probability_bound(args.n, args.q, degrees, D=args.dim)
     frac = pb.bound
     print(f"n = {pb.n}, q = {pb.q}, degrees {pb.degrees}, D = {pb.D}")

@@ -14,6 +14,8 @@ with their tails.  The Las Vegas solver takes every basis after a linear
 change of coordinates from it, fed with combinations of the original
 ideal's multiplication matrices, so no second Buchberger run happens; its
 output is bit-identical to Buchberger's by uniqueness of the reduced basis.
+It hands over the rows it holds, and its ``polys`` are built on first read,
+which a Las Vegas solve never does.
 """
 
 from __future__ import annotations
@@ -29,19 +31,32 @@ from .poly import Monomial, Polynomial, TermOrder, _Reducer, _reduce_prepped, s_
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis together with its order."""
+    """A reduced Groebner basis together with its order.  A rebuilt basis
+    also carries ``standard`` (the standard monomials, ascending) and ``tails``
+    (row r: NF(leading_monomials[r]) on them) and builds ``polys`` on first read."""
 
-    __slots__ = ("field", "n", "order", "polys", "leading_monomials")
+    __slots__ = ("field", "n", "order", "leading_monomials", "standard", "tails", "_polys")
 
-    def __init__(self, field: PrimeField, n: int, order: TermOrder, polys: list[Polynomial],
-                 leading_monomials: list[Monomial] | None = None):
+    def __init__(self, field: PrimeField, n: int, order: TermOrder, polys: list[Polynomial] | None,
+                 leading_monomials: list[Monomial] | None = None, standard=None, tails=None):
         self.field = field
         self.n = n
         self.order = order
-        self.polys = polys
+        self._polys = polys
         if leading_monomials is None:
             leading_monomials = [g.leading_monomial(order) for g in polys]
         self.leading_monomials = leading_monomials
+        self.standard = standard
+        self.tails = tails
+
+    @property
+    def polys(self) -> list[Polynomial]:
+        if self._polys is None:
+            p, std = self.field.p, self.standard
+            self._polys = [Polynomial(self.field, self.n,
+                                      {lm: 1, **{m: p - c for m, c in zip(std, row) if c}})
+                           for lm, row in zip(self.leading_monomials, self.tails.tolist())]
+        return self._polys
 
     def leading_set(self) -> set[Monomial]:
         return set(self.leading_monomials)
@@ -50,13 +65,13 @@ class GroebnerBasis:
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.leading_monomials)
 
     def contains_one(self) -> bool:
         return any(m.is_one() for m in self.leading_monomials)
 
     def __repr__(self):
-        return f"GroebnerBasis({self.order.kind}, {len(self.polys)} polynomials)"
+        return f"GroebnerBasis({self.order.kind}, {len(self)} polynomials)"
 
 
 def _interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
@@ -332,7 +347,8 @@ def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
 
     Every product is exact (``_mul_arrays``).  The output comes out sorted
     by leading monomial and is bit-identical to Buchberger's, by uniqueness
-    of the reduced basis.
+    of the reduced basis.  It comes in coordinate form: the kept
+    monomials as ``standard`` and the zero-padded dependences as ``tails``.
     """
     if not mats:
         raise ValueError("need at least one multiplication matrix")
@@ -343,7 +359,7 @@ def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
     echelon = _Echelon(dim, p)
     kept_monos: list[Monomial] = []
     lead_monos: list[Monomial] = []
-    out_polys: list[Polynomial] = []
+    tails: list[np.ndarray] = []
 
     monos = [Monomial.one(n)]
     vecs = np.zeros((1, dim), dtype=np.int64)
@@ -352,16 +368,9 @@ def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
         std: list[int] = []  # rows of vecs that are standard monomials
         for lo in range(0, len(monos), _CHUNK):
             new, dep, coords = echelon.insert(vecs[lo:lo + _CHUNK])
-            names = kept_monos + [monos[lo + r] for r in new]
-            for r, row in zip(dep, (-coords % p).tolist()):
-                m = monos[lo + r]
-                terms = {m: 1}
-                for sm, c in zip(names, row):
-                    if c:
-                        terms[sm] = c
-                out_polys.append(Polynomial(field, n, terms))
-                lead_monos.append(m)
-            kept_monos = names
+            lead_monos.extend(monos[lo + r] for r in dep)
+            tails.append(np.pad(coords, ((0, 0), (0, dim - coords.shape[1]))))
+            kept_monos.extend(monos[lo + r] for r in new)
             std.extend(lo + r for r in new)
         if not std:
             break
@@ -378,4 +387,4 @@ def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
     if len(kept_monos) != dim:
         raise NotZeroDimensional(
             f"multiplication matrices span a {len(kept_monos)}-dimensional quotient, expected {dim}")
-    return GroebnerBasis(field, n, order, out_polys, lead_monos)
+    return GroebnerBasis(field, n, order, None, lead_monos, kept_monos, np.vstack(tails))

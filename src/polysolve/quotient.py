@@ -2,10 +2,11 @@
 multiplication matrices.
 
 Given a reduced degree-reverse-lexicographic basis, this module computes the
-monomial basis B of the quotient (standard monomials, sorted increasingly),
-classifies the frontier {x_i * eps : eps in B} \\ B together with a table
-``targets`` that locates every product x_k * eps_l in B or in the frontier,
-and builds the multiplication matrices three ways:
+monomial basis B of the quotient (standard monomials, sorted increasingly)
+and ``tails``, the row psi(NF(lm)) of every leading monomial lm, which later
+steps copy; it classifies the frontier {x_i * eps : eps in B} \\ B with a
+table ``targets`` that locates every product x_k * eps_l in B or in the
+frontier, and builds the multiplication matrices three ways:
 
 * ``build_matrices_fglm``     — one normal form at a time, in increasing
   order, each product-type frontier monomial costing one matrix-vector
@@ -16,8 +17,8 @@ and builds the multiplication matrices three ways:
   update and a unit-triangular solve, and each matrix is one gather from
   ``targets``;
 * ``try_read_Tn``             — the free path: succeeds only when every
-  column of the last variable's matrix is a unit vector or a (negated)
-  generator tail, and performs zero field operations.
+  column of the last variable's matrix is a unit vector or a row of
+  ``tails``, and performs zero field operations.
 
 The two computing builders agree bit for bit; the free path, when it
 succeeds, agrees with both.
@@ -37,16 +38,21 @@ from .poly import Monomial, Polynomial, TermOrder
 
 
 class QuotientStructure:
-    """The standard-monomial basis B, sorted increasingly, with index map."""
+    """The standard-monomial basis B, sorted increasingly, with index map;
+    row ``lead_row[lm]`` of the |G| x D array ``tails`` is psi(NF(lm)), the
+    negated tail of the generator led by lm."""
 
-    __slots__ = ("field", "n", "order", "basis", "index")
+    __slots__ = ("field", "n", "order", "basis", "index", "tails", "lead_row")
 
-    def __init__(self, field: PrimeField, n: int, order: TermOrder, basis: list[Monomial]):
+    def __init__(self, field: PrimeField, n: int, order: TermOrder, basis: list[Monomial],
+                 tails: np.ndarray, lead_row: dict[Monomial, int]):
         self.field = field
         self.n = n
         self.order = order
         self.basis = basis
         self.index = {m: i for i, m in enumerate(basis)}
+        self.tails = tails
+        self.lead_row = lead_row
 
     @property
     def dimension(self) -> int:
@@ -67,20 +73,23 @@ class QuotientStructure:
 
 
 def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
-    """Standard monomials by breadth-first search from 1.
+    """Standard monomials by breadth-first search from 1, and ``tails``.
 
     Every candidate is a variable multiple of a kept monomial, so each
     membership decision is O(n) hash lookups: a candidate is reducible iff
     it is a leading monomial or one of its single-variable quotients is
     already known reducible.  Nontermination is impossible because
     zero-dimensionality (pure power of every variable among the leading
-    monomials) is checked up front.
+    monomials) is checked up front.  A rebuilt basis hands over its
+    ``standard`` and ``tails`` and skips the search.
     """
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional("quotient is not finite-dimensional over the field")
     order = gb.order
     n = gb.n
-    lead = gb.leading_set()
+    lead_row = {m: r for r, m in enumerate(gb.leading_monomials)}
+    if gb.tails is not None:
+        return QuotientStructure(gb.field, n, order, gb.standard, gb.tails, lead_row)
     one = Monomial.one(n)
     basis = [one]
     reducible: set[Monomial] = set()
@@ -89,12 +98,18 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
         candidates = sorted({eps.mul_var(i) for eps in level for i in range(n)}, key=order.key)
         level = []
         for m in candidates:
-            if m in lead or any(m.exps[i] and m.div_var(i) in reducible for i in range(n)):
+            if m in lead_row or any(m.exps[i] and m.div_var(i) in reducible for i in range(n)):
                 reducible.add(m)
             else:
                 basis.append(m)
                 level.append(m)
-    return QuotientStructure(gb.field, n, order, basis)
+    q = QuotientStructure(gb.field, n, order, basis,
+                          np.zeros((len(gb), len(basis)), dtype=np.int64), lead_row)
+    p = gb.field.p
+    for row, g, lm in zip(q.tails, gb.polys, gb.leading_monomials):
+        tail = {m: c for m, c in g.terms.items() if m != lm}
+        row[[q.index[m] for m in tail]] = [p - c for c in tail.values()]
+    return q
 
 
 @dataclass
@@ -102,7 +117,7 @@ class FrontierMember:
     """One monomial of {x_i eps} \\ B with its classification.
 
     kind "generator": the monomial is a leading monomial; its normal form is
-    read from the generator's tail.  kind "product": the monomial is
+    its row of ``QuotientStructure.tails``.  kind "product": the monomial is
     x_k * t' for another frontier monomial t' one degree down; its normal
     form is a linear combination of columns of the k-th matrix.
     ``parent_vars`` lists every i with monomial / x_i in B, i.e. the
@@ -112,7 +127,6 @@ class FrontierMember:
     monomial: Monomial
     kind: str
     parent_vars: tuple[int, ...]
-    generator: Polynomial | None = None
     witness_var: int = -1
     witness: Monomial | None = None
 
@@ -157,7 +171,6 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
     n = quotient.n
     dim = quotient.dimension
     order = quotient.order
-    lm_to_poly = dict(zip(gb.leading_monomials, gb.polys))
     targets = [[0] * dim for _ in range(n)]
     cells: dict[Monomial, list[tuple[int, int]]] = {}
     for l, eps in enumerate(quotient.basis):
@@ -173,8 +186,8 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
         for i, l in cells[t]:
             targets[i][l] = dim + f
         pv = tuple(sorted(i for i, _ in cells[t]))
-        if t in lm_to_poly:
-            members.append(FrontierMember(t, "generator", pv, generator=lm_to_poly[t]))
+        if t in quotient.lead_row:
+            members.append(FrontierMember(t, "generator", pv))
             continue
         for k in t.support():
             t_prev = t.div_var(k)
@@ -204,16 +217,6 @@ class BuildStats:
     type2_for_var: list[int] = dc_field(default_factory=list)
 
 
-def _tail_vector(quotient: QuotientStructure, g: Polynomial, lm: Monomial) -> np.ndarray:
-    """psi(-tail) of a monic reduced generator, i.e. psi(NF(lm))."""
-    p = quotient.field.p
-    v = np.zeros(len(quotient.basis), dtype=np.int64)
-    for m, c in g.terms.items():
-        if m != lm:
-            v[quotient.index[m]] = p - c
-    return v
-
-
 def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
                         frontier: Frontier | None = None) -> tuple[list[MulMatrix], BuildStats]:
     """All n multiplication matrices, one normal form at a time.
@@ -239,7 +242,7 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
     type2 = 0
     for mem in frontier:
         if mem.kind == "generator":
-            vec = _tail_vector(quotient, mem.generator, mem.monomial)
+            vec = quotient.tails[quotient.lead_row[mem.monomial]]
         else:
             alpha = nf[mem.witness]
             vec = _mul_arrays(mats[mem.witness_var], alpha[:, None], p).ravel()
@@ -260,15 +263,16 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
 
     Under DRL the frontier is sorted by degree first, so each frontier
     degree d is one contiguous slice [lo, hi).  Its rows (generator rows:
-    the generator itself; product rows: m - x_k NF(m/x_k)) are laid out
-    over the columns [B | frontier[:hi]], so a column index is a value of
-    ``frontier.targets``: all product rows of one witness variable k are
-    one scatter through ``targets[k]``, restricted to the basis monomials
-    of degree < d, where NF(m/x_k) lives.  Taken in descending order the
-    slice's own columns form a unit upper triangular block T, the earlier
-    frontier columns B are known to reduce to [0 | Id | -NF], so the new
-    normal forms are -T^(-1)(C - B . (-NF_prev)).  Each matrix is then one
-    gather through ``targets``.  Equals the one-at-a-time builder exactly.
+    m - NF(m); product rows: m - x_k NF(m/x_k)) are laid out over the
+    columns [B | frontier[:hi]], so a column index is a value of
+    ``frontier.targets``: the generator rows are one scatter from ``tails``,
+    and all product rows of one witness variable k are one scatter through
+    ``targets[k]``, restricted to the basis monomials of degree < d, where
+    NF(m/x_k) lives.  Taken in descending order the slice's own columns
+    form a unit upper triangular block T, the earlier frontier columns B are
+    known to reduce to [0 | Id | -NF], so the new normal forms are
+    -T^(-1)(C - B . (-NF_prev)).  Each matrix is then one gather through
+    ``targets``.  Equals the one-at-a-time builder exactly.
 
     ``variables`` restricts which matrices are gathered at the end (the
     normal-form table is shared); default all n.
@@ -287,6 +291,8 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     witness_var = np.array([m.witness_var for m in members], dtype=np.int64)
     witness_row = np.array([frontier.index[m.witness] if m.kind == "product" else -1
                             for m in members], dtype=np.int64)
+    gen_row = np.array([quotient.lead_row[m.monomial] if m.kind == "generator" else -1
+                        for m in members], dtype=np.int64)
     basis_deg = np.array([eps.deg for eps in quotient.basis], dtype=np.int64)
     cuts = (np.flatnonzero(np.diff([m.degree for m in members])) + 1).tolist()
 
@@ -297,9 +303,8 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
         low = int(np.searchsorted(basis_deg, members[lo].degree))
         rows = np.zeros((s, dim + hi), dtype=np.int64)
         rows[np.arange(s), dim + lo + np.arange(s)] = 1
-        for r, mem in enumerate(members[lo:hi]):
-            if mem.kind == "generator":
-                rows[r, :dim] = (-_tail_vector(quotient, mem.generator, mem.monomial)) % p
+        rg = np.flatnonzero(gen_row[lo:hi] >= 0)
+        rows[rg, :dim] = -quotient.tails[gen_row[lo + rg]] % p
         for k in range(n):
             rk = np.flatnonzero(witness_var[lo:hi] == k)
             if rk.size:
@@ -324,27 +329,31 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     return out, stats
 
 
+def _nf_rows(quotient: QuotientStructure, monomials: list[Monomial]) -> np.ndarray:
+    """psi(NF(m)) for each monomial, by copies only: a unit row when m is
+    standard, its ``tails`` row when m leads a generator; any other monomial
+    raises NotReadable carrying it."""
+    out = np.zeros((len(monomials), quotient.dimension), dtype=np.int64)
+    for r, m in enumerate(monomials):
+        if m in quotient.index:
+            out[r, quotient.index[m]] = 1
+        elif m in quotient.lead_row:
+            out[r] = quotient.tails[quotient.lead_row[m]]
+        else:
+            raise NotReadable(m)
+    return out
+
+
 def try_read_Tn(quotient: QuotientStructure, gb: GroebnerBasis,
                 counter: OpCounter | None = None) -> MulMatrix:
-    """Last variable's multiplication matrix, copies and sign flips only.
+    """Last variable's multiplication matrix, copies only.
 
     Every column x_n * eps_j must be either a standard monomial (unit
-    column) or a leading monomial (negated generator tail); any other
-    monomial raises NotReadable carrying the offender.  ``counter``, if
-    given, receives the field multiplications/additions performed — by
+    column) or a leading monomial (its row of ``quotient.tails``); any
+    other monomial raises NotReadable carrying the offender.  ``counter``,
+    if given, receives the field multiplications/additions performed — by
     construction it stays at zero, which is the point of this path.
     """
-    n = quotient.n
-    last = n - 1
-    dim = quotient.dimension
-    lm_to_poly = dict(zip(gb.leading_monomials, gb.polys))
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    for j, eps in enumerate(quotient.basis):
-        t = eps.mul_var(last)
-        if t in quotient.index:
-            mat[quotient.index[t], j] = 1
-        elif t in lm_to_poly:
-            mat[:, j] = _tail_vector(quotient, lm_to_poly[t], t)  # sign flips, not counted ops
-        else:
-            raise NotReadable(t)
-    return MulMatrix(last, Matrix(quotient.field, mat))
+    last = quotient.n - 1
+    cols = _nf_rows(quotient, [eps.mul_var(last) for eps in quotient.basis])
+    return MulMatrix(last, Matrix(quotient.field, np.ascontiguousarray(cols.T)))

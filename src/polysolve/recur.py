@@ -122,6 +122,16 @@ def _hankel_solve_levinson(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> 
     return x
 
 
+def _hankel_method(method: str, dim: int) -> str:
+    """The method ``hankel_solve`` runs for a D = ``dim`` system: "auto"
+    means levinson for D >= 64, dense below."""
+    if method == "auto":
+        method = "levinson" if dim >= 64 else "dense"
+    if method not in ("dense", "levinson"):
+        raise ValueError(f"unknown Hankel method {method!r}")
+    return method
+
+
 def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense"):
     """Solve H c = b where H[i][j] = seq[i+j] and b has length D.
 
@@ -142,10 +152,7 @@ def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense"):
     s = np.asarray(list(seq), dtype=np.int64) % p
     if s.shape[0] < 2 * dim - 1:
         raise DimensionMismatch(f"need {2 * dim - 1} sequence entries, got {s.shape[0]}")
-    if method == "auto":
-        method = "levinson" if dim >= 64 else "dense"
-    if method not in ("dense", "levinson"):
-        raise ValueError(f"unknown Hankel method {method!r}")
+    method = _hankel_method(method, dim)
     x = None
     if method == "levinson" and dim:
         try:

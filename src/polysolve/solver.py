@@ -63,7 +63,6 @@ class StageTimes:
 class SolveStats:
     n: int
     D: int
-    nf_type2_total: int            # normal forms computed while acquiring T_n here
     nf_type2_tn: int               # classical per-T_n normal-form count of this ideal
     tn_density: float
     read_ops: OpCounter
@@ -71,7 +70,6 @@ class SolveStats:
     restarts: int                  # g draws beyond the first (always 0 deterministic)
     times: StageTimes
     chord: ChangeOrderStats | None = None
-    prep_nf_total: int = 0         # normal forms of the up-front matrix build (Las Vegas)
 
 
 @dataclass
@@ -133,7 +131,7 @@ def solve_deterministic(F: list[Polynomial], rng=None,
     gbd, Q = _drl_prefix(F, fld, n)
     t1 = time.perf_counter()
     frontier = compute_frontier(Q, gbd)
-    mats, bstats = build_matrices_echelon(Q, gbd, frontier, variables=[n - 1])
+    mats, _ = build_matrices_echelon(Q, gbd, frontier, variables=[n - 1])
     tn = mats[0]
     t2 = time.perf_counter()
     rep, cstats, retries, last = _change_ordering_retries(tn, gbd, Q, rng, cfg)
@@ -143,7 +141,6 @@ def solve_deterministic(F: list[Polynomial], rng=None,
             f"after {cfg.r_retries} random vectors")
     t3 = time.perf_counter()
     stats = SolveStats(n=n, D=Q.dimension,
-                       nf_type2_total=bstats.type2_nf,
                        nf_type2_tn=frontier.type2_for_var(n - 1),
                        tn_density=tn.matrix.density(),
                        read_ops=OpCounter(), retries=retries, restarts=0,
@@ -192,7 +189,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
     gb0, Q0 = _drl_prefix(F, fld, n)
     t1 = time.perf_counter()
     times.gb = t1 - t0
-    mats_full, bstats0 = build_matrices_echelon(Q0, gb0)
+    mats_full, _ = build_matrices_echelon(Q0, gb0)
     mats0 = [m.matrix.a for m in mats_full]
     times.matrices = time.perf_counter() - t1
 
@@ -226,12 +223,10 @@ def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = Non
             continue
 
         times.total = time.perf_counter() - t0
-        stats = SolveStats(n=n, D=Q0.dimension, nf_type2_total=0,
-                           nf_type2_tn=0,
+        stats = SolveStats(n=n, D=Q0.dimension, nf_type2_tn=0,
                            tn_density=tn.matrix.density(),
                            read_ops=counter, retries=retries, restarts=attempt,
-                           times=times, chord=cstats,
-                           prep_nf_total=bstats0.type2_nf)
+                           times=times, chord=cstats)
         return SolveReport("las_vegas", g, rep, stats, list(F))
     raise ExhaustedRestarts(cfg.max_restarts, read_failures, chord_failures)
 

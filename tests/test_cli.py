@@ -177,3 +177,15 @@ def test_exit_code_exhausted_restarts(tmp_path, capsys):
     path = tmp_path / "fat.txt"
     path.write_text("p = 101\nvars = x, y\nx^2\ny^2\n")
     assert main(["solve", str(path), "--lv", "--max-restarts", "2"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["probbound", "--n", "2", "--q", "101", "--degrees", "2"],
+    ["probbound", "--n", "2", "--q", "101", "--degrees", "2,x"],
+    ["probbound", "--n", "2", "--q", "0", "--degrees", "2,2"],
+    ["bench", "appendix", "--n", "0"],
+])
+def test_exit_code_bad_arguments(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -141,6 +141,17 @@ def _assert_same_basis(rebuilt, reference):
     assert rebuilt.polys == reference.polys
     assert rebuilt.leading_monomials == reference.leading_monomials
     assert all(type(c) is int for g in rebuilt.polys for c in g.terms.values())
+    # the rebuild's rows, handed over, equal the rows walked from Buchberger's
+    q_rebuilt, q_reference = compute_basis(rebuilt), compute_basis(reference)
+    assert q_rebuilt.basis == q_reference.basis
+    assert q_rebuilt.lead_row == q_reference.lead_row
+    assert np.array_equal(q_rebuilt.tails, q_reference.tails)
+    # each poly is its leading monomial, then its tail in ascending basis order
+    index = q_reference.index
+    for lm, g in zip(rebuilt.leading_monomials, rebuilt.polys):
+        terms = list(g.terms)
+        assert terms[0] == lm
+        assert [index[m] for m in terms[1:]] == sorted(index[m] for m in terms[1:])
 
 
 # p = 65521 keeps every product on the single float64 GEMM; at 2^31 - 1 the
