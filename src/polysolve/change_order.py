@@ -26,7 +26,7 @@ from .gb import GroebnerBasis
 from .linalg import KrylovStats, Matrix, _mul_arrays, krylov_columns
 from .poly import Monomial, Polynomial
 from .quotient import QuotientStructure, _nf_rows
-from .recur import _hankel_method, _trim_coeffs, berlekamp_massey, hankel_solve
+from .recur import _trim_coeffs, berlekamp_massey, hankel_solve
 
 
 @dataclass
@@ -97,7 +97,6 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     n = quotient.n
     D = quotient.dimension
     stats = ChangeOrderStats()
-    stats.hankel_method = _hankel_method(hankel_method, D)
     r = fld.random_vector(D, rng)
     # Row psi(m) of K is the sequence r(x_n^j m), so row psi(1) is S and
     # c K is the sequence of the element with normal-form coordinates c.
@@ -111,7 +110,9 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     # each x_i is standard or a leading monomial, so no row is unreadable
     C = _nf_rows(quotient, [Monomial.variable(n, i) for i in range(n - 1)])
     rhs = _mul_arrays(C, K.a[:, :D], p).T
-    h = hankel_solve(S[: 2 * D - 1], rhs, fld, method=hankel_method)
+    ran: list[str] = []
+    h = hankel_solve(S[: 2 * D - 1], rhs, fld, method=hankel_method, _ran=ran)
+    stats.hankel_method = ran[0]
     stats.hankel_solves = 1
     return UnivariateRep(fld, n, h.T.tolist() + [mu]), stats
 

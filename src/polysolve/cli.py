@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse errors, 2 violated preconditions
 (non-prime modulus, not zero-dimensional, not in shape position, budget,
-invalid bench or probbound arguments), 3 exhausted restarts.
+invalid solve, bench or probbound arguments), 3 exhausted restarts.
 """
 
 from __future__ import annotations
@@ -113,6 +113,8 @@ def _cmd_solve(args) -> int:
                          solve_lasvegas)
     from .sysfile import parse_system
 
+    if args.max_restarts < 1:
+        return _bad_argument(f"--max-restarts must be at least 1, got {args.max_restarts}")
     system = parse_system(_read_file(args.file))
     rng = random.Random(args.seed)
     cfg = SolveConfig(max_restarts=args.max_restarts)

@@ -30,6 +30,7 @@ from .field import PrimeField
 _FLOAT_EXACT = 1 << 53
 _HALF = 1 << 16
 _SPLIT_MAX_K = 1 << 21
+_INVERSE_LEAF = 32  # family-det: 16 and 64 rows run about as fast, 128 slower
 
 
 @dataclass
@@ -69,15 +70,20 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p as int64, for canonical int64 or float64 inputs."""
+    """Exact (a @ b) mod p as int64, for canonical int64 or float64 inputs.
+
+    A square (``b is a``) converts its operand to float64, or splits it
+    into halves, once.
+    """
     k = a.shape[1]
     if k * (p - 1) * (p - 1) < _FLOAT_EXACT:
-        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        af = a.astype(np.float64, copy=False)
+        prod = af @ (af if b is a else b.astype(np.float64, copy=False))
         return prod.astype(np.int64) % p
     if k >= _SPLIT_MAX_K:
         raise DimensionMismatch(f"inner dimension {k} is too large for an exact product mod {p}")
     a1, a0 = _halves(a)
-    b1, b0 = _halves(b)
+    b1, b0 = (a1, a0) if b is a else _halves(b)
     # ((A1 B1 2^16 + A1 B0 + A0 B1) 2^16 + A0 B0) mod p, reduced after each
     # step so int64 never sees more than 2^47 + 2^53; halves are dropped
     # as soon as their last product is taken
@@ -262,21 +268,39 @@ def binary_power_table(t: Matrix, k: int) -> list[Matrix]:
     return table
 
 
-def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """Solve T X = R for unit upper-triangular T, blocked so the work is
-    matmul-dominated."""
+def _unit_ut_inverse(t: np.ndarray, p: int) -> np.ndarray:
+    """T^(-1) for unit upper-triangular T, from matrix products only.
+
+    Above ``_INVERSE_LEAF`` rows the inverse is blocked as
+    [[A, B], [0, C]]^(-1) = [[A^(-1), -A^(-1) B C^(-1)], [0, C^(-1)]].  At
+    the leaf M = I - T is strictly upper triangular, so M^s = 0 and
+    T^(-1) = sum_{j<s} M^j = prod_{i<ceil(log2 s)} (I + M^(2^i)); the
+    product stops at the first M^(2^i) that is zero.
+    """
     s = t.shape[0]
-    if s <= 64:
-        x = rhs % p
-        for i in range(s - 2, -1, -1):
-            row = t[i, i + 1:]
-            x[i] = (x[i] - _mul_arrays(row[None, :], x[i + 1:], p)[0]) % p
-        return x
+    if s <= _INVERSE_LEAF:
+        m = np.triu(-t % p, 1)
+        inv = m + np.eye(s, dtype=np.int64)
+        for _ in range(1, (s - 1).bit_length()):
+            m = _mul_arrays(m, m, p)
+            if not m.any():
+                break
+            inv = (inv + _mul_arrays(inv, m, p)) % p
+        return inv
     h = s // 2
-    x2 = _unit_ut_solve(t[h:, h:], rhs[h:], p)
-    r1 = (rhs[:h] - _mul_arrays(t[:h, h:], x2, p)) % p
-    x1 = _unit_ut_solve(t[:h, :h], r1, p)
-    return np.vstack([x1, x2])
+    a_inv = _unit_ut_inverse(t[:h, :h], p)
+    c_inv = _unit_ut_inverse(t[h:, h:], p)
+    inv = np.zeros((s, s), dtype=np.int64)
+    inv[:h, :h] = a_inv
+    inv[h:, h:] = c_inv
+    inv[:h, h:] = -_mul_arrays(a_inv, _mul_arrays(t[:h, h:], c_inv, p), p) % p
+    return inv
+
+
+def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
+    """Solve T X = R for unit upper-triangular T (canonical residues) as
+    one product X = T^(-1) R, so every step is a matrix product."""
+    return _mul_arrays(_unit_ut_inverse(t, p), rhs, p)
 
 
 def block_echelon(t: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
@@ -284,7 +308,9 @@ def block_echelon(t: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
 
     T must be unit upper triangular.  The returned block is
     T^(-1) (C - B D), i.e. the trailing columns of the new rows once the
-    combined matrix is brought to reduced row echelon form.
+    combined matrix is brought to reduced row echelon form.  It costs
+    matrix products only: B D, the blocked inverse of T, and one product
+    with that inverse.
     """
     p = t.field.p
     ta = t.a

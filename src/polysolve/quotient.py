@@ -14,7 +14,8 @@ frontier, and builds the multiplication matrices three ways:
 * ``build_matrices_echelon``  — degree by degree: each degree is one
   contiguous slice of the frontier, its rows are scattered through
   ``targets`` and reduced against the previous degrees by one Schur-style
-  update and a unit-triangular solve, and each matrix is one gather from
+  update and one product with the inverse of the unit-triangular pivot
+  block, itself built from products, and each matrix is one gather from
   ``targets``;
 * ``try_read_Tn``             — the free path: succeeds only when every
   column of the last variable's matrix is a unit vector or a row of

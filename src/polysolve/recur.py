@@ -122,17 +122,8 @@ def _hankel_solve_levinson(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> 
     return x
 
 
-def _hankel_method(method: str, dim: int) -> str:
-    """The method ``hankel_solve`` runs for a D = ``dim`` system: "auto"
-    means levinson for D >= 64, dense below."""
-    if method == "auto":
-        method = "levinson" if dim >= 64 else "dense"
-    if method not in ("dense", "levinson"):
-        raise ValueError(f"unknown Hankel method {method!r}")
-    return method
-
-
-def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense"):
+def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense", *,
+                 _ran: list | None = None):
     """Solve H c = b where H[i][j] = seq[i+j] and b has length D.
 
     ``rhs`` is one right-hand side (returns the solution as a list) or a
@@ -141,6 +132,8 @@ def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense"):
     method: "dense" (elimination), "levinson" (fast path with dense
     fallback on a singular leading minor), or "auto" (levinson for D >= 64).
     Raises SingularHankel when the system has no unique solution.
+    ``_ran`` (for ``change_ordering``), when given, receives the method
+    that produced the solution: "dense" after a Levinson breakdown.
     """
     p = field.p
     block = np.asarray(rhs if isinstance(rhs, np.ndarray) else list(rhs),
@@ -152,7 +145,10 @@ def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense"):
     s = np.asarray(list(seq), dtype=np.int64) % p
     if s.shape[0] < 2 * dim - 1:
         raise DimensionMismatch(f"need {2 * dim - 1} sequence entries, got {s.shape[0]}")
-    method = _hankel_method(method, dim)
+    if method == "auto":
+        method = "levinson" if dim >= 64 else "dense"
+    if method not in ("dense", "levinson"):
+        raise ValueError(f"unknown Hankel method {method!r}")
     x = None
     if method == "levinson" and dim:
         try:
@@ -160,7 +156,10 @@ def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense"):
         except _LevinsonBreakdown:
             pass    # a singular leading minor: the whole block goes dense
     if x is None:
+        method = "dense"
         x = _hankel_solve_dense(s, block, dim, p)
+    if _ran is not None:
+        _ran.append(method)
     return [int(v) for v in x[:, 0]] if single else x
 
 

@@ -10,7 +10,7 @@ from polysolve.field import PrimeField
 from polysolve.gb import buchberger, is_zero_dimensional
 from polysolve.poly import Monomial, Polynomial, TermOrder
 from polysolve.change_order import UnivariateRep
-from polysolve.recur import is_squarefree
+from polysolve.recur import hankel_matrix, is_squarefree
 
 
 def monomials_up_to(n: int, deg: int) -> list[Monomial]:
@@ -89,3 +89,14 @@ def shape_instance(field: PrimeField, n: int, D: int, rng: random.Random,
     representation its ideal must reproduce."""
     rep = random_shape_rep(field, n, D, rng, squarefree=squarefree)
     return disguise(rep.polynomials(), rng), rep
+
+
+def levinson_breakdown_sequence(field: PrimeField, dim: int, rng: random.Random) -> list[int]:
+    """2 dim - 1 entries whose dim x dim Hankel matrix is nonsingular but
+    whose entry dim - 1, the first leading minor of the reversed system,
+    is zero: the Levinson recursion breaks down at its first step."""
+    while True:
+        seq = [rng.randrange(field.p) for _ in range(2 * dim - 1)]
+        seq[dim - 1] = 0
+        if hankel_matrix(seq, dim, field).rank() == dim:
+            return seq

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_zero_dim_system, shape_instance
+from helpers import levinson_breakdown_sequence, random_zero_dim_system, shape_instance
 from polysolve import change_order
 from polysolve.change_order import (UnivariateRep, change_ordering, verify_rep)
 from polysolve.errors import ChangeOrderingFailed
@@ -13,6 +13,7 @@ from polysolve.gb import buchberger, lex_oracle
 from polysolve.linalg import Matrix
 from polysolve.poly import Monomial, Polynomial, TermOrder
 from polysolve.quotient import build_matrices_fglm, compute_basis
+from polysolve.recur import berlekamp_massey
 
 
 def _xy(field):
@@ -127,6 +128,35 @@ def test_levinson_method_is_recorded(f65521):
     got, stats = change_ordering(mats[1], gb, q, rng, hankel_method="levinson")
     assert stats.hankel_method == "levinson"
     assert got.coeffs == rep.coeffs
+
+
+class _Feed:
+    """A stand-in rng whose ``randrange`` returns fixed values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, stop):
+        return next(self._values)
+
+
+def test_levinson_breakdown_is_recorded_as_dense(f101):
+    # S is the breakdown input of the Hankel fallback test: it starts the
+    # sequence of <x - y, mu(y)> when r(y^j) = seq[j] for j < D, and mu,
+    # its recurrence, makes the rest of S agree with seq
+    dim = 6
+    seq = levinson_breakdown_sequence(f101, dim, random.Random(5))
+    mu = berlekamp_massey(seq + [0], f101)
+    assert len(mu) == dim + 1   # the Hankel matrix is nonsingular
+    x, y = _xy(f101)
+    polys = [x - y, Polynomial.univariate(f101, 2, 1, mu)]
+    gb, q, mats = _pipeline_inputs(f101, polys)
+    r = [0] * dim
+    for j in range(dim):
+        r[q.psi(Monomial((0, j)))] = seq[j]
+    rep, stats = change_ordering(mats[1], gb, q, _Feed(r), hankel_method="levinson")
+    assert stats.hankel_method == "dense"
+    assert rep.coeffs == lex_oracle(polys, 2).coeffs
 
 
 def test_verify_rep_full_scan(f7):

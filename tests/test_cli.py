@@ -184,6 +184,9 @@ def test_exit_code_exhausted_restarts(tmp_path, capsys):
     ["probbound", "--n", "2", "--q", "101", "--degrees", "2,x"],
     ["probbound", "--n", "2", "--q", "0", "--degrees", "2,2"],
     ["bench", "appendix", "--n", "0"],
+    # checked before the (absent) file is read
+    ["solve", "absent.txt", "--lv", "--max-restarts", "-3"],
+    ["solve", "absent.txt", "--max-restarts", "0"],
 ])
 def test_exit_code_bad_arguments(argv, capsys):
     assert main(argv) == 2

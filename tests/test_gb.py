@@ -8,7 +8,7 @@ from helpers import monomials_up_to, random_zero_dim_system, shape_instance
 from polysolve.bench import appendix_family
 from polysolve.errors import NotShapePosition, NotZeroDimensional
 from polysolve.field import PrimeField
-from polysolve.gb import (buchberger, degree, groebner_from_matrices,
+from polysolve.gb import (_eliminate_block, buchberger, degree, groebner_from_matrices,
                           is_zero_dimensional, lex_oracle, shape_rep_from_lex)
 from polysolve.linalg import Matrix
 from polysolve.poly import (Monomial, Polynomial, TermOrder,
@@ -212,6 +212,22 @@ def test_rebuild_interleaved_degree_blocks(p):
         rebuilt = groebner_from_matrices([m.matrix for m in mats], field, n,
                                          TermOrder.drl(n))
         _assert_same_basis(rebuilt, gb)
+
+
+@pytest.mark.parametrize("p", [101, 2 ** 31 - 1])
+def test_eliminate_block_identities(p):
+    # independent rows, rows dependent on earlier ones, and a chunk whose
+    # rows are all dependent, where the unit-triangular solve has size 0
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (3, 8))
+    mixed = np.vstack([a[:2], (5 * a[0] + a[1]) % p, a[2], np.zeros(8, dtype=np.int64), a[1]])
+    for w, rank in ((mixed, 3), (np.zeros((3, 8), dtype=np.int64), 0)):
+        new, dep, rel, echelon, pcols, gmat = _eliminate_block(w, p)
+        assert len(new) == rank and sorted(new + dep) == list(range(len(w)))
+        kept = w[new].astype(object)
+        assert np.array_equal(w[dep], rel.astype(object).dot(kept) % p)
+        assert np.array_equal(echelon, gmat.astype(object).dot(kept) % p)
+        assert np.array_equal(echelon[:, pcols], np.eye(rank, dtype=np.int64))
 
 
 def test_groebner_from_matrices_rejects_bad_input():

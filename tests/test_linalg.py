@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from polysolve.errors import (DimensionMismatch, NotUnitTriangular,
                               SingularMatrix)
 from polysolve.field import PrimeField
-from polysolve.linalg import (KrylovStats, Matrix, binary_power_table,
-                              block_echelon, krylov_columns, mat_mul)
+from polysolve.linalg import (KrylovStats, Matrix, _unit_ut_solve,
+                              binary_power_table, block_echelon, krylov_columns,
+                              mat_mul)
 
 
 def _random_matrix(field, r, c, rng):
@@ -141,6 +143,42 @@ def test_block_echelon_solves_the_block_identity():
         assert mat_mul(tm, x) == (c - mat_mul(b, d))
 
 
+def _back_substitute(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
+    """T X = R for unit upper-triangular T, one row at a time in Python
+    integers: the reference for the product-only solve."""
+    t = t.astype(object)
+    x = rhs.astype(object) % p
+    for i in range(t.shape[0] - 2, -1, -1):
+        x[i] = (x[i] - t[i, i + 1:].dot(x[i + 1:])) % p
+    return x.astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("s", [0, 1, 2, 31, 32, 33, 64, 65, 130, 600])
+def test_unit_triangular_solve_matches_back_substitution(p, s):
+    # s = 0 is the solve of a chunk whose rows are all dependent; 32 and
+    # 33 sit on either side of the inverse's leaf, larger sizes recurse.
+    # In the second T only the top-right quarter is nonzero, so M^2 = 0
+    # and the leaf's product stops early.
+    rng = np.random.default_rng(s)
+    field = PrimeField(p)
+    dense = np.triu(rng.integers(0, p, (s, s)), 1)
+    corner = np.zeros((s, s), dtype=np.int64)
+    corner[:s // 2, s // 2:] = rng.integers(0, p, (s // 2, s - s // 2))
+    for t, w in itertools.product((dense, corner), (0, 1, 7)):
+        t = t + np.eye(s, dtype=np.int64)
+        r = rng.integers(0, p, (s, w))
+        want = _back_substitute(t, r, p)
+        got = _unit_ut_solve(t, r, p)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        b = rng.integers(0, p, (s, 3))
+        d = rng.integers(0, p, (3, w))
+        c = (r + b.astype(object).dot(d.astype(object))) % p   # C - B D = R
+        x = block_echelon(Matrix(field, t), Matrix(field, b),
+                          Matrix(field, c.astype(np.int64)), Matrix(field, d))
+        assert np.array_equal(x.a, want)
+
+
 def test_block_echelon_rejects_bad_pivot_block(f7):
     bad = Matrix.from_rows(f7, [[1, 0], [1, 1]])  # lower entry nonzero
     eye = Matrix.identity(f7, 2)
@@ -151,25 +189,28 @@ def test_block_echelon_rejects_bad_pivot_block(f7):
 
 
 def _naive_krylov(t: Matrix, r, width: int) -> Matrix:
+    # Python integers: an int64 product overflows for p near 2^31
     p = t.field.p
-    cols = [np.asarray(r, dtype=np.int64) % p]
+    a = t.a.astype(object)
+    cols = [np.asarray(r, dtype=object) % p]
     for _ in range(2 * width - 1):
-        cols.append(t.a @ cols[-1] % p)
-    return Matrix(t.field, np.stack(cols, axis=1))
+        cols.append(a.dot(cols[-1]) % p)
+    return Matrix(t.field, np.stack(cols, axis=1).astype(np.int64))
 
 
 def test_krylov_matches_naive_and_counts_products():
     rng = random.Random(4)
-    field = PrimeField(65521)
-    for dim in (2, 3, 5, 8, 16, 64):
-        t = _random_matrix(field, dim, dim, rng)
-        r = field.random_vector(dim, rng)
-        stats = KrylovStats()
-        fast = krylov_columns(t, r, dim, stats=stats)
-        assert fast == _naive_krylov(t, r, dim)
-        k = max(1, math.ceil(math.log2(2 * dim)))
-        assert stats.square_mults == k
-        assert stats.rect_mults == k
+    for p in (65521, 2 ** 31 - 1):
+        field = PrimeField(p)
+        for dim in (2, 3, 5, 8, 16, 64):
+            t = _random_matrix(field, dim, dim, rng)
+            r = field.random_vector(dim, rng)
+            stats = KrylovStats()
+            fast = krylov_columns(t, r, dim, stats=stats)
+            assert fast == _naive_krylov(t, r, dim)
+            k = max(1, math.ceil(math.log2(2 * dim)))
+            assert stats.square_mults == k
+            assert stats.rect_mults == k
 
 
 def test_krylov_rejects_non_square(f7):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import levinson_breakdown_sequence
 from polysolve.errors import SingularHankel
 from polysolve.field import PrimeField
 from polysolve.recur import (_safe_dot, berlekamp_massey, hankel_matrix,
@@ -116,11 +117,7 @@ def test_hankel_block_levinson_breakdown_falls_back(f101):
     # Levinson breaks down at once and the whole block is solved densely
     rng = random.Random(5)
     dim = 6
-    while True:
-        seq = [rng.randrange(101) for _ in range(2 * dim - 1)]
-        seq[dim - 1] = 0
-        if hankel_matrix(seq, dim, f101).rank() == dim:
-            break
+    seq = levinson_breakdown_sequence(f101, dim, rng)
     block = np.array([[rng.randrange(101) for _ in range(3)] for _ in range(dim)])
     dense = hankel_solve(seq, block, f101, method="dense")
     assert np.array_equal(hankel_solve(seq, block, f101, method="levinson"), dense)
