@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse errors, 2 violated preconditions
 (non-prime modulus, not zero-dimensional, not in shape position, budget,
-invalid solve, bench or probbound arguments), 3 exhausted restarts.
+invalid --threads, solve, bench or probbound arguments), 3 exhausted
+restarts.
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ def _cmd_probbound(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:
+            return _bad_argument(f"--threads must be at least 1, got {args.threads}")
         # hint must land before the numerical backend starts its pool
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(args.threads))

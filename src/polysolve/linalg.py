@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnitTriangular, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 from .field import PrimeField
 
 _FLOAT_EXACT = 1 << 53
@@ -298,30 +298,21 @@ def _unit_ut_inverse(t: np.ndarray, p: int) -> np.ndarray:
 
 
 def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """Solve T X = R for unit upper-triangular T (canonical residues) as
-    one product X = T^(-1) R, so every step is a matrix product."""
-    return _mul_arrays(_unit_ut_inverse(t, p), rhs, p)
+    """Solve T X = R for unit upper-triangular T (canonical residues).
 
-
-def block_echelon(t: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
-    """Reduced rows of a block [T | B | C] against prior rows [0 | Id | D].
-
-    T must be unit upper triangular.  The returned block is
-    T^(-1) (C - B D), i.e. the trailing columns of the new rows once the
-    combined matrix is brought to reduced row echelon form.  It costs
-    matrix products only: B D, the blocked inverse of T, and one product
-    with that inverse.
+    Only the unknowns that other rows use, those whose column of T has an
+    off-diagonal nonzero, need an inverse: they solve the closed system
+    T[used, used] X[used] = R[used] as one product with its product-built
+    inverse.  Every other unknown is then R[rest] - T[rest, used] X[used],
+    one more product.
     """
-    p = t.field.p
-    ta = t.a
-    if ta.shape[0] != ta.shape[1]:
-        raise NotUnitTriangular("pivot block is not square")
-    if not (np.all(np.diagonal(ta) == 1) and np.all(np.tril(ta, -1) == 0)):
-        raise NotUnitTriangular("pivot block is not unit upper triangular")
-    if b.ncols != d.nrows or t.nrows != b.nrows or c.nrows != t.nrows or c.ncols != d.ncols:
-        raise DimensionMismatch("inconsistent block shapes")
-    rhs = (c.a - mat_mul(b, d).a) % p
-    return Matrix(t.field, _unit_ut_solve(ta, rhs, p))
+    used = np.count_nonzero(t, axis=0) > 1  # the unit diagonal counts once
+    u = np.flatnonzero(used)
+    rest = np.flatnonzero(~used)
+    x = np.empty(rhs.shape, dtype=np.int64)
+    x[u] = xu = _mul_arrays(_unit_ut_inverse(t[np.ix_(u, u)], p), rhs[u], p)
+    x[rest] = (rhs[rest] - _mul_arrays(t[np.ix_(rest, u)], xu, p)) % p
+    return x
 
 
 def krylov_columns(t: Matrix, r, width: int, *,

@@ -12,10 +12,11 @@ frontier, and builds the multiplication matrices three ways:
   order, each product-type frontier monomial costing one matrix-vector
   product against the partially built matrix (the classical approach);
 * ``build_matrices_echelon``  — degree by degree: each degree is one
-  contiguous slice of the frontier, its rows are scattered through
-  ``targets`` and reduced against the previous degrees by one Schur-style
-  update and one product with the inverse of the unit-triangular pivot
-  block, itself built from products, and each matrix is one gather from
+  contiguous slice of the frontier; the members of one witness variable k
+  take their witnesses' normal forms through ``targets[k]``, so the earlier
+  degrees enter by one product per k whose inner size is at most D, and
+  the slice's own relations form a unit-triangular system solved by
+  products (``linalg._unit_ut_solve``); each matrix is one gather from
   ``targets``;
 * ``try_read_Tn``             — the free path: succeeds only when every
   column of the last variable's matrix is a unit vector or a row of
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import ClassificationFailure, NotReadable, NotZeroDimensional
 from .field import PrimeField
 from .gb import GroebnerBasis, is_zero_dimensional
-from .linalg import Matrix, OpCounter, block_echelon, _mul_arrays
+from .linalg import Matrix, OpCounter, _mul_arrays, _unit_ut_solve
 from .poly import Monomial, Polynomial, TermOrder
 
 
@@ -263,16 +264,19 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     """Multiplication matrices degree by degree.
 
     Under DRL the frontier is sorted by degree first, so each frontier
-    degree d is one contiguous slice [lo, hi).  Its rows (generator rows:
-    m - NF(m); product rows: m - x_k NF(m/x_k)) are laid out over the
-    columns [B | frontier[:hi]], so a column index is a value of
-    ``frontier.targets``: the generator rows are one scatter from ``tails``,
-    and all product rows of one witness variable k are one scatter through
-    ``targets[k]``, restricted to the basis monomials of degree < d, where
-    NF(m/x_k) lives.  Taken in descending order the slice's own columns
-    form a unit upper triangular block T, the earlier frontier columns B are
-    known to reduce to [0 | Id | -NF], so the new normal forms are
-    -T^(-1)(C - B . (-NF_prev)).  Each matrix is then one gather through
+    degree d is one contiguous slice [lo, hi), and its normal forms solve
+    one unit-triangular system over the slice.  A generator member's right
+    side is its row of ``tails``.  A product member m = x_k t' with
+    w = NF(t') satisfies m = sum_l w_l x_k eps_l, where eps_l ranges over the
+    basis monomials of degree < d, so ``targets[k, :L_d]`` sorts its terms:
+    a basis target is scattered into the right side, an earlier frontier
+    target f contributes w_l NF(f), and a target inside the slice becomes an
+    entry of the pivot block.  All members of one witness variable k share
+    those targets, so the earlier-frontier part is one product
+    W[:, early] . NF[early targets] per k, whose inner size is at most D
+    (the FGLM relation NF(x_k t') = T_k NF(t')).  Taken in descending
+    order the slice's block is unit upper triangular, and ``_unit_ut_solve``
+    gives the slice's normal forms.  Each matrix is then one gather through
     ``targets``.  Equals the one-at-a-time builder exactly.
 
     ``variables`` restricts which matrices are gathered at the end (the
@@ -297,25 +301,33 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     basis_deg = np.array([eps.deg for eps in quotient.basis], dtype=np.int64)
     cuts = (np.flatnonzero(np.diff([m.degree for m in members])) + 1).tolist()
 
-    # row f holds -NF(frontier member f), in frontier order
-    neg_nf = np.zeros((total, dim), dtype=np.int64)
+    # row f holds NF(frontier member f), in frontier order
+    nf = np.zeros((total, dim), dtype=np.int64)
     for lo, hi in zip([0] + cuts, cuts + [total]):
         s = hi - lo
         low = int(np.searchsorted(basis_deg, members[lo].degree))
-        rows = np.zeros((s, dim + hi), dtype=np.int64)
-        rows[np.arange(s), dim + lo + np.arange(s)] = 1
+        # member lo + r is rhs[r] plus a combination of earlier members of
+        # the slice; t holds that relation in descending member order
+        rhs = np.zeros((s, dim), dtype=np.int64)
+        t = np.eye(s, dtype=np.int64)
         rg = np.flatnonzero(gen_row[lo:hi] >= 0)
-        rows[rg, :dim] = -quotient.tails[gen_row[lo + rg]] % p
+        rhs[rg] = quotient.tails[gen_row[lo + rg]]
         for k in range(n):
             rk = np.flatnonzero(witness_var[lo:hi] == k)
-            if rk.size:
-                rows[rk[:, None], targets[k, :low]] = neg_nf[witness_row[lo + rk], :low]
-        # descending order: T, B and C are column slices of the reversed rows
-        desc = rows[::-1]
-        x = block_echelon(Matrix(fld, desc[:, dim + lo:][:, ::-1]),
-                          Matrix(fld, desc[:, dim:dim + lo]), Matrix(fld, desc[:, :dim]),
-                          Matrix(fld, neg_nf[:lo]))
-        neg_nf[lo:hi] = x.a[::-1]
+            if not rk.size:
+                continue
+            w = nf[witness_row[lo + rk], :low]
+            tgt = targets[k, :low]
+            basis = tgt < dim
+            inside = tgt >= dim + lo
+            early = ~(basis | inside)
+            part = np.zeros((rk.size, dim), dtype=np.int64)
+            part[:, tgt[basis]] = w[:, basis]
+            if early.any():
+                part = (part + _mul_arrays(w[:, early], nf[tgt[early] - dim], p)) % p
+            rhs[rk] = part
+            t[s - 1 - rk[:, None], dim + hi - 1 - tgt[inside]] = -w[:, inside] % p
+        nf[lo:hi] = _unit_ut_solve(t, rhs[::-1], p)[::-1]
 
     out = []
     for i in (range(n) if variables is None else variables):
@@ -323,7 +335,7 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
         unit = tgt < dim
         mat = np.zeros((dim, dim), dtype=np.int64)
         mat[tgt[unit], np.flatnonzero(unit)] = 1
-        mat[:, ~unit] = (-neg_nf[tgt[~unit] - dim].T) % p
+        mat[:, ~unit] = nf[tgt[~unit] - dim].T
         out.append(MulMatrix(i, Matrix(fld, mat)))
     stats = BuildStats("echelon", dim, total, frontier.type2_total(),
                        [frontier.type2_for_var(i) for i in range(n)])

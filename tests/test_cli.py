@@ -187,6 +187,8 @@ def test_exit_code_exhausted_restarts(tmp_path, capsys):
     # checked before the (absent) file is read
     ["solve", "absent.txt", "--lv", "--max-restarts", "-3"],
     ["solve", "absent.txt", "--max-restarts", "0"],
+    ["--threads", "-3", "solve", "absent.txt"],
+    ["--threads", "0", "solve", "absent.txt"],
 ])
 def test_exit_code_bad_arguments(argv, capsys):
     assert main(argv) == 2

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polysolve.errors import (DimensionMismatch, NotUnitTriangular,
-                              SingularMatrix)
+from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
 from polysolve.linalg import (KrylovStats, Matrix, _unit_ut_solve,
-                              binary_power_table, block_echelon, krylov_columns,
-                              mat_mul)
+                              binary_power_table, krylov_columns, mat_mul)
 
 
 def _random_matrix(field, r, c, rng):
@@ -126,23 +124,6 @@ def test_binary_power_table(f7):
     assert table[3] == mat_mul(table[2], table[2])
 
 
-def test_block_echelon_solves_the_block_identity():
-    # new rows [T | B | C] reduced against prior rows [0 | Id | D]:
-    # the returned X satisfies T X = C - B D.
-    rng = random.Random(9)
-    field = PrimeField(101)
-    for s, m, w in ((3, 2, 4), (5, 5, 2), (70, 3, 5)):
-        t = np.triu(np.array([[rng.randrange(101) for _ in range(s)] for _ in range(s)],
-                             dtype=np.int64), 1)
-        np.fill_diagonal(t, 1)
-        tm = Matrix(field, t)
-        b = _random_matrix(field, s, m, rng)
-        c = _random_matrix(field, s, w, rng)
-        d = _random_matrix(field, m, w, rng)
-        x = block_echelon(tm, b, c, d)
-        assert mat_mul(tm, x) == (c - mat_mul(b, d))
-
-
 def _back_substitute(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
     """T X = R for unit upper-triangular T, one row at a time in Python
     integers: the reference for the product-only solve."""
@@ -158,34 +139,21 @@ def _back_substitute(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
 def test_unit_triangular_solve_matches_back_substitution(p, s):
     # s = 0 is the solve of a chunk whose rows are all dependent; 32 and
     # 33 sit on either side of the inverse's leaf, larger sizes recurse.
-    # In the second T only the top-right quarter is nonzero, so M^2 = 0
-    # and the leaf's product stops early.
+    # In the corner T only the top-right quarter is nonzero, so M^2 = 0
+    # and the leaf's product stops early.  The solve inverts only the
+    # unknowns that other rows use: none when T = I, a block of columns in
+    # the corner T, and columns scattered through the triangle in the last.
     rng = np.random.default_rng(s)
-    field = PrimeField(p)
     dense = np.triu(rng.integers(0, p, (s, s)), 1)
     corner = np.zeros((s, s), dtype=np.int64)
     corner[:s // 2, s // 2:] = rng.integers(0, p, (s // 2, s - s // 2))
-    for t, w in itertools.product((dense, corner), (0, 1, 7)):
+    identity = np.zeros((s, s), dtype=np.int64)
+    scattered = np.triu(rng.integers(0, p, (s, s)), 1) * (rng.random(s) < 0.3)
+    for t, w in itertools.product((dense, corner, identity, scattered), (0, 1, 7)):
         t = t + np.eye(s, dtype=np.int64)
         r = rng.integers(0, p, (s, w))
-        want = _back_substitute(t, r, p)
         got = _unit_ut_solve(t, r, p)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-        b = rng.integers(0, p, (s, 3))
-        d = rng.integers(0, p, (3, w))
-        c = (r + b.astype(object).dot(d.astype(object))) % p   # C - B D = R
-        x = block_echelon(Matrix(field, t), Matrix(field, b),
-                          Matrix(field, c.astype(np.int64)), Matrix(field, d))
-        assert np.array_equal(x.a, want)
-
-
-def test_block_echelon_rejects_bad_pivot_block(f7):
-    bad = Matrix.from_rows(f7, [[1, 0], [1, 1]])  # lower entry nonzero
-    eye = Matrix.identity(f7, 2)
-    with pytest.raises(NotUnitTriangular):
-        block_echelon(bad, eye, eye, eye)
-    with pytest.raises(NotUnitTriangular):
-        block_echelon(Matrix.zeros(f7, 2, 3), eye, eye, eye)
+        assert got.dtype == np.int64 and np.array_equal(got, _back_substitute(t, r, p))
 
 
 def _naive_krylov(t: Matrix, r, width: int) -> Matrix:

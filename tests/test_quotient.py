@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_zero_dim_system
+from polysolve.bench import appendix_family
 from polysolve.errors import NotReadable, NotZeroDimensional
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger
@@ -185,6 +186,19 @@ def test_builders_agree():
         field = PrimeField(p)
         for n, degs in ((2, (2, 3)), (3, (2, 2, 2)), (3, (2, 3, 3)), (3, (1, 2, 3))):
             _, gb = random_zero_dim_system(field, n, degs, rng)
+            q = compute_basis(gb)
+            fr = compute_frontier(q, gb)
+            a, _ = build_matrices_fglm(q, gb, fr)
+            b, _ = build_matrices_echelon(q, gb, fr)
+            for ma, mb in zip(a, b):
+                assert ma.matrix == mb.matrix
+    # the appendix family at n = 5..7: per degree several witness variables
+    # reach earlier frontier members, and some slice members no other
+    # member uses
+    for p in (65521, 2**31 - 1):
+        field = PrimeField(p)
+        for n in (5, 6, 7):
+            gb = buchberger(appendix_family(n, field), TermOrder.drl(n), field=field)
             q = compute_basis(gb)
             fr = compute_frontier(q, gb)
             a, _ = build_matrices_fglm(q, gb, fr)
