@@ -13,9 +13,13 @@ Example:
 
 import argparse
 import json
+import os
 import sys
 
-from polysolve.bench import format_table, run_bench
+# run from a checkout without installing, as pytest does (pythonpath = src)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from polysolve.bench import format_table, run_bench  # noqa: E402
 
 
 def main(argv=None) -> int:

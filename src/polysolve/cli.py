@@ -222,14 +222,20 @@ def _cmd_bench(args) -> int:
 def _cmd_probbound(args) -> int:
     from .solver import probability_bound
 
+    if args.n < 1:
+        return _bad_argument(f"--n must be at least 1, got {args.n}")
     try:
         degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
     except ValueError:
         return _bad_argument(f"--degrees must be comma-separated integers, got {args.degrees!r}")
     if len(degrees) != args.n:
         return _bad_argument(f"--n {args.n} needs {args.n} degrees, got {len(degrees)}")
+    if min(degrees) < 1:
+        return _bad_argument(f"every degree must be at least 1, got {args.degrees!r}")
     if args.q < 2:
         return _bad_argument(f"--q must be at least 2, got {args.q}")
+    if args.dim is not None and args.dim < 1:
+        return _bad_argument(f"--dim must be at least 1, got {args.dim}")
     pb = probability_bound(args.n, args.q, degrees, D=args.dim)
     frac = pb.bound
     print(f"n = {pb.n}, q = {pb.q}, degrees {pb.degrees}, D = {pb.D}")

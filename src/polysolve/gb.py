@@ -8,14 +8,17 @@ ascending leading monomial).
 Also here: a linear-algebra path (`groebner_from_matrices`) that rebuilds the
 reduced DRL basis of an ideal from its multiplication matrices, one total
 degree at a time: the coordinate vectors of a degree's candidate monomials
-come from one matrix product per variable, and a block elimination in
-ascending order sorts them into standard monomials and leading monomials
-with their tails.  The Las Vegas solver takes every basis after a linear
-change of coordinates from it, fed with combinations of the original
-ideal's multiplication matrices, so no second Buchberger run happens; its
-output is bit-identical to Buchberger's by uniqueness of the reduced basis.
-It hands over the rows it holds, and its ``polys`` are built on first read,
-which a Las Vegas solve never does.
+come from one matrix product per variable used, and one elimination in
+ascending order sorts them into standard monomials and leading monomials.
+The elimination works by halving, so its row operations are matrix
+products; the tails come at the end, from one pass over the recorded
+merges.  The matrices are held once as float64 residues, which the exact
+kernel multiplies without converting them.  The Las Vegas solver takes
+every basis after a linear change of coordinates from it, fed with
+combinations of the original ideal's multiplication matrices, so no second
+Buchberger run happens; its output is bit-identical to Buchberger's by
+uniqueness of the reduced basis.  It hands over the rows it holds, and its
+``polys`` are built on first read, which a Las Vegas solve never does.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import NotShapePosition, NotZeroDimensional
 from .field import PrimeField
-from .linalg import Matrix, _mul_arrays, _unit_ut_solve
+from .linalg import Matrix, _mul_arrays, _reduce, _sub_mod
 from .poly import Monomial, Polynomial, TermOrder, _Reducer, _reduce_prepped, s_polynomial
 
 
@@ -208,10 +211,86 @@ def shape_rep_from_lex(gb: GroebnerBasis):
     return UnivariateRep(gb.field, n, [list(c) for c in coeffs])
 
 
-# candidates per elimination: each row of the in-chunk elimination costs
-# about _CHUNK * D, while smaller chunks mean more, smaller products (64 and
-# 128 measured the same at D = 512..2048; 16 and whole degrees were slower)
-_CHUNK = 64
+# rows of a leaf of the halving elimination: on the whole-degree blocks of
+# one appendix-family rebuild at p = 65521, leaves of 16 to 48 rows measured
+# alike (20-34 ms at n = 9, 76-93 ms at n = 10) and 8 rows slower (25-40 ms
+# at n = 9); larger leaves spend longer in row-by-row steps
+_ELIM_LEAF = 32
+
+
+def _gauss_jordan(a: np.ndarray, f: int, p: int):
+    """``_row_echelon``'s outputs by one row at a time, for a small ``a``:
+    each pivot clears its column in every other row, so the pivot rows
+    come out reduced with no back-substitution."""
+    new: list[int] = []
+    dep: list[int] = []
+    pcols: list[int] = []
+    for i in range(a.shape[0]):
+        nz = np.flatnonzero(a[i, :f])
+        if nz.size == 0:
+            dep.append(i)
+            continue
+        q = int(nz[0])
+        inv = pow(int(a[i, q]), -1, p)
+        # row r loses (a[r, q] / a[i, q]) row i and row i becomes row i / a[i, q];
+        # adding (p - factor) row i keeps every entry nonnegative
+        factor = a[:, q] * inv % p
+        factor[i] = (1 - inv) % p
+        a = _reduce(a + (p - factor)[:, None] * a[i], p)
+        new.append(i)
+        pcols.append(q)
+    return new, dep, pcols, a[new], a[dep]
+
+
+def _leaf(a: np.ndarray, f: int, p: int):
+    """``_row_echelon`` on at most ``_ELIM_LEAF`` rows.
+
+    c rows have at most c pivots, and they usually lie among the first
+    columns where the rows are nonzero.  So Gauss-Jordan runs on a window
+    of 2c such columns, with the row operations riding along, and one
+    product applies those operations to the whole rows.  A row that the
+    window calls dependent but that the product leaves nonzero has its
+    pivot further right; the window then doubles.
+    """
+    c = a.shape[0]
+    cols = np.flatnonzero(a[:, :f].any(axis=0))
+    k = 2 * c
+    while True:
+        win = cols[:k]
+        new, dep, pc, ech, lost = _gauss_jordan(
+            np.hstack([a[:, win], np.eye(c, dtype=np.int64)]), len(win), p)
+        out = _mul_arrays(np.vstack([ech, lost])[:, len(win):], a, p)
+        s = len(new)
+        if len(win) == len(cols) or not out[s:, :f].any():
+            return new, dep, win[pc].tolist(), out[:s], out[s:]
+        k *= 2
+
+
+def _row_echelon(a: np.ndarray, f: int, p: int):
+    """Row-order elimination of ``a`` with pivots in its first ``f`` columns.
+
+    Returns ``(new, dep, pcols, ech, lost)``: ``ech`` is the reduced
+    echelon form of ``a[new]``, the identity at ``pcols``, and ``lost`` is
+    ``a[dep]`` reduced by the rows above it, zero in the first f columns.
+
+    By halving (the recursion of Jeannerod, Pernet and Storjohann's
+    rank-profile elimination): eliminate the top half; reduce the bottom
+    half by the top's echelon rows in one product, which leaves each bottom
+    row what the row-by-row reduction would leave, so the pivots agree;
+    eliminate the bottom half; and clear the bottom's pivot columns from
+    the top's echelon rows by one more product.
+    """
+    c = a.shape[0]
+    if c <= _ELIM_LEAF:
+        return _leaf(a, f, p)
+    h = c // 2
+    new_t, dep_t, pc_t, ech_t, lost_t = _row_echelon(a[:h], f, p)
+    bottom = _sub_mod(a[h:], _mul_arrays(a[h:, pc_t], ech_t, p), p)
+    new_b, dep_b, pc_b, ech_b, lost_b = _row_echelon(bottom, f, p)
+    if new_b:
+        ech_t = _sub_mod(ech_t, _mul_arrays(ech_t[:, pc_b], ech_b, p), p)
+    return (new_t + [h + r for r in new_b], dep_t + [h + r for r in dep_b], pc_t + pc_b,
+            np.vstack([ech_t, ech_b]), np.vstack([lost_t, lost_b]))
 
 
 def _eliminate_block(w: np.ndarray, p: int):
@@ -223,32 +302,14 @@ def _eliminate_block(w: np.ndarray, p: int):
     independent and of the dependent rows, ``w[dep] = rel @ w[new]``
     (every dependence uses earlier rows only), and
     ``echelon = gmat @ w[new]``, whose rows are the identity at ``pcols``.
+    Row operations ride along on an identity block, and ``_row_echelon``
+    does the work.  Every output is unique given the pivots, and the
+    pivots are the row-by-row ones, so the result is the row-by-row result.
     """
     c, f = w.shape
-    a = np.hstack([w, np.eye(c, dtype=np.int64)])  # row ops ride along
-    new: list[int] = []
-    dep: list[int] = []
-    pcols: list[int] = []
-    for i in range(c):
-        nz = np.flatnonzero(a[i, :f])
-        if nz.size == 0:
-            dep.append(i)
-            continue
-        q = int(nz[0])
-        end = f + i + 1  # the row operations so far touch rows 0..i only
-        a[i, :end] = a[i, :end] * pow(int(a[i, q]), -1, p) % p
-        rows = np.flatnonzero(a[i + 1:, q]) + (i + 1)
-        if rows.size:
-            a[rows, :end] = (a[rows, :end] - np.outer(a[rows, q], a[i, :end])) % p
-        new.append(i)
-        pcols.append(q)
+    new, dep, pcols, ech, lost = _row_echelon(np.hstack([w, np.eye(c, dtype=np.int64)]), f, p)
     ops = f + np.array(new, dtype=np.intp)
-    rel = (-a[np.ix_(dep, ops)]) % p
-    # each pivot row is zero at the pivot columns of the rows above it, so
-    # at the pivot columns the pivot rows form a unit upper triangle
-    piv = a[new]
-    red = _unit_ut_solve(piv[:, pcols], np.hstack([piv[:, :f], piv[:, ops]]), p)
-    return new, dep, rel, red[:, :f], pcols, red[:, f:]
+    return new, dep, _sub_mod(0, lost[:, ops], p), ech[:, :f], pcols, ech[:, ops]
 
 
 def _candidates(prev: list[Monomial], order: TermOrder):
@@ -258,71 +319,94 @@ def _candidates(prev: list[Monomial], order: TermOrder):
     exactly when every divisor m/x_j is standard.  The smallest of those
     divisors under DRL is m/x_j for the smallest j in m's support, so m is
     produced only from that parent b, as x_i b with i <= min support of b,
-    which yields each candidate once.  Returns ``(m, index of b in prev, i)``
-    triples in ascending order.
+    which yields each candidate once.
+
+    As every m/x_j is standard, m's coordinate vector is that of any of them
+    times M_j.  The rebuild makes one product per variable, each a pass over
+    that variable's whole matrix, so the variables are picked greedily, the
+    one in most uncovered candidates first, to cover a degree with few.
+    Returns ``(m, index of m/x_i in prev, i)`` triples in ascending order.
     """
     n = order.n
-    kept = {b.exps for b in prev}
-    out = []
-    for parent, b in enumerate(prev):
+    index = {b.exps: r for r, b in enumerate(prev)}
+    monos = []
+    for b in prev:
         e = b.exps
         first = next((j for j, v in enumerate(e) if v), n - 1)
         for i in range(first + 1):
             exps = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if all(exps[:j] + (exps[j] - 1,) + exps[j + 1:] in kept
+            if all(exps[:j] + (exps[j] - 1,) + exps[j + 1:] in index
                    for j in range(i + 1, n) if exps[j]):
-                out.append((Monomial(exps), parent, i))
-    out.sort(key=lambda t: order.key(t[0]))
-    return out
+                monos.append(Monomial(exps))
+    monos.sort(key=order.key)
+    support = np.array([m.exps for m in monos], dtype=bool).reshape(len(monos), n)
+    var = np.zeros(len(monos), dtype=np.intp)
+    left = np.ones(len(monos), dtype=bool)
+    while left.any():
+        j = int(np.argmax(support[left].sum(axis=0)))
+        var[left & support[:, j]] = j
+        left &= ~support[:, j]
+    return [(m, index[m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:]], i)
+            for m, i in zip(monos, var.tolist())]
 
 
 class _Echelon:
     """Echelon form of a growing list of independent vectors.
 
-    ``rows[:k] = transform[:k, :k] @ (the k vectors kept so far)``, and
-    ``rows[:k]`` is the identity at the columns ``pivots``.
+    With k vectors kept, their reduced echelon rows E are the identity at
+    the columns ``pivots``; only their other columns, ``free`` (ascending),
+    are stored, as ``red`` (k x len(free)).  A new vector v is reduced as
+    v[free] - v[pivots] @ red, and a merge rewrites only the columns that
+    stay free.  E = T @ (the kept vectors) for a transform T that is never
+    formed: each merge records its block factors in ``steps``, and
+    ``coordinates`` applies them.
     """
 
     def __init__(self, dim: int, p: int):
         self.p = p
-        self.rows = np.zeros((dim, dim), dtype=np.int64)
-        self.transform = np.zeros((dim, dim), dtype=np.int64)
-        self.pivots: list[int] = []
-        self.is_free = np.ones(dim, dtype=bool)
+        self.red = np.zeros((0, dim), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.intp)
+        self.free = np.arange(dim)
+        self.steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def insert(self, vecs: np.ndarray):
         """Take the rows of ``vecs`` in order, keeping each one that is
         independent of every vector kept before it.
 
-        Returns ``(new, dep, coords)``: the indices of the kept and of the
-        dependent rows, and for each dependent row its coordinates on all
-        kept vectors, the earlier ones first, then ``vecs[new]``.
+        Returns ``(new, dep)``, the indices of the kept and of the
+        dependent rows.
         """
         p = self.p
-        k = len(self.pivots)
         y = vecs[:, self.pivots]
-        resid = (vecs - _mul_arrays(y, self.rows[:k], p)) % p
-        expr = _mul_arrays(y, self.transform[:k, :k], p)  # vecs - resid = expr @ kept
-        free = np.flatnonzero(self.is_free)
-        new, dep, rel, echelon, pcols, gmat = _eliminate_block(resid[:, free], p)
-        # resid[dep] = rel @ resid[new], and resid[new] = vecs[new] - expr[new] @ kept
-        coords = np.hstack([(expr[dep] - _mul_arrays(rel, expr[new], p)) % p, rel])
-        s = len(new)
-        if s:
-            dim = self.rows.shape[1]
-            new_piv = free[pcols]
-            new_rows = np.zeros((s, dim), dtype=np.int64)
-            new_rows[:, free] = echelon
-            new_tr = np.hstack([-_mul_arrays(gmat, expr[new], p) % p, gmat])
-            h = self.rows[:k, new_piv]
-            self.rows[:k] = (self.rows[:k] - _mul_arrays(h, new_rows, p)) % p
-            self.transform[:k, :k + s] = (self.transform[:k, :k + s]
-                                          - _mul_arrays(h, new_tr, p)) % p
-            self.rows[k:k + s] = new_rows
-            self.transform[k:k + s, :k + s] = new_tr
-            self.pivots.extend(new_piv.tolist())
-            self.is_free[new_piv] = False
-        return new, dep, coords
+        resid = _sub_mod(vecs[:, self.free], _mul_arrays(y, self.red, p), p)
+        new, dep, _rel, echelon, pcols, gmat = _eliminate_block(resid, p)
+        if new:
+            # E' = [[I, -h], [0, I]] @ [[I, 0], [-gmat y[new], gmat]] @ [E; vecs[new]]
+            stay = np.ones(len(self.free), dtype=bool)
+            stay[pcols] = False
+            h = self.red[:, pcols]
+            fresh = echelon[:, stay]
+            self.red = np.vstack([_sub_mod(self.red[:, stay], _mul_arrays(h, fresh, p), p), fresh])
+            self.steps.append((h, gmat, _mul_arrays(gmat, y[new], p)))
+            self.pivots = np.concatenate([self.pivots, self.free[pcols]])
+            self.free = self.free[stay]
+        return new, dep
+
+    def coordinates(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates on the kept vectors, in the order kept, of vectors in
+        their span.  Such a v is v[pivots] @ E, so its coordinates are
+        v[pivots] @ T, with T the product of every merge's factors."""
+        p = self.p
+        w = vecs[:, self.pivots]
+        k = len(self.pivots)
+        for h, gmat, gy in reversed(self.steps):
+            s = len(gmat)
+            k -= s
+            a = w[:, :k]
+            b = _sub_mod(w[:, k:k + s], _mul_arrays(a, h, p), p)
+            w[:, :k] = _sub_mod(a, _mul_arrays(b, gy, p), p)
+            w[:, k:k + s] = _mul_arrays(b, gmat, p)
+        return w
 
 
 def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
@@ -336,42 +420,52 @@ def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
     monomial a non-candidate.  For each degree:
 
     * the candidates' coordinate vectors come from one product per
-      variable, (vectors of their degree-(d-1) parents) @ M_i^T;
-    * in ascending order and in chunks of at most ``_CHUNK`` rows, one
-      product reduces them against the echelon form of the standard
-      monomials' vectors found so far, and an elimination inside the chunk
-      finds which are standard monomials; each other one is the leading
-      monomial of a reduced basis element, whose tail its dependence gives;
-    * the new standard monomials' rows join the echelon form and its
-      transform with one product each.
+      variable in a small cover of them (``_candidates``),
+      (vectors of their degree-(d-1) divisors) @ M_i^T;
+    * in ascending order, all at once, one product reduces them against
+      the echelon form of the standard monomials' vectors found so far,
+      and the halving elimination of the reduced block
+      (``_eliminate_block``) finds which are standard monomials; each
+      other one is the leading monomial of a reduced basis element;
+    * the new standard monomials' rows join the echelon form by one
+      product, which also records the merge's factors.
+
+    The tails, the coordinates of the leading monomials' vectors on the
+    standard monomials' ones, come at the end from those factors
+    (``_Echelon.coordinates``).
 
     Every product is exact (``_mul_arrays``).  The output comes out sorted
     by leading monomial and is bit-identical to Buchberger's, by uniqueness
     of the reduced basis.  It comes in coordinate form: the kept
-    monomials as ``standard`` and the zero-padded dependences as ``tails``.
+    monomials as ``standard`` and the tails as ``tails``.
     """
     if not mats:
         raise ValueError("need at least one multiplication matrix")
     if order.kind != "drl":
         raise ValueError("the degree-by-degree rebuild needs the DRL order")
+    return _rebuild_float(np.array([m.a for m in mats], dtype=np.float64), field, n, order)
+
+
+def _rebuild_float(mats: np.ndarray, field: PrimeField, n: int,
+                   order: TermOrder) -> GroebnerBasis:
+    """``groebner_from_matrices`` on ``mats[i] = M_i`` held as float64
+    canonical residues, so that no product converts them again (a product
+    by the transposed view M_i^T runs as a transposed GEMM, with no copy)."""
     p = field.p
-    dim = mats[0].nrows
+    dim = mats.shape[1]
     echelon = _Echelon(dim, p)
     kept_monos: list[Monomial] = []
     lead_monos: list[Monomial] = []
-    tails: list[np.ndarray] = []
+    lead_vecs: list[np.ndarray] = []
 
     monos = [Monomial.one(n)]
     vecs = np.zeros((1, dim), dtype=np.int64)
     vecs[0, 0] = 1
     while True:
-        std: list[int] = []  # rows of vecs that are standard monomials
-        for lo in range(0, len(monos), _CHUNK):
-            new, dep, coords = echelon.insert(vecs[lo:lo + _CHUNK])
-            lead_monos.extend(monos[lo + r] for r in dep)
-            tails.append(np.pad(coords, ((0, 0), (0, dim - coords.shape[1]))))
-            kept_monos.extend(monos[lo + r] for r in new)
-            std.extend(lo + r for r in new)
+        std, dep = echelon.insert(vecs)
+        lead_monos.extend(monos[r] for r in dep)
+        lead_vecs.append(vecs[dep])
+        kept_monos.extend(monos[r] for r in std)
         if not std:
             break
         prev_vecs = vecs[std]
@@ -382,9 +476,10 @@ def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
             rows = [r for r, c in enumerate(cands) if c[2] == i]
             if rows:
                 parents = prev_vecs[[cands[r][1] for r in rows]]
-                vecs[rows] = _mul_arrays(parents, mats[i].a.T, p)
+                vecs[rows] = _mul_arrays(parents, mats[i].T, p)
 
     if len(kept_monos) != dim:
         raise NotZeroDimensional(
             f"multiplication matrices span a {len(kept_monos)}-dimensional quotient, expected {dim}")
-    return GroebnerBasis(field, n, order, None, lead_monos, kept_monos, np.vstack(tails))
+    tails = echelon.coordinates(np.vstack(lead_vecs))
+    return GroebnerBasis(field, n, order, None, lead_monos, kept_monos, tails)

@@ -16,6 +16,14 @@ of two cases:
 This is the splitting approach of FFLAS-FFPACK (Dumas, Giorgi and Pernet,
 ACM TOMS 2008).  A product modulo p is unique, so both cases return the same
 residues as exact integer arithmetic.
+
+Reductions avoid numpy's ``%``, which runs an integer division per element.
+``_reduce`` takes x - (x // p) p instead, as numpy divides by a scalar
+through a multiply and a shift; on a 170 x 512 product that is 0.12-0.15
+against 0.31-0.33 ms.  A difference of canonical residues lies in (-p, p),
+so ``_sub_mod`` reduces it by adding p where the sign bit is set, about nine
+times cheaper than ``(x - y) % p`` on 256 x 512.  Both give exactly ``%``'s
+residues.
 """
 
 from __future__ import annotations
@@ -60,6 +68,20 @@ def _as_array(rows) -> np.ndarray:
     return a
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for an int64 array, into a new array."""
+    r = x // p
+    r *= p
+    return np.subtract(x, r, out=r)
+
+
+def _sub_mod(x, y, p: int) -> np.ndarray:
+    """(x - y) mod p for canonical int64 residues (either may be a scalar)."""
+    r = np.subtract(x, y, dtype=np.int64)
+    r += p & (r >> 63)
+    return r
+
+
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X1, X0) in float64 with X = X1 2^16 + X0 and 0 <= X0 < 2^16."""
     x = x.astype(np.float64, copy=False)
@@ -79,7 +101,7 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if k * (p - 1) * (p - 1) < _FLOAT_EXACT:
         af = a.astype(np.float64, copy=False)
         prod = af @ (af if b is a else b.astype(np.float64, copy=False))
-        return prod.astype(np.int64) % p
+        return _reduce(prod.astype(np.int64), p)
     if k >= _SPLIT_MAX_K:
         raise DimensionMismatch(f"inner dimension {k} is too large for an exact product mod {p}")
     a1, a0 = _halves(a)
@@ -87,14 +109,14 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     # ((A1 B1 2^16 + A1 B0 + A0 B1) 2^16 + A0 B0) mod p, reduced after each
     # step so int64 never sees more than 2^47 + 2^53; halves are dropped
     # as soon as their last product is taken
-    acc = (a1 @ b1).astype(np.int64) % p
+    acc = _reduce((a1 @ b1).astype(np.int64), p)
     mid = a1 @ b0
     del a1
     mid += a0 @ b1
     del b1
-    acc = (acc * _HALF + mid.astype(np.int64)) % p
+    acc = _reduce(acc * _HALF + mid.astype(np.int64), p)
     del mid
-    return (acc * _HALF + (a0 @ b0).astype(np.int64)) % p
+    return _reduce(acc * _HALF + (a0 @ b0).astype(np.int64), p)
 
 
 def _rref_arrays(a: np.ndarray, p: int):
@@ -279,7 +301,7 @@ def _unit_ut_inverse(t: np.ndarray, p: int) -> np.ndarray:
     """
     s = t.shape[0]
     if s <= _INVERSE_LEAF:
-        m = np.triu(-t % p, 1)
+        m = np.triu(_sub_mod(0, t, p), 1)
         inv = m + np.eye(s, dtype=np.int64)
         for _ in range(1, (s - 1).bit_length()):
             m = _mul_arrays(m, m, p)
@@ -293,7 +315,7 @@ def _unit_ut_inverse(t: np.ndarray, p: int) -> np.ndarray:
     inv = np.zeros((s, s), dtype=np.int64)
     inv[:h, :h] = a_inv
     inv[h:, h:] = c_inv
-    inv[:h, h:] = -_mul_arrays(a_inv, _mul_arrays(t[:h, h:], c_inv, p), p) % p
+    inv[:h, h:] = _sub_mod(0, _mul_arrays(a_inv, _mul_arrays(t[:h, h:], c_inv, p), p), p)
     return inv
 
 
@@ -311,7 +333,7 @@ def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
     rest = np.flatnonzero(~used)
     x = np.empty(rhs.shape, dtype=np.int64)
     x[u] = xu = _mul_arrays(_unit_ut_inverse(t[np.ix_(u, u)], p), rhs[u], p)
-    x[rest] = (rhs[rest] - _mul_arrays(t[np.ix_(rest, u)], xu, p)) % p
+    x[rest] = _sub_mod(rhs[rest], _mul_arrays(t[np.ix_(rest, u)], xu, p), p)
     return x
 
 

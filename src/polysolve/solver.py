@@ -36,7 +36,7 @@ from .change_order import (ChangeOrderStats, UnivariateRep, _eval_points,
 from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
-from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimensional
+from .gb import GroebnerBasis, _rebuild_float, buchberger, is_zero_dimensional
 from .linalg import Matrix, OpCounter, _mul_arrays
 from .poly import Polynomial, TermOrder, apply_change_of_variables
 from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
@@ -164,13 +164,13 @@ def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
     dim = mats0[0].shape[0]
     ginv = g.inverse().a
     # (g^-1) . [T_0; ...; T_{n-1}], each T_k flattened to one row, taken in
-    # bands of _BAND matrix rows so the float64 operands stay small
-    combined = np.empty((n, dim, dim), dtype=np.int64)
+    # bands of _BAND matrix rows so the float64 operands stay small; the
+    # result is written once, as float64, for the rebuild to multiply by
+    mats = np.empty((n, dim, dim))
     for r in range(0, dim, _BAND):
         band = np.stack([m[r:r + _BAND] for m in mats0]).reshape(n, -1)
-        combined[:, r:r + _BAND] = _mul_arrays(ginv, band, fld.p).reshape(n, -1, dim)
-    mats = [Matrix(fld, combined[j]) for j in range(n)]
-    return groebner_from_matrices(mats, fld, n, TermOrder.drl(n))
+        mats[:, r:r + _BAND] = _mul_arrays(ginv, band, fld.p).reshape(n, -1, dim)
+    return _rebuild_float(mats, fld, n, TermOrder.drl(n))
 
 
 def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = None,

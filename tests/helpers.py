@@ -6,8 +6,11 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, is_zero_dimensional
+from polysolve.linalg import _unit_ut_solve
 from polysolve.poly import Monomial, Polynomial, TermOrder
 from polysolve.change_order import UnivariateRep
 from polysolve.recur import hankel_matrix, is_squarefree
@@ -100,3 +103,35 @@ def levinson_breakdown_sequence(field: PrimeField, dim: int, rng: random.Random)
         seq[dim - 1] = 0
         if hankel_matrix(seq, dim, field).rank() == dim:
             return seq
+
+
+def eliminate_block_by_rows(w: np.ndarray, p: int):
+    """Row-by-row oracle for ``gb._eliminate_block``, same outputs: each row
+    is reduced by the pivot rows above it and, if anything is left, becomes
+    a pivot row on its first nonzero entry; a final unit-triangular solve
+    makes the pivot rows reduced."""
+    c, f = w.shape
+    a = np.hstack([w, np.eye(c, dtype=np.int64)])  # row ops ride along
+    new: list[int] = []
+    dep: list[int] = []
+    pcols: list[int] = []
+    for i in range(c):
+        nz = np.flatnonzero(a[i, :f])
+        if nz.size == 0:
+            dep.append(i)
+            continue
+        q = int(nz[0])
+        end = f + i + 1  # the row operations so far touch rows 0..i only
+        a[i, :end] = a[i, :end] * pow(int(a[i, q]), -1, p) % p
+        rows = np.flatnonzero(a[i + 1:, q]) + (i + 1)
+        if rows.size:
+            a[rows, :end] = (a[rows, :end] - np.outer(a[rows, q], a[i, :end])) % p
+        new.append(i)
+        pcols.append(q)
+    ops = f + np.array(new, dtype=np.intp)
+    rel = (-a[np.ix_(dep, ops)]) % p
+    # each pivot row is zero at the pivot columns of the rows above it, so
+    # at the pivot columns the pivot rows form a unit upper triangle
+    piv = a[new]
+    red = _unit_ut_solve(piv[:, pcols], np.hstack([piv[:, :f], piv[:, ops]]), p)
+    return new, dep, rel, red[:, :f], pcols, red[:, f:]

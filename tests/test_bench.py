@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from polysolve.bench import (StatsRecord, appendix_family, format_table,
                              record_from_report, run_bench)
@@ -86,3 +91,13 @@ def test_run_bench_with_fglm_reference():
     # building all n matrices the column-by-column way costs every type-II
     # normal form, strictly more than the single-matrix echelon pass
     assert records[2].nf_count >= records[0].nf_count
+
+
+def test_worstcase_script_runs_from_a_clean_checkout(tmp_path):
+    # no installed package and no PYTHONPATH: the script finds src itself
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_worstcase.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script), "--min-n", "2", "--max-n", "2", "--json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n"] == 2

@@ -183,6 +183,12 @@ def test_exit_code_exhausted_restarts(tmp_path, capsys):
     ["probbound", "--n", "2", "--q", "101", "--degrees", "2"],
     ["probbound", "--n", "2", "--q", "101", "--degrees", "2,x"],
     ["probbound", "--n", "2", "--q", "0", "--degrees", "2,2"],
+    ["probbound", "--n", "0", "--q", "101", "--degrees", ""],
+    ["probbound", "--n", "-1", "--q", "101", "--degrees", "2"],
+    ["probbound", "--n", "2", "--q", "101", "--degrees", "0,2"],
+    ["probbound", "--n", "2", "--q", "101", "--degrees", "2,-3"],
+    ["probbound", "--n", "2", "--q", "101", "--degrees", "2,2", "--dim", "-1"],
+    ["probbound", "--n", "2", "--q", "101", "--degrees", "2,2", "--dim", "0"],
     ["bench", "appendix", "--n", "0"],
     # checked before the (absent) file is read
     ["solve", "absent.txt", "--lv", "--max-restarts", "-3"],

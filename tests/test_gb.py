@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import monomials_up_to, random_zero_dim_system, shape_instance
+from helpers import (eliminate_block_by_rows, monomials_up_to, random_zero_dim_system,
+                     shape_instance)
 from polysolve.bench import appendix_family
 from polysolve.errors import NotShapePosition, NotZeroDimensional
 from polysolve.field import PrimeField
-from polysolve.gb import (_eliminate_block, buchberger, degree, groebner_from_matrices,
-                          is_zero_dimensional, lex_oracle, shape_rep_from_lex)
+from polysolve.gb import (_ELIM_LEAF, _eliminate_block, buchberger, degree,
+                          groebner_from_matrices, is_zero_dimensional, lex_oracle,
+                          shape_rep_from_lex)
 from polysolve.linalg import Matrix
 from polysolve.poly import (Monomial, Polynomial, TermOrder,
                             apply_change_of_variables, normal_form, s_polynomial)
@@ -228,6 +230,53 @@ def test_eliminate_block_identities(p):
         assert np.array_equal(w[dep], rel.astype(object).dot(kept) % p)
         assert np.array_equal(echelon, gmat.astype(object).dot(kept) % p)
         assert np.array_equal(echelon[:, pcols], np.eye(rank, dtype=np.int64))
+
+
+def _blocks(c: int, p: int, rng):
+    """Blocks of height c: full rank, rank-deficient, every third row zero,
+    all dependent (zero, and without columns), and rows whose pivot lies
+    far right, past any window of the first few nonzero columns."""
+    f = c + 5
+    full = rng.integers(0, p, (c, f))
+    r = max(c // 3, 1)
+    deficient = rng.integers(0, p, (c, r)).astype(object).dot(rng.integers(0, p, (r, f))) % p
+    zero_rows = full.copy()
+    zero_rows[::3] = 0
+    late = np.repeat(rng.integers(0, p, (1, 4 * f)), c, axis=0)
+    late[1:, -1] = rng.integers(1, p, c - 1)  # row i > 0: row 0 with another last entry
+    late[c // 2:] = rng.integers(0, p, (c - c // 2, 1)) * late[c // 2:] % p
+    return [full, deficient.astype(np.int64), zero_rows, np.zeros((c, f), dtype=np.int64),
+            np.zeros((c, 0), dtype=np.int64), late]
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("c", [1, _ELIM_LEAF - 1, _ELIM_LEAF, _ELIM_LEAF + 1,
+                               63, 64, 65, 128, 129, 200])
+def test_eliminate_block_matches_row_by_row(p, c):
+    rng = np.random.default_rng(c * p)
+    for w in _blocks(c, p, rng):
+        before = w.tobytes()
+        got = _eliminate_block(w, p)
+        want = eliminate_block_by_rows(w, p)
+        assert w.tobytes() == before
+        assert got[0] == want[0] and got[1] == want[1] and list(got[4]) == want[4]
+        for g, e in zip(got[2:], want[2:]):
+            assert np.array_equal(g, e) and np.shape(g) == np.shape(e)
+
+
+def test_rebuild_leaves_its_inputs_unchanged():
+    p = 65521
+    field = PrimeField(p)
+    n = 4
+    gb0 = buchberger(appendix_family(n, field), TermOrder.drl(n))
+    quotient = compute_basis(gb0)
+    mats, _stats = build_matrices_echelon(quotient, gb0)
+    arrays = [m.matrix.a for m in mats]
+    g = field.random_nonsingular_matrix(n, random.Random(3))
+    before = [a.tobytes() for a in arrays] + [g.a.tobytes()]
+    groebner_from_matrices([m.matrix for m in mats], field, n, TermOrder.drl(n))
+    _transformed_gb_from_matrices(gb0, quotient, arrays, g, SolveConfig())
+    assert [a.tobytes() for a in arrays] + [g.a.tobytes()] == before
 
 
 def test_groebner_from_matrices_rejects_bad_input():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
-from polysolve.linalg import (KrylovStats, Matrix, _unit_ut_solve,
+from polysolve.linalg import (KrylovStats, Matrix, _reduce, _sub_mod, _unit_ut_solve,
                               binary_power_table, krylov_columns, mat_mul)
 
 
@@ -164,6 +164,17 @@ def _naive_krylov(t: Matrix, r, width: int) -> Matrix:
     for _ in range(2 * width - 1):
         cols.append(a.dot(cols[-1]) % p)
     return Matrix(t.field, np.stack(cols, axis=1).astype(np.int64))
+
+
+@pytest.mark.parametrize("p", [3, 65521, 2 ** 31 - 1])
+def test_sub_mod_and_reduce_match_python_ints(p):
+    res = [0, 1, p - 1]
+    x, y = (np.array(v, dtype=np.int64) for v in zip(*itertools.product(res, res)))
+    assert _sub_mod(x, y, p).tolist() == [(a - b) % p for a, b in zip(x.tolist(), y.tolist())]
+    assert _sub_mod(0, x, p).tolist() == [-a % p for a in x.tolist()]
+    # the largest values a product reduction meets, and negative ones
+    big = [0, 1, p - 1, p, p * p - 1, (p - 1) ** 2 + p - 1, 2 ** 62, -1, -p, -(2 ** 62)]
+    assert _reduce(np.array(big, dtype=np.int64), p).tolist() == [v % p for v in big]
 
 
 def test_krylov_matches_naive_and_counts_products():
