@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_zero_dim_system, shape_instance
 from polysolve import solver
-from polysolve.errors import (BudgetExceeded, ExhaustedRestarts,
+from polysolve.errors import (BudgetExceeded, ExhaustedRestarts, PolysolveError,
                               NotShapePosition, NotZeroDimensional)
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
@@ -241,3 +241,57 @@ def test_random_systems_det_equals_brute(f101):
         assert rational_solutions(det) == enumerate_rational_solutions(system)
         hits += 1
     assert hits >= 3
+
+
+# -- pinned outputs ------------------------------------------------------------
+#
+# Digests of (rep.coeffs, g, retries, restarts) for both pipelines on fixed
+# inputs and seeds, or of the exception class where a solve raises.  A change
+# that keeps every output bit-identical leaves them unchanged.
+
+_PINNED_PRIMES = (101, 65521, 2 ** 31 - 1)
+_PINNED_SHAPES = ((2, (2, 2)), (2, (2, 3)), (3, (1, 2, 2)), (3, (2, 2, 2)), (4, (2, 2, 2, 2)))
+
+
+def _pinned_systems(family: str, field: PrimeField):
+    from polysolve.bench import appendix_family
+
+    if family == "appendix":
+        return [appendix_family(n, field, seed) for n in range(2, 8) for seed in (0, 1)]
+    x, y = _xy(field)
+    # not in shape position as given (det raises), and never cyclic (both raise)
+    raising = [[x * x - y, y * y - _c(field, 1)], [x * x, y * y]]
+    return raising + [random_zero_dim_system(field, n, degrees, random.Random(k))[0]
+                      for k, (n, degrees) in enumerate(_PINNED_SHAPES)]
+
+
+def _pinned_outcome(solve, system, seed):
+    try:
+        report = solve(system, random.Random(seed))
+    except PolysolveError as exc:
+        return type(exc).__name__
+    g = report.g.tolist() if report.g is not None else None
+    return (report.rep.coeffs, g, report.stats.retries, report.stats.restarts)
+
+
+_PINNED_DIGESTS = {
+    ("appendix", 101): "8a33e3e6d8b9e3f7",
+    ("appendix", 65521): "5ac8010cf35b979a",
+    ("appendix", 2 ** 31 - 1): "dc8cbdea3fb169c3",
+    ("random", 101): "de63dd117c1cfa2d",
+    ("random", 65521): "dd0dbc856528bc09",
+    ("random", 2 ** 31 - 1): "ce727071944161b7",
+}
+
+
+@pytest.mark.parametrize("p", _PINNED_PRIMES)
+@pytest.mark.parametrize("family", ["appendix", "random"])
+def test_pinned_outputs(family, p):
+    import hashlib
+
+    outcomes = []
+    for system in _pinned_systems(family, PrimeField(p)):
+        outcomes.append(_pinned_outcome(solve_deterministic, system, 1))
+        outcomes.append(_pinned_outcome(solve_lasvegas, system, 2))
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+    assert digest == _PINNED_DIGESTS[family, p]
