@@ -4,12 +4,12 @@ Given the multiplication matrix of the last variable on a D-dimensional
 quotient, a random linear form r yields the scalar sequence
 S_j = r(x_n^j mod I).  Its minimal linear recurrence is the minimal
 polynomial h_n of x_n; when deg h_n = D the ideal is in shape position and
-every other variable satisfies x_i = h_i(x_n).  All the h_i share one
-Hankel matrix built from S, so they come from one block solve whose i-th
-right-hand side is the sequence r(x_n^j NF(x_i)).
+every other variable satisfies x_i = h_i(x_n).  Each h_i comes from the
+numerators of two generating functions: with N_0 from S and N_i from the
+sequence r(x_i x_n^j), h_i = N_i N_0^-1 mod h_n (``recur.parametrizations``).
 
-S and every right-hand side are read off a single Krylov matrix built with
-O(log D) matrix products, the right-hand sides by one product with the
+S and every sequence r(x_i x_n^j) are read off a single Krylov matrix built
+with O(log D) matrix products, the latter by one product with the
 normal-form coordinates of the variables.
 """
 
@@ -26,7 +26,7 @@ from .gb import GroebnerBasis
 from .linalg import KrylovStats, Matrix, _mul_arrays, krylov_columns
 from .poly import Monomial, Polynomial
 from .quotient import QuotientStructure, _nf_rows
-from .recur import _trim_coeffs, berlekamp_massey, hankel_solve
+from .recur import _trim_coeffs, berlekamp_massey, parametrizations
 
 
 @dataclass
@@ -77,12 +77,10 @@ class UnivariateRep:
 class ChangeOrderStats:
     krylov: KrylovStats = dc_field(default_factory=KrylovStats)
     bm_degree: int = 0
-    hankel_solves: int = 0
-    hankel_method: str = "dense"
 
 
 def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
-                    rng, hankel_method: str = "auto") -> tuple[UnivariateRep, ChangeOrderStats]:
+                    rng) -> tuple[UnivariateRep, ChangeOrderStats]:
     """Shape-position representation from the last multiplication matrix.
 
     Raises ChangeOrderingFailed when the minimal recurrence of the random
@@ -109,12 +107,8 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
 
     # each x_i is standard or a leading monomial, so no row is unreadable
     C = _nf_rows(quotient, [Monomial.variable(n, i) for i in range(n - 1)])
-    rhs = _mul_arrays(C, K.a[:, :D], p).T
-    ran: list[str] = []
-    h = hankel_solve(S[: 2 * D - 1], rhs, fld, method=hankel_method, _ran=ran)
-    stats.hankel_method = ran[0]
-    stats.hankel_solves = 1
-    return UnivariateRep(fld, n, h.T.tolist() + [mu]), stats
+    h = parametrizations(S, _mul_arrays(C, K.a[:, :D], p), mu, fld)
+    return UnivariateRep(fld, n, h.tolist() + [mu]), stats
 
 
 # -- verification against the original system ------------------------------

@@ -31,10 +31,6 @@ class SingularMatrix(PolysolveError):
     """A nonsingular matrix was required (inverse, change of variables)."""
 
 
-class SingularHankel(PolysolveError):
-    """The Hankel system has no unique solution (rank below its size)."""
-
-
 # --- quotient structure ----------------------------------------------------
 
 class NotZeroDimensional(PolysolveError):

@@ -1,9 +1,9 @@
 """Prime-field arithmetic.
 
 Everything downstream works over F_p for an odd prime p with 2 < p < 2^31.
-Scalars are canonical integer residues in [0, p); :class:`FieldElement` is a
-thin wrapper for callers who want operator syntax.  The default modulus used
-by the benchmark family is 65521, the largest prime below 2^16.
+Scalars are canonical integer residues in [0, p), as plain ints.  The
+default modulus used by the benchmark family is 65521, the largest prime
+below 2^16.
 """
 
 from __future__ import annotations
@@ -82,17 +82,6 @@ class PrimeField:
     def reduce(self, a: int) -> int:
         return a % self.p
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.p)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     # -- randomness ----------------------------------------------------------
 
     def random_element(self, rng) -> int:
@@ -129,81 +118,3 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-
-class FieldElement:
-    """A residue with operator syntax.  Mostly a convenience for callers;
-    the hot paths all work on the canonical ints directly."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field.p != self.field.p:
-                raise ValueError("elements of different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * v % self.field.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * self.field.inv(v) % self.field.p)
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field.p == other.field.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}"

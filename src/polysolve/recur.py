@@ -1,4 +1,5 @@
-"""Linearly recurrent sequences: minimal polynomials and Hankel systems.
+"""Linearly recurrent sequences: Berlekamp-Massey, the univariate core,
+squarefree test.
 
 The minimal polynomial is returned in the monic "characteristic" convention:
 ``mu = x^L + c_{L-1} x^{L-1} + ... + c_0`` with ``sum_k mu[k] * S[j+k] = 0``
@@ -8,20 +9,23 @@ reversal of the LFSR connection polynomial, zero-padded to the register
 length, so the degree equals the recurrence order even when the trailing
 connection coefficient vanishes.)
 
-Hankel systems H c = b with H[i][j] = seq[i+j] are solved either by dense
-elimination (default) or by a Levinson-style O(D^2) recursion on the
-row-reversed Toeplitz form; the fast path is guarded by its running
-leading-minor check and falls back to dense elimination if a minor is
-singular.
+The univariate core works on ascending int64 coefficient arrays: products
+by Kronecker substitution into Python ints (which CPython multiplies by
+Karatsuba), an extended Euclid on preallocated arrays, and reduction modulo
+a monic polynomial through the Newton inverse of its reversal.
+``parametrizations`` solves the Hankel systems H c = b, H[i][j] = seq[i+j],
+of the change of ordering with it: no Hankel matrix is formed, and there is
+no fallback, because the numerator of the sequence is invertible modulo its
+minimal polynomial exactly when H is nonsingular.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularHankel
+from .errors import DimensionMismatch, ZeroInverse
 from .field import PrimeField
-from .linalg import Matrix, _rref_arrays
+from .linalg import Matrix, _sub_mod
 
 
 def _safe_dot(a: np.ndarray, b: np.ndarray, p: int) -> int:
@@ -77,93 +81,9 @@ def hankel_matrix(seq, dim: int, field: PrimeField) -> Matrix:
     return Matrix(field, s[idx])
 
 
-def _hankel_solve_dense(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> np.ndarray:
-    idx = np.add.outer(np.arange(dim), np.arange(dim))
-    aug = np.hstack([s[idx], rhs])
-    pivots = _rref_arrays(aug, p)
-    if pivots != list(range(dim)):
-        raise SingularHankel(f"Hankel matrix of size {dim} is singular")
-    return aug[:, dim:].copy()
-
-
-class _LevinsonBreakdown(Exception):
-    """A leading principal minor of the reversed system was singular."""
-
-
-def _hankel_solve_levinson(s: np.ndarray, rhs: np.ndarray, dim: int, p: int) -> np.ndarray:
-    # Reversing the rows of H gives a Toeplitz matrix T[i][j] = s[D-1+j-i];
-    # solve T X = reversed(B) by the asymmetric Levinson recursion.  f, g and
-    # every breakdown test depend on s only, so all columns share them.
-    y = rhs[::-1]
-    t0 = int(s[dim - 1])
-    if t0 == 0:
-        raise _LevinsonBreakdown
-    inv0 = pow(t0, -1, p)
-    f = np.array([inv0], dtype=np.int64)   # T_k f = e_first
-    g = np.array([inv0], dtype=np.int64)   # T_k g = e_last
-    x = np.zeros_like(rhs)                 # rows :k+1 solve the order-k system
-    x[0] = y[0] * inv0 % p
-    for k in range(1, dim):
-        below = s[dim - 1 - k:dim - 1]       # (t_-k, ..., t_-1)
-        above = s[dim:dim + k]               # (t_1, ..., t_k)
-        ea = (_safe_dot(below, f, p)) % p    # bottom defect of [f; 0]
-        eb = (_safe_dot(above, g, p)) % p    # top defect of [0; g]
-        den = (1 - ea * eb) % p
-        if den == 0:
-            raise _LevinsonBreakdown
-        inv_den = pow(int(den), -1, p)
-        fx = np.concatenate([f, np.zeros(1, dtype=np.int64)])
-        gx = np.concatenate([np.zeros(1, dtype=np.int64), g])
-        f = (fx - ea * gx) % p * inv_den % p
-        g = (gx - eb * fx) % p * inv_den % p
-        # exact for the same reason as _safe_dot, column by column
-        defect = (y[k] - (below[:, None] * x[:k] % p).sum(axis=0)) % p
-        x[:k + 1] = (x[:k + 1] + g[:, None] * defect) % p
-    return x
-
-
-def hankel_solve(seq, rhs, field: PrimeField, method: str = "dense", *,
-                 _ran: list | None = None):
-    """Solve H c = b where H[i][j] = seq[i+j] and b has length D.
-
-    ``rhs`` is one right-hand side (returns the solution as a list) or a
-    D x m block of them (returns the D x m int64 solution array); a block
-    costs one recursion or one elimination, not m.
-    method: "dense" (elimination), "levinson" (fast path with dense
-    fallback on a singular leading minor), or "auto" (levinson for D >= 64).
-    Raises SingularHankel when the system has no unique solution.
-    ``_ran`` (for ``change_ordering``), when given, receives the method
-    that produced the solution: "dense" after a Levinson breakdown.
-    """
-    p = field.p
-    block = np.asarray(rhs if isinstance(rhs, np.ndarray) else list(rhs),
-                       dtype=np.int64) % p
-    single = block.ndim == 1
-    if single:
-        block = block[:, None]
-    dim = block.shape[0]
-    s = np.asarray(list(seq), dtype=np.int64) % p
-    if s.shape[0] < 2 * dim - 1:
-        raise DimensionMismatch(f"need {2 * dim - 1} sequence entries, got {s.shape[0]}")
-    if method == "auto":
-        method = "levinson" if dim >= 64 else "dense"
-    if method not in ("dense", "levinson"):
-        raise ValueError(f"unknown Hankel method {method!r}")
-    x = None
-    if method == "levinson" and dim:
-        try:
-            x = _hankel_solve_levinson(s, block, dim, p)
-        except _LevinsonBreakdown:
-            pass    # a singular leading minor: the whole block goes dense
-    if x is None:
-        method = "dense"
-        x = _hankel_solve_dense(s, block, dim, p)
-    if _ran is not None:
-        _ran.append(method)
-    return [int(v) for v in x[:, 0]] if single else x
-
-
-# -- univariate utilities ---------------------------------------------------
+# -- the univariate core ------------------------------------------------------
+#
+# Polynomials are ascending int64 arrays of canonical residues.
 
 
 def _trim_coeffs(c: list[int]) -> list[int]:
@@ -174,37 +94,147 @@ def _trim_coeffs(c: list[int]) -> list[int]:
     return out
 
 
-def univariate_gcd(a, b, field: PrimeField) -> list[int]:
-    """Monic gcd of two ascending coefficient lists (empty list for both
-    zero)."""
-    p = field.p
-    ra = _trim_coeffs([c % p for c in a])
-    rb = _trim_coeffs([c % p for c in b])
-    while rb:
-        da, db = len(ra) - 1, len(rb) - 1
-        if da < db:
-            ra, rb = rb, ra
-            continue
-        inv = pow(rb[-1], -1, p)
-        while len(ra) - 1 >= db and ra:
-            shift = len(ra) - 1 - db
-            q = ra[-1] * inv % p
-            for k in range(db + 1):
-                ra[shift + k] = (ra[shift + k] - q * rb[k]) % p
-            ra = _trim_coeffs(ra)
-        ra, rb = rb, ra
-    if not ra:
-        return []
-    inv = pow(ra[-1], -1, p)
-    return [c * inv % p for c in ra]
+def _pack(a: np.ndarray, slot: int) -> int:
+    """Kronecker substitution: sum_k a[k] 256^(slot k), for residues below
+    both 2^31 and 256^slot."""
+    buf = np.zeros((a.shape[0], slot), dtype=np.uint8)
+    w = min(slot, 4)
+    buf[:, :w] = a.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :w]
+    return int.from_bytes(buf.tobytes(), "little")
 
 
-def univariate_derivative(coeffs, field: PrimeField) -> list[int]:
+def _poly_mul(a: np.ndarray, b: np.ndarray, p: int, size: int | None = None) -> np.ndarray:
+    """a b mod p, truncated to its first ``size`` coefficients.
+
+    Both operands are packed into Python ints, one slot per coefficient,
+    and multiplied once.  A coefficient of the product is a sum of at most
+    min(len a, len b) terms below (p-1)^2, so slots of that many bytes keep
+    the coefficients apart.
+    """
+    full = a.shape[0] + b.shape[0] - 1
+    size = full if size is None else min(size, full)
+    if size <= 0:
+        return np.zeros(0, dtype=np.int64)
+    slot = ((min(a.shape[0], b.shape[0]) * (p - 1) ** 2).bit_length() + 7) // 8
+    x = _pack(a, slot)
+    z = x * (x if b is a else _pack(b, slot))
+    nbytes = size * slot
+    if size < full:
+        z &= (1 << 8 * nbytes) - 1
+    raw = np.frombuffer(z.to_bytes(nbytes, "little"), dtype=np.uint8)
+    # a slot's bytes weighted by 256^k mod p: terms below 2^39, sums below 2^43
+    weights = np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
+    return raw.reshape(size, slot).astype(np.int64) @ weights % p
+
+
+def _inverse_series(f: np.ndarray, m: int, p: int) -> np.ndarray:
+    """f^-1 mod T^m for f[0] != 0, by Newton iteration g <- g (2 - f g)."""
+    g = np.array([pow(int(f[0]), -1, p)], dtype=np.int64)
+    k = 1
+    while k < m:
+        # f g = 1 + T^k e mod T^2k, so the new terms are -g e mod T^k
+        nk = min(2 * k, m)
+        e = _poly_mul(f[:nk], g, p, nk)[k:]
+        g = np.concatenate([g, _sub_mod(0, _poly_mul(g, e, p, nk - k), p)])
+        k = nk
+    return g[:m]
+
+
+def _rem(a: np.ndarray, mu: np.ndarray, rinv: np.ndarray, p: int) -> np.ndarray:
+    """a mod mu, for mu monic of degree D and rinv = rev(mu)^-1 mod T^(len a - D).
+
+    The quotient's reversal is rev(a) rev(mu)^-1 mod T^(len a - D).
+    """
+    dim = mu.shape[0] - 1
+    m = a.shape[0] - dim
+    if m <= 0:
+        return a
+    q = _poly_mul(a[::-1][:m], rinv[:m], p, m)[::-1]
+    return _sub_mod(a[:dim], _poly_mul(q, mu, p, dim), p)
+
+
+def _degree(a: np.ndarray, d: int) -> int:
+    """Degree of a, scanning down from d (-1 for zero)."""
+    while d >= 0 and a[d] == 0:
+        d -= 1
+    return d
+
+
+def _euclid(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extended Euclid for a of degree len(a) - 1 > deg b: the last nonzero
+    remainder g (not made monic) and the cofactor t with t b = g mod a.
+
+    Remainders and cofactors live in four preallocated arrays that trade
+    places each step; degrees are tracked as ints, and entries above a
+    remainder's degree are stale, never read.
+    """
+    n = a.shape[0]
+    r0 = a.astype(np.int64)
+    r1 = np.zeros(n, dtype=np.int64)
+    r1[:b.shape[0]] = b
+    t0 = np.zeros(n, dtype=np.int64)    # t0 b = r0, t1 b = r1 (mod a)
+    t1 = np.zeros(n, dtype=np.int64)
+    t1[0] = 1
+    d0, d1 = n - 1, _degree(r1, b.shape[0] - 1)
+    e0, e1 = -1, 0                       # deg t0 < deg t1
+    while d1 >= 0:
+        # divide r0 by r1 in place; t0 -= (the quotient) t1 alongside
+        inv = pow(int(r1[d1]), -1, p)
+        low, tc = r1[:d1], t1[:e1 + 1]
+        for k in range(d0, d1 - 1, -1):
+            c = int(r0[k]) * inv % p
+            if c:
+                s = k - d1
+                seg = r0[s:k]
+                seg -= c * low
+                seg %= p
+                seg = t0[s:s + e1 + 1]
+                seg -= c * tc
+                seg %= p
+        r0, r1, t0, t1 = r1, r0, t1, t0
+        d0, d1, e0, e1 = d1, _degree(r1, d1 - 1), e1, e1 + d0 - d1
+    return r0[:d0 + 1].copy(), t0[:e0 + 1].copy()
+
+
+def parametrizations(seq, rows, mu, field: PrimeField) -> np.ndarray:
+    """Solve the Hankel systems sum_k h[i, k] seq[j + k] = rows[i, j] (j < D)
+    through the univariate core, without forming the Hankel matrix.
+
+    ``mu`` is the minimal polynomial of ``seq`` as ``berlekamp_massey``
+    returns it, of degree D, and each row holds the first D terms of a
+    sequence with the same recurrence.  With N the reversal of
+    rev(mu) sum_{j<D} s_j T^j mod T^D (the numerator of the sequence's
+    generating function), row i of the result is h_i = N_i N_0^-1 mod mu,
+    where N_0 belongs to ``seq``.  N_0 is invertible mod mu exactly when the
+    D x D Hankel matrix of ``seq`` is nonsingular.  Returns an m x D int64
+    array of ascending coefficients.
+    """
     p = field.p
-    return _trim_coeffs([k * c % p for k, c in enumerate(coeffs)][1:])
+    mu = np.asarray(mu, dtype=np.int64) % p
+    dim = mu.shape[0] - 1
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim) % p
+    rev = mu[::-1].copy()
+
+    def numerator(s: np.ndarray) -> np.ndarray:
+        return _poly_mul(rev, s, p, dim)[::-1]
+
+    g, inv = _euclid(mu, numerator(np.asarray(seq[:dim], dtype=np.int64) % p), p)
+    if g.shape[0] != 1:
+        raise ZeroInverse(f"the Hankel matrix of size {dim} is singular")
+    inv = inv * pow(int(g[0]), -1, p) % p
+    rinv = _inverse_series(rev, dim - 1, p)
+    out = np.zeros(rows.shape, dtype=np.int64)
+    for i, row in enumerate(rows):
+        h = _rem(_poly_mul(numerator(row), inv, p), mu, rinv, p)
+        out[i, :h.shape[0]] = h
+    return out
 
 
 def is_squarefree(coeffs, field: PrimeField) -> bool:
     """True iff the polynomial has no repeated roots in any extension."""
-    g = univariate_gcd(coeffs, univariate_derivative(coeffs, field), field)
-    return len(g) == 1
+    p = field.p
+    f = np.array(_trim_coeffs([c % p for c in coeffs]), dtype=np.int64)
+    if f.shape[0] == 0:
+        return False
+    g, _ = _euclid(f, np.arange(1, f.shape[0]) * f[1:] % p, p)
+    return g.shape[0] == 1

@@ -41,19 +41,6 @@ def test_inverse(f101):
         f101.inv(0)
 
 
-def test_field_elements(f7):
-    a = f7.element(3)
-    b = f7.element(5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (a / b).value == f7.mul(3, f7.inv(5))
-    assert (-a).value == 4
-    assert (a ** 6).value == 1
-    assert a.inverse().value == 5
-    assert bool(f7.zero()) is False and bool(f7.one()) is True
-
-
 def test_equality_and_hash():
     assert PrimeField(7) == PrimeField(7)
     assert PrimeField(7) != PrimeField(101)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import levinson_breakdown_sequence
-from polysolve.errors import SingularHankel
+from polysolve.errors import ZeroInverse
 from polysolve.field import PrimeField
-from polysolve.recur import (_safe_dot, berlekamp_massey, hankel_matrix,
-                             hankel_solve, is_squarefree, minimal_polynomial_degree,
-                             univariate_derivative, univariate_gcd)
+from polysolve.recur import (_euclid, _inverse_series, _poly_mul, _rem, _safe_dot,
+                             berlekamp_massey, hankel_matrix, is_squarefree,
+                             minimal_polynomial_degree, parametrizations)
 
 
 def _recurrent_sequence(field, order, length, rng):
@@ -59,32 +59,48 @@ def test_hankel_matrix_layout(f7):
 
 def test_hankel_solve_frozen(f7):
     # [[1,2],[2,5]] x = [1,0]  ->  x = (5,5): 5+2*5=15=1, 2*5+5*5=35=0
-    assert hankel_solve([1, 2, 5], [1, 0], f7) == [5, 5]
-    with pytest.raises(SingularHankel):
-        hankel_solve([1, 0, 0], [1, 0], f7)  # rank 1 < 2
+    seq = [1, 2, 5, 0]
+    mu = berlekamp_massey(seq, f7)
+    assert len(mu) == 3
+    assert parametrizations(seq, [[1, 0]], mu, f7).tolist() == [[5, 5]]
 
 
-def test_hankel_solve_methods_agree(f65521):
-    rng = random.Random(12)
-    for dim in (3, 8, 64, 80):
-        # sequence from a full-order recurrence keeps the leading minors
-        # nonsingular with high probability; retry draws that are singular
-        for _ in range(20):
-            seq = _recurrent_sequence(f65521, dim, 2 * dim - 1, rng)
-            rhs = [rng.randrange(65521) for _ in range(dim)]
-            try:
-                dense = hankel_solve(seq, rhs, f65521, method="dense")
-            except SingularHankel:
-                continue
-            fast = hankel_solve(seq, rhs, f65521, method="levinson")
-            auto = hankel_solve(seq, rhs, f65521, method="auto")
-            assert dense == fast == auto
-            break
-        else:
-            raise AssertionError("no nonsingular draw")
-        # the solution actually solves the system
-        h = hankel_matrix(seq, dim, f65521)
-        assert list(h.apply(dense)) == [r % 65521 for r in rhs]
+def _nonsingular_hankel_sequence(field, dim, rng):
+    """2 dim entries whose dim x dim Hankel matrix is nonsingular, so their
+    minimal polynomial has degree dim."""
+    while True:
+        seq = [rng.randrange(field.p) for _ in range(2 * dim)]
+        if hankel_matrix(seq, dim, field).rank() == dim:
+            return seq
+
+
+def _hankel_inverse_solve(seq, block, field):
+    """The oracle: rows of (H^-1 block^T)^T with H materialised, the
+    product in Python ints (int64 overflows at p = 2^31 - 1)."""
+    dim = block.shape[1]
+    hinv = hankel_matrix(seq, dim, field).inverse().a.astype(object)
+    return (hinv @ block.T.astype(object) % field.p).T.astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_parametrizations_match_hankel_inverse(p):
+    field = PrimeField(p)
+    rng = random.Random(p % 997)
+    cases = [(_nonsingular_hankel_sequence(field, dim, rng), dim) for dim in range(1, 65)]
+    if p == 101:
+        # seq[dim - 1] = 0: the first leading minor of the row-reversed
+        # (Toeplitz) system is singular although H is not
+        seq = levinson_breakdown_sequence(field, 6, random.Random(5))
+        cases.append((seq + [0], 6))
+    for seq, dim in cases:
+        mu = berlekamp_massey(seq, field)
+        assert len(mu) == dim + 1
+        m = rng.randrange(4)
+        block = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(m)],
+                         dtype=np.int64).reshape(m, dim)
+        got = parametrizations(seq, block, mu, field)
+        assert got.dtype == np.int64 and got.shape == (m, dim)
+        assert np.array_equal(got, _hankel_inverse_solve(seq, block, field)), dim
 
 
 @pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
@@ -92,46 +108,108 @@ def test_hankel_block_solve_matches_columns(p):
     field = PrimeField(p)
     rng = random.Random(p % 1000)
     for dim in (1, 3, 64, 80):
-        while True:   # a singular draw is rare; redraw it
-            seq = _recurrent_sequence(field, dim, 2 * dim - 1, rng)
-            try:
-                hankel_solve(seq, [0] * dim, field, method="levinson")
-                break
-            except SingularHankel:
-                continue
+        seq = _nonsingular_hankel_sequence(field, dim, rng)
+        mu = berlekamp_massey(seq, field)
         for m in (0, 1, 3):
-            block = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(dim)],
-                             dtype=np.int64).reshape(dim, m)
-            for method in ("dense", "levinson", "auto"):
-                got = hankel_solve(seq, block, field, method=method)
-                assert isinstance(got, np.ndarray) and got.dtype == np.int64
-                assert got.shape == (dim, m)
-                for j in range(m):
-                    col = hankel_solve(seq, [int(v) for v in block[:, j]], field,
-                                       method=method)
-                    assert [int(v) for v in got[:, j]] == col
-
-
-def test_hankel_block_levinson_breakdown_falls_back(f101):
-    # seq[dim-1] is the first leading minor of the reversed system, so
-    # Levinson breaks down at once and the whole block is solved densely
-    rng = random.Random(5)
-    dim = 6
-    seq = levinson_breakdown_sequence(f101, dim, rng)
-    block = np.array([[rng.randrange(101) for _ in range(3)] for _ in range(dim)])
-    dense = hankel_solve(seq, block, f101, method="dense")
-    assert np.array_equal(hankel_solve(seq, block, f101, method="levinson"), dense)
-    h = hankel_matrix(seq, dim, f101).a
-    assert np.array_equal(h @ dense % 101, block % 101)
+            block = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(m)],
+                             dtype=np.int64).reshape(m, dim)
+            got = parametrizations(seq, block, mu, field)
+            for j in range(m):
+                assert np.array_equal(got[j], parametrizations(seq, block[j], mu, field)[0])
 
 
 def test_hankel_block_singular_raises(f101):
+    # a degree-5 multiple of the degree-3 minimal polynomial: the 5 x 5
+    # Hankel matrix has rank 3 and N_0 shares a factor with the modulus
     rng = random.Random(8)
-    seq = _recurrent_sequence(f101, 3, 2 * 5 - 1, rng)   # rank 3 < 5
-    block = np.ones((5, 2), dtype=np.int64)
-    for method in ("dense", "levinson"):
-        with pytest.raises(SingularHankel):
-            hankel_solve(seq, block, f101, method=method)
+    seq = _recurrent_sequence(f101, 3, 2 * 5, rng)
+    mu = berlekamp_massey(seq, f101)
+    assert len(mu) == 4
+    mu5 = _schoolbook(mu, [3, 0, 1], 101)
+    with pytest.raises(ZeroInverse):
+        parametrizations(seq, np.ones((2, 5), dtype=np.int64), mu5, f101)
+
+
+def _schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += int(u) * int(v)
+    return [c % p for c in out]
+
+
+def _divmod_schoolbook(a, m, p):
+    """Quotient and remainder of a by monic m, in Python ints."""
+    r = [int(c) for c in a]
+    dm = len(m) - 1
+    q = [0] * max(len(r) - dm, 0)
+    for k in range(len(r) - 1, dm - 1, -1):
+        c = r[k] % p
+        q[k - dm] = c
+        for j in range(dm + 1):
+            r[k - dm + j] = (r[k - dm + j] - c * m[j]) % p
+    return q, [c % p for c in r[:dm]]
+
+
+def _slot(k, p):
+    return ((k * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_poly_mul_matches_schoolbook(p):
+    rng = random.Random(p % 991)
+    # the shorter length k sets the slot: take the k on both sides of every
+    # change of slot width below 600
+    edges = [k for k in range(2, 600) if _slot(k, p) != _slot(k - 1, p)]
+    assert edges
+    lengths = sorted({1, 2, 3} | {k + d for k in edges for d in (-1, 0)})
+    for k in lengths:
+        for other in (k, k + 1 + rng.randrange(40)):
+            for a, b in (([p - 1] * k, [p - 1] * other),
+                         ([rng.randrange(p) for _ in range(k)],
+                          [rng.randrange(p) for _ in range(other)])):
+                want = _schoolbook(a, b, p)
+                xa, xb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+                assert _poly_mul(xa, xb, p).tolist() == want, (k, other)
+                assert _poly_mul(xb, xa, p).tolist() == want
+                cut = rng.randrange(1, len(want) + 1)
+                assert _poly_mul(xa, xb, p, cut).tolist() == want[:cut]
+        sq = np.full(k, p - 1, dtype=np.int64)
+        assert _poly_mul(sq, sq, p).tolist() == _schoolbook(sq, sq, p)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_inverse_series_and_rem_match_schoolbook(p):
+    rng = random.Random(p % 983)
+    for dim in (1, 2, 3, 7, 31, 32, 33, 100):
+        mu = [rng.randrange(p) for _ in range(dim)] + [1]
+        rev = np.array(mu[::-1], dtype=np.int64)
+        rinv = _inverse_series(rev, dim + 5, p)
+        assert _poly_mul(rev, rinv, p, dim + 5).tolist() == [1] + [0] * (dim + 4)
+        for la in (1, dim, dim + 1, 2 * dim - 1, 2 * dim + 5):
+            a = [rng.randrange(p) for _ in range(la)]
+            _, want = _divmod_schoolbook(a, mu, p)
+            got = _rem(np.array(a, dtype=np.int64), np.array(mu, dtype=np.int64),
+                       rinv, p).tolist()
+            assert got + [0] * (dim - len(got)) == want + [0] * (dim - len(want))
+
+
+def _monic(g, p):
+    inv = pow(int(g[-1]), -1, p)
+    return [int(c) * inv % p for c in g]
+
+
+def test_univariate_gcd(f7):
+    # gcd(z^2 - 1, z - 1)  ->  z - 1 (monic: [6, 1])
+    g, t = _euclid(np.array([6, 0, 1]), np.array([6, 1]), 7)
+    assert _monic(g, 7) == [6, 1]
+    # coprime: gcd(z^2 + 1, z) = 1, and t z = g mod z^2 + 1
+    g, t = _euclid(np.array([1, 0, 1]), np.array([0, 1]), 7)
+    assert len(g) == 1
+    assert _divmod_schoolbook(_schoolbook(t, [0, 1], 7), [1, 0, 1], 7)[1] == [int(g[0]), 0]
+    # gcd with zero is the other input, with a zero cofactor
+    g, t = _euclid(np.array([0, 3]), np.array([], dtype=np.int64), 7)
+    assert g.tolist() == [0, 3] and t.tolist() == []
 
 
 def test_hankel_rank_equals_minimal_polynomial_degree(f101):
@@ -147,51 +225,34 @@ def test_hankel_rank_equals_minimal_polynomial_degree(f101):
         assert hankel_matrix(seq, m, f101).rank() == len(mu) - 1
 
 
-def test_univariate_gcd(f7):
-    # gcd(z^2 - 1, z - 1)  ->  z - 1 (monic: [6, 1])
-    assert univariate_gcd([6, 0, 1], [6, 1], f7) == [6, 1]
-    # coprime: gcd(z^2 + 1, z) = 1
-    assert univariate_gcd([1, 0, 1], [0, 1], f7) == [1]
-    assert univariate_gcd([], [], f7) == []
-    assert univariate_gcd([0, 3], [], f7) == [0, 1]  # gcd with zero, monic
-
-
-def test_univariate_derivative(f7):
-    assert univariate_derivative([5, 1, 3], f7) == [1, 6]  # d/dz (3z^2+z+5)
-    assert univariate_derivative([2], f7) == []
-    # characteristic kicks in: d/dz z^7 = 0
-    assert univariate_derivative([0] * 7 + [1], f7) == []
-
-
 def test_is_squarefree(f7):
     assert not is_squarefree([0, 0, 1], f7)          # z^2
     assert is_squarefree([1, 0, 1], f7)              # z^2 + 1 (irreducible mod 7)
     assert not is_squarefree([1, 2, 1], f7)          # (z+1)^2
     assert is_squarefree([0, 6, 0, 0, 1], f7)        # z^4 - z, distinct roots
     assert is_squarefree([0, 1], f7)                 # z
+    assert not is_squarefree([0] * 7 + [1], f7)      # z^7: its derivative is 0 mod 7
+    assert is_squarefree([3], f7) and is_squarefree([1, 0, 0], f7)
+    assert not is_squarefree([], f7)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 30))
 def test_gcd_divides_both_inputs(seed):
     rng = random.Random(seed)
-    field = PrimeField(101)
     a = [rng.randrange(101) for _ in range(rng.randrange(1, 6))] + [1]
-    b = [rng.randrange(101) for _ in range(rng.randrange(1, 6))] + [1]
-    g = univariate_gcd(a, b, field)
+    b = [rng.randrange(101) for _ in range(rng.randrange(1, len(a)))]
+    g, t = _euclid(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), 101)
+    g = [int(c) for c in g]
+    assert g and g[-1]
 
     def divides(d, f):
-        # remainder of f by monic d must vanish
-        f = list(f)
-        while len(f) >= len(d):
-            if f[-1]:
-                q = f[-1]
-                for i, c in enumerate(reversed(d)):
-                    f[-1 - i] = (f[-1 - i] - q * c) % 101
-            f.pop()
-        return all(c == 0 for c in f)
+        return not any(_divmod_schoolbook(f, _monic(d, 101), 101)[1])
 
     assert divides(g, a) and divides(g, b)
+    # the cofactor: t b = g mod a
+    tb = _divmod_schoolbook(_schoolbook(t, b, 101) if t.size else [0], a, 101)[1]
+    assert tb == g + [0] * (len(tb) - len(g))
 
 
 @pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
