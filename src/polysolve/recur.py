@@ -21,6 +21,8 @@ minimal polynomial exactly when H is nonsingular.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroInverse
@@ -122,9 +124,14 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, p: int, size: int | None = None) -> 
     if size < full:
         z &= (1 << 8 * nbytes) - 1
     raw = np.frombuffer(z.to_bytes(nbytes, "little"), dtype=np.uint8)
-    # a slot's bytes weighted by 256^k mod p: terms below 2^39, sums below 2^43
-    weights = np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
-    return raw.reshape(size, slot).astype(np.int64) @ weights % p
+    return raw.reshape(size, slot).astype(np.int64) @ _byte_weights(slot, p) % p
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_weights(slot: int, p: int) -> np.ndarray:
+    """256^k mod p for k < slot: weighting a slot's bytes by them gives
+    terms below 2^39 and sums below 2^43."""
+    return np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
 
 
 def _inverse_series(f: np.ndarray, m: int, p: int) -> np.ndarray:
@@ -197,17 +204,17 @@ def _euclid(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
 
 
 def parametrizations(seq, rows, mu, field: PrimeField) -> np.ndarray:
-    """Solve the Hankel systems sum_k h[i, k] seq[j + k] = rows[i, j] (j < D)
-    through the univariate core, without forming the Hankel matrix.
+    """Solve the Hankel systems sum_k h[i, k] seq[j + k] = rows[i, j], j < D,
+    without forming the Hankel matrix.
 
     ``mu`` is the minimal polynomial of ``seq`` as ``berlekamp_massey``
-    returns it, of degree D, and each row holds the first D terms of a
-    sequence with the same recurrence.  With N the reversal of
-    rev(mu) sum_{j<D} s_j T^j mod T^D (the numerator of the sequence's
-    generating function), row i of the result is h_i = N_i N_0^-1 mod mu,
-    where N_0 belongs to ``seq``.  N_0 is invertible mod mu exactly when the
-    D x D Hankel matrix of ``seq`` is nonsingular.  Returns an m x D int64
-    array of ascending coefficients.
+    returns it, of degree D; any D terms start a sequence s of that
+    recurrence.  Let N(s) be the reversal of rev(mu) sum_{j<D} s_j T^j
+    mod T^D, the numerator of its generating function.  Row i of the
+    result is h_i = N(rows[i]) N(seq)^-1 mod mu, as an m x D int64 array of
+    ascending coefficients.  N(seq) is invertible mod mu exactly when the
+    D x D Hankel matrix of ``seq`` is nonsingular; otherwise ZeroInverse
+    is raised.
     """
     p = field.p
     mu = np.asarray(mu, dtype=np.int64) % p
