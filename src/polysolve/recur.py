@@ -127,11 +127,13 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, p: int, size: int | None = None) -> 
     return raw.reshape(size, slot).astype(np.int64) @ _byte_weights(slot, p) % p
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _byte_weights(slot: int, p: int) -> np.ndarray:
-    """256^k mod p for k < slot: weighting a slot's bytes by them gives
-    terms below 2^39 and sums below 2^43."""
-    return np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
+    """256^k mod p for k < slot, read-only: weighting a slot's bytes by them
+    gives terms below 2^39 and sums below 2^43."""
+    w = np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
+    w.flags.writeable = False
+    return w
 
 
 def _inverse_series(f: np.ndarray, m: int, p: int) -> np.ndarray:
