@@ -106,7 +106,8 @@ def _pack(a: np.ndarray, slot: int) -> int:
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, p: int, size: int | None = None) -> np.ndarray:
-    """a b mod p, truncated to its first ``size`` coefficients.
+    """a b mod p for canonical residues, truncated to its first ``size``
+    coefficients.
 
     Both operands are packed into Python ints, one slot per coefficient,
     and multiplied once.  A coefficient of the product is a sum of at most
@@ -118,8 +119,7 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, p: int, size: int | None = None) -> 
     if size <= 0:
         return np.zeros(0, dtype=np.int64)
     slot = ((min(a.shape[0], b.shape[0]) * (p - 1) ** 2).bit_length() + 7) // 8
-    x = _pack(a, slot)
-    z = x * (x if b is a else _pack(b, slot))
+    z = _pack(a, slot) * _pack(b, slot)
     nbytes = size * slot
     if size < full:
         z &= (1 << 8 * nbytes) - 1
