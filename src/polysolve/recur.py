@@ -239,11 +239,18 @@ def parametrizations(seq, rows, mu, field: PrimeField) -> np.ndarray:
     return out
 
 
+def univariate_derivative(coeffs, field: PrimeField) -> list[int]:
+    """Formal derivative, coefficients low degree first, trimmed."""
+    p = field.p
+    return _trim_coeffs([k * c % p for k, c in enumerate(coeffs)][1:])
+
+
 def is_squarefree(coeffs, field: PrimeField) -> bool:
     """True iff the polynomial has no repeated roots in any extension."""
     p = field.p
     f = np.array(_trim_coeffs([c % p for c in coeffs]), dtype=np.int64)
     if f.shape[0] == 0:
         return False
-    g, _ = _euclid(f, np.arange(1, f.shape[0]) * f[1:] % p, p)
+    df = np.array(univariate_derivative(f.tolist(), field), dtype=np.int64)
+    g, _ = _euclid(f, df, p)
     return g.shape[0] == 1

@@ -9,7 +9,8 @@ from polysolve.errors import ZeroInverse
 from polysolve.field import PrimeField
 from polysolve.recur import (_euclid, _inverse_series, _poly_mul, _rem, _safe_dot,
                              berlekamp_massey, hankel_matrix, is_squarefree,
-                             minimal_polynomial_degree, parametrizations)
+                             minimal_polynomial_degree, parametrizations,
+                             univariate_derivative)
 
 
 def _recurrent_sequence(field, order, length, rng):
@@ -221,6 +222,13 @@ def test_univariate_gcd(f7):
     # gcd with zero is the other input, with a zero cofactor
     g, t = _euclid(np.array([0, 3]), np.array([], dtype=np.int64), 7)
     assert g.tolist() == [0, 3] and t.tolist() == []
+
+
+def test_univariate_derivative(f7):
+    assert univariate_derivative([5, 1, 3], f7) == [1, 6]  # d/dz (3z^2+z+5)
+    assert univariate_derivative([2], f7) == []
+    # characteristic kicks in: d/dz z^7 = 0
+    assert univariate_derivative([0] * 7 + [1], f7) == []
 
 
 def test_is_squarefree(f7):
