@@ -153,6 +153,18 @@ def _eval_points(f: Polynomial, coords: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _root_points(rep: UnivariateRep, xs: np.ndarray) -> np.ndarray:
+    """The points (h_1(z), ..., h_{n-1}(z), z) for the distinct roots z of
+    h_n among ``xs``, as the columns of an n x r array, ascending in z."""
+    p = rep.field.p
+    roots = np.unique(xs[_horner_vec(rep.coeffs[-1], xs, p) == 0])
+    coords = np.empty((rep.n, roots.size), dtype=np.int64)
+    for i in range(rep.n - 1):
+        coords[i] = _horner_vec(rep.coeffs[i], roots, p)
+    coords[-1] = roots
+    return coords
+
+
 def verify_rep(rep: UnivariateRep, system: list[Polynomial],
                sample_budget: int = 1 << 20, rng=None) -> VerifyResult:
     """Check that every root of h_n in the base field maps to a common zero
@@ -171,14 +183,6 @@ def verify_rep(rep: UnivariateRep, system: list[Polynomial],
             rng = random.Random(0)
         xs = np.fromiter((rng.randrange(p) for _ in range(sample_budget)),
                          dtype=np.int64, count=sample_budget)
-    roots = np.unique(xs[_horner_vec(rep.coeffs[-1], xs, p) == 0])
-    if roots.size == 0:
-        return VerifyResult(True, 0)
-    coords = np.empty((rep.n, roots.size), dtype=np.int64)
-    for i in range(rep.n - 1):
-        coords[i] = _horner_vec(rep.coeffs[i], roots, p)
-    coords[rep.n - 1] = roots
-    for f in system:
-        if np.any(_eval_points(f, coords, p)):
-            return VerifyResult(False, int(roots.size))
-    return VerifyResult(True, int(roots.size))
+    coords = _root_points(rep, xs)
+    ok = not any(np.any(_eval_points(f, coords, p)) for f in system)
+    return VerifyResult(ok, coords.shape[1])

@@ -10,8 +10,9 @@ reduced DRL basis of an ideal from its multiplication matrices, one total
 degree at a time: the coordinate vectors of a degree's candidate monomials
 come from one matrix product per variable used, and one elimination in
 ascending order sorts them into standard monomials and leading monomials.
-The elimination works by halving, so its row operations are matrix
-products; the tails come at the end, from one pass over the recorded
+The elimination is the package's one general elimination,
+``linalg._row_echelon``, which works by halving, so its row operations are
+matrix products; the tails come at the end, from one pass over the recorded
 merges.  The matrices are held once as float64 residues, which the exact
 kernel multiplies without converting them.  The Las Vegas solver takes
 every basis after a linear change of coordinates from it, fed with
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import NotShapePosition, NotZeroDimensional
 from .field import PrimeField
-from .linalg import Matrix, _mul_arrays, _reduce, _sub_mod
+from .linalg import _eliminate_block, _mul_arrays, _sub_mod
 from .poly import Monomial, Polynomial, TermOrder, _Reducer, _reduce_prepped, s_polynomial
 
 
@@ -211,107 +212,6 @@ def shape_rep_from_lex(gb: GroebnerBasis):
     return UnivariateRep(gb.field, n, [list(c) for c in coeffs])
 
 
-# rows of a leaf of the halving elimination: on the whole-degree blocks of
-# one appendix-family rebuild at p = 65521, leaves of 16 to 48 rows measured
-# alike (20-34 ms at n = 9, 76-93 ms at n = 10) and 8 rows slower (25-40 ms
-# at n = 9); larger leaves spend longer in row-by-row steps
-_ELIM_LEAF = 32
-
-
-def _gauss_jordan(a: np.ndarray, f: int, p: int):
-    """``_row_echelon``'s outputs by one row at a time, for a small ``a``:
-    each pivot clears its column in every other row, so the pivot rows
-    come out reduced with no back-substitution."""
-    new: list[int] = []
-    dep: list[int] = []
-    pcols: list[int] = []
-    for i in range(a.shape[0]):
-        nz = np.flatnonzero(a[i, :f])
-        if nz.size == 0:
-            dep.append(i)
-            continue
-        q = int(nz[0])
-        inv = pow(int(a[i, q]), -1, p)
-        # row r loses (a[r, q] / a[i, q]) row i and row i becomes row i / a[i, q];
-        # adding (p - factor) row i keeps every entry nonnegative
-        factor = a[:, q] * inv % p
-        factor[i] = (1 - inv) % p
-        a = _reduce(a + (p - factor)[:, None] * a[i], p)
-        new.append(i)
-        pcols.append(q)
-    return new, dep, pcols, a[new], a[dep]
-
-
-def _leaf(a: np.ndarray, f: int, p: int):
-    """``_row_echelon`` on at most ``_ELIM_LEAF`` rows.
-
-    c rows have at most c pivots, and they usually lie among the first
-    columns where the rows are nonzero.  So Gauss-Jordan runs on a window
-    of 2c such columns, with the row operations riding along, and one
-    product applies those operations to the whole rows.  A row that the
-    window calls dependent but that the product leaves nonzero has its
-    pivot further right; the window then doubles.
-    """
-    c = a.shape[0]
-    cols = np.flatnonzero(a[:, :f].any(axis=0))
-    k = 2 * c
-    while True:
-        win = cols[:k]
-        new, dep, pc, ech, lost = _gauss_jordan(
-            np.hstack([a[:, win], np.eye(c, dtype=np.int64)]), len(win), p)
-        out = _mul_arrays(np.vstack([ech, lost])[:, len(win):], a, p)
-        s = len(new)
-        if len(win) == len(cols) or not out[s:, :f].any():
-            return new, dep, win[pc].tolist(), out[:s], out[s:]
-        k *= 2
-
-
-def _row_echelon(a: np.ndarray, f: int, p: int):
-    """Row-order elimination of ``a`` with pivots in its first ``f`` columns.
-
-    Returns ``(new, dep, pcols, ech, lost)``: ``ech`` is the reduced
-    echelon form of ``a[new]``, the identity at ``pcols``, and ``lost`` is
-    ``a[dep]`` reduced by the rows above it, zero in the first f columns.
-
-    By halving (the recursion of Jeannerod, Pernet and Storjohann's
-    rank-profile elimination): eliminate the top half; reduce the bottom
-    half by the top's echelon rows in one product, which leaves each bottom
-    row what the row-by-row reduction would leave, so the pivots agree;
-    eliminate the bottom half; and clear the bottom's pivot columns from
-    the top's echelon rows by one more product.
-    """
-    c = a.shape[0]
-    if c <= _ELIM_LEAF:
-        return _leaf(a, f, p)
-    h = c // 2
-    new_t, dep_t, pc_t, ech_t, lost_t = _row_echelon(a[:h], f, p)
-    bottom = _sub_mod(a[h:], _mul_arrays(a[h:, pc_t], ech_t, p), p)
-    new_b, dep_b, pc_b, ech_b, lost_b = _row_echelon(bottom, f, p)
-    if new_b:
-        ech_t = _sub_mod(ech_t, _mul_arrays(ech_t[:, pc_b], ech_b, p), p)
-    return (new_t + [h + r for r in new_b], dep_t + [h + r for r in dep_b], pc_t + pc_b,
-            np.vstack([ech_t, ech_b]), np.vstack([lost_t, lost_b]))
-
-
-def _eliminate_block(w: np.ndarray, p: int):
-    """Row-order elimination of a block of vectors.
-
-    Each row of ``w`` is reduced by the pivot rows above it and, if
-    anything is left, becomes a pivot row on its first nonzero entry.
-    Returns ``(new, dep, rel, echelon, pcols, gmat)``: the indices of the
-    independent and of the dependent rows, ``w[dep] = rel @ w[new]``
-    (every dependence uses earlier rows only), and
-    ``echelon = gmat @ w[new]``, whose rows are the identity at ``pcols``.
-    Row operations ride along on an identity block, and ``_row_echelon``
-    does the work.  Every output is unique given the pivots, and the
-    pivots are the row-by-row ones, so the result is the row-by-row result.
-    """
-    c, f = w.shape
-    new, dep, pcols, ech, lost = _row_echelon(np.hstack([w, np.eye(c, dtype=np.int64)]), f, p)
-    ops = f + np.array(new, dtype=np.intp)
-    return new, dep, _sub_mod(0, lost[:, ops], p), ech[:, :f], pcols, ech[:, ops]
-
-
 def _candidates(prev: list[Monomial], order: TermOrder):
     """The degree-d candidates, given the standard monomials of degree d-1.
 
@@ -409,15 +309,18 @@ class _Echelon:
         return w
 
 
-def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
+def groebner_from_matrices(mats, field: PrimeField, n: int,
                            order: TermOrder) -> GroebnerBasis:
     """Reduced DRL Groebner basis from multiplication matrices.
 
     ``mats[i]`` must represent multiplication by (the image of) x_i on a
     D-dimensional quotient, in a basis whose coordinate vector for 1 is the
-    first unit vector.  Monomials are taken one total degree at a time, as
-    under DRL only leading monomials of lower degree can make a degree-d
-    monomial a non-candidate.  For each degree:
+    first unit vector.  ``mats`` holds n D x D arrays of canonical
+    residues, or is one n x D x D float64 stack of them, which is used
+    without a copy: a product by the view M_i^T runs as a transposed GEMM.
+    Monomials are taken one total degree at a time, as under DRL only
+    leading monomials of lower degree can make a degree-d monomial a
+    non-candidate.  For each degree:
 
     * the candidates' coordinate vectors come from one product per
       variable in a small cover of them (``_candidates``),
@@ -439,18 +342,11 @@ def groebner_from_matrices(mats: list[Matrix], field: PrimeField, n: int,
     of the reduced basis.  It comes in coordinate form: the kept
     monomials as ``standard`` and the tails as ``tails``.
     """
-    if not mats:
+    if len(mats) == 0:
         raise ValueError("need at least one multiplication matrix")
     if order.kind != "drl":
         raise ValueError("the degree-by-degree rebuild needs the DRL order")
-    return _rebuild_float(np.array([m.a for m in mats], dtype=np.float64), field, n, order)
-
-
-def _rebuild_float(mats: np.ndarray, field: PrimeField, n: int,
-                   order: TermOrder) -> GroebnerBasis:
-    """``groebner_from_matrices`` on ``mats[i] = M_i`` held as float64
-    canonical residues, so that no product converts them again (a product
-    by the transposed view M_i^T runs as a transposed GEMM, with no copy)."""
+    mats = np.asarray(mats, dtype=np.float64)
     p = field.p
     dim = mats.shape[1]
     echelon = _Echelon(dim, p)

@@ -17,6 +17,11 @@ This is the splitting approach of FFLAS-FFPACK (Dumas, Giorgi and Pernet,
 ACM TOMS 2008).  A product modulo p is unique, so both cases return the same
 residues as exact integer arithmetic.
 
+Every general elimination is one routine too, ``_row_echelon``, the
+halving rank-profile elimination of Jeannerod, Pernet and Storjohann (J.
+Symb. Comp. 2013), whose row operations are ``_mul_arrays`` products.  It
+backs ``Matrix.rref``, ``rank`` and ``inverse`` and the rebuild in ``gb``.
+
 Reductions avoid numpy's ``%``, which runs an integer division per element.
 ``_reduce`` takes x - (x // p) p instead, as numpy divides by a scalar
 through a multiply and a shift; on a 170 x 512 product that is 0.12-0.15
@@ -119,29 +124,105 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _reduce(acc * _HALF + (a0 @ b0).astype(np.int64), p)
 
 
-def _rref_arrays(a: np.ndarray, p: int):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    rows, cols = a.shape
-    r = 0
-    pivots = []
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
+# rows of a leaf of the halving elimination: on the whole-degree blocks of
+# one appendix-family rebuild at p = 65521, leaves of 16 to 48 rows measured
+# alike (20-34 ms at n = 9, 76-93 ms at n = 10) and 8 rows slower (25-40 ms
+# at n = 9); larger leaves spend longer in row-by-row steps
+_ELIM_LEAF = 32
+
+
+def _gauss_jordan(a: np.ndarray, f: int, p: int):
+    """``_row_echelon``'s outputs by one row at a time, for a small ``a``:
+    each pivot clears its column in every other row, so the pivot rows
+    come out reduced with no back-substitution."""
+    new: list[int] = []
+    dep: list[int] = []
+    pcols: list[int] = []
+    for i in range(a.shape[0]):
+        nz = np.flatnonzero(a[i, :f])
         if nz.size == 0:
+            dep.append(i)
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return pivots
+        q = int(nz[0])
+        inv = pow(int(a[i, q]), -1, p)
+        # row r loses (a[r, q] / a[i, q]) row i and row i becomes row i / a[i, q];
+        # adding (p - factor) row i keeps every entry nonnegative
+        factor = a[:, q] * inv % p
+        factor[i] = (1 - inv) % p
+        a = _reduce(a + (p - factor)[:, None] * a[i], p)
+        new.append(i)
+        pcols.append(q)
+    return new, dep, pcols, a[new], a[dep]
+
+
+def _leaf(a: np.ndarray, f: int, p: int):
+    """``_row_echelon`` on at most ``_ELIM_LEAF`` rows.
+
+    c rows have at most c pivots, and they usually lie among the first
+    columns where the rows are nonzero.  So Gauss-Jordan runs on a window
+    of 2c such columns, with the row operations riding along, and one
+    product applies those operations to the whole rows.  A row that the
+    window calls dependent but that the product leaves nonzero has its
+    pivot further right; the window then doubles.
+    """
+    c = a.shape[0]
+    cols = np.flatnonzero(a[:, :f].any(axis=0))
+    k = 2 * c
+    while True:
+        win = cols[:k]
+        new, dep, pc, ech, lost = _gauss_jordan(
+            np.hstack([a[:, win], np.eye(c, dtype=np.int64)]), len(win), p)
+        out = _mul_arrays(np.vstack([ech, lost])[:, len(win):], a, p)
+        s = len(new)
+        if len(win) == len(cols) or not out[s:, :f].any():
+            return new, dep, win[pc].tolist(), out[:s], out[s:]
+        k *= 2
+
+
+def _row_echelon(a: np.ndarray, f: int, p: int):
+    """Row-order elimination of ``a`` with pivots in its first ``f`` columns.
+
+    Returns ``(new, dep, pcols, ech, lost)``: ``ech`` is the reduced
+    echelon form of ``a[new]``, the identity at ``pcols``, and ``lost`` is
+    ``a[dep]`` reduced by the rows above it, zero in the first f columns.
+
+    By halving (the recursion of Jeannerod, Pernet and Storjohann's
+    rank-profile elimination): eliminate the top half; reduce the bottom
+    half by the top's echelon rows in one product, which leaves each bottom
+    row what the row-by-row reduction would leave, so the pivots agree;
+    eliminate the bottom half; and clear the bottom's pivot columns from
+    the top's echelon rows by one more product.
+    """
+    c = a.shape[0]
+    if c <= _ELIM_LEAF:
+        return _leaf(a, f, p)
+    h = c // 2
+    new_t, dep_t, pc_t, ech_t, lost_t = _row_echelon(a[:h], f, p)
+    bottom = _sub_mod(a[h:], _mul_arrays(a[h:, pc_t], ech_t, p), p)
+    new_b, dep_b, pc_b, ech_b, lost_b = _row_echelon(bottom, f, p)
+    if new_b:
+        ech_t = _sub_mod(ech_t, _mul_arrays(ech_t[:, pc_b], ech_b, p), p)
+    return (new_t + [h + r for r in new_b], dep_t + [h + r for r in dep_b], pc_t + pc_b,
+            np.vstack([ech_t, ech_b]), np.vstack([lost_t, lost_b]))
+
+
+def _eliminate_block(w: np.ndarray, p: int):
+    """Row-order elimination of a block of vectors.
+
+    Each row of ``w`` is reduced by the pivot rows above it and, if
+    anything is left, becomes a pivot row on its first nonzero entry.
+    Returns ``(new, dep, rel, echelon, pcols, gmat)``: the indices of the
+    independent and of the dependent rows, ``w[dep] = rel @ w[new]``
+    (every dependence uses earlier rows only), and
+    ``echelon = gmat @ w[new]``, whose rows are the identity at ``pcols``.
+    Row operations ride along on an identity block, and ``_row_echelon``
+    does the work.  Every output is unique given the pivots, and the
+    pivots are the row-by-row ones, so the result is the row-by-row result.
+    """
+    c, f = w.shape
+    new, dep, pcols, ech, lost = _row_echelon(np.hstack([w, np.eye(c, dtype=np.int64)]), f, p)
+    ops = f + np.array(new, dtype=np.intp)
+    return new, dep, _sub_mod(0, lost[:, ops], p), ech[:, :f], pcols, ech[:, ops]
 
 
 class Matrix:
@@ -247,25 +328,26 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> "Matrix":
-        work = self.a % self.field.p
-        work = work.copy()
-        _rref_arrays(work, self.field.p)
-        return Matrix(self.field, work)
+        p = self.field.p
+        new, _dep, pcols, ech, _lost = _row_echelon(self.a % p, self.ncols, p)
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[:len(new)] = ech[np.argsort(pcols)]
+        return Matrix(self.field, out)
 
     def rank(self) -> int:
-        work = self.a % self.field.p
-        work = work.copy()
-        return len(_rref_arrays(work, self.field.p))
+        p = self.field.p
+        return len(_row_echelon(self.a % p, self.ncols, p)[0])
 
     def inverse(self) -> "Matrix":
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        aug = np.hstack([self.a % self.field.p, np.eye(n, dtype=np.int64)])
-        pivots = _rref_arrays(aug, self.field.p)
-        if pivots != list(range(n)):
+        p = self.field.p
+        _new, dep, pcols, ech, _lost = _row_echelon(
+            np.hstack([self.a % p, np.eye(n, dtype=np.int64)]), n, p)
+        if dep:
             raise SingularMatrix("matrix is singular")
-        return Matrix(self.field, np.ascontiguousarray(aug[:, n:]))
+        return Matrix(self.field, np.ascontiguousarray(ech[np.argsort(pcols), n:]))
 
     def density(self) -> float:
         """Fraction of nonzero entries."""

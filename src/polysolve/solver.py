@@ -25,18 +25,18 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .change_order import (ChangeOrderStats, UnivariateRep, _eval_points,
-                           _horner_vec, change_ordering)
+                           _root_points, change_ordering)
 from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
-from .gb import GroebnerBasis, _rebuild_float, buchberger, is_zero_dimensional
+from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimensional
 from .linalg import Matrix, OpCounter, _mul_arrays
 from .poly import Polynomial, TermOrder, apply_change_of_variables
 from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
@@ -170,18 +170,15 @@ def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
     for r in range(0, dim, _BAND):
         band = np.stack([m[r:r + _BAND] for m in mats0]).reshape(n, -1)
         mats[:, r:r + _BAND] = _mul_arrays(ginv, band, fld.p).reshape(n, -1, dim)
-    return _rebuild_float(mats, fld, n, TermOrder.drl(n))
+    return groebner_from_matrices(mats, fld, n, TermOrder.drl(n))
 
 
-def solve_lasvegas(F: list[Polynomial], rng=None, max_restarts: int | None = None,
-                   config: SolveConfig | None = None,
+def solve_lasvegas(F: list[Polynomial], rng=None, config: SolveConfig | None = None,
                    first_transform: Matrix | None = None) -> SolveReport:
     """Random change of variables until the last multiplication matrix can
     be read for free; the returned representation describes the transformed
     system, with ``g`` attached (original solutions are {g v})."""
     cfg = config or SolveConfig()
-    if max_restarts is not None:
-        cfg = replace(cfg, max_restarts=max_restarts)
     rng = rng or random.Random(0)
     fld, n = _require_system(F)
     t0 = time.perf_counter()
@@ -242,15 +239,10 @@ def rational_solutions(report: SolveReport, limit: int = 1 << 20) -> list[tuple[
     p = rep.field.p
     if p > limit:
         raise BudgetExceeded(f"root scan over {p} points exceeds limit {limit}")
-    xs = np.arange(p, dtype=np.int64)
-    roots = xs[_horner_vec(rep.coeffs[-1], xs, p) == 0]
-    pts = []
-    for z in roots.tolist():
-        v = rep.point_for_root(z)
-        if report.g is not None:
-            v = tuple(int(c) for c in report.g.apply(list(v)))
-        pts.append(v)
-    return sorted(pts)
+    coords = _root_points(rep, np.arange(p, dtype=np.int64))
+    if report.g is not None:
+        coords = _mul_arrays(report.g.a, coords, p)
+    return sorted(map(tuple, coords.T.tolist()))
 
 
 def enumerate_rational_solutions(F: list[Polynomial],

@@ -106,7 +106,7 @@ def levinson_breakdown_sequence(field: PrimeField, dim: int, rng: random.Random)
 
 
 def eliminate_block_by_rows(w: np.ndarray, p: int):
-    """Row-by-row oracle for ``gb._eliminate_block``, same outputs: each row
+    """Row-by-row oracle for ``linalg._eliminate_block``, same outputs: each row
     is reduced by the pivot rows above it and, if anything is left, becomes
     a pivot row on its first nonzero entry; a final unit-triangular solve
     makes the pivot rows reduced."""

@@ -9,10 +9,9 @@ from helpers import (eliminate_block_by_rows, monomials_up_to, random_zero_dim_s
 from polysolve.bench import appendix_family
 from polysolve.errors import NotShapePosition, NotZeroDimensional
 from polysolve.field import PrimeField
-from polysolve.gb import (_ELIM_LEAF, _eliminate_block, buchberger, degree,
-                          groebner_from_matrices, is_zero_dimensional, lex_oracle,
-                          shape_rep_from_lex)
-from polysolve.linalg import Matrix
+from polysolve.gb import (buchberger, degree, groebner_from_matrices, is_zero_dimensional,
+                          lex_oracle, shape_rep_from_lex)
+from polysolve.linalg import _ELIM_LEAF, _eliminate_block
 from polysolve.poly import (Monomial, Polynomial, TermOrder,
                             apply_change_of_variables, normal_form, s_polynomial)
 from polysolve.quotient import build_matrices_echelon, compute_basis
@@ -134,7 +133,7 @@ def test_groebner_from_matrices_matches_buchberger():
         _, gb = random_zero_dim_system(field, n, degs, rng)
         quotient = compute_basis(gb)
         mats, _stats = build_matrices_echelon(quotient, gb)
-        rebuilt = groebner_from_matrices([m.matrix for m in mats], field, n,
+        rebuilt = groebner_from_matrices([m.matrix.a for m in mats], field, n,
                                          TermOrder.drl(n))
         assert rebuilt.polys == gb.polys
 
@@ -211,7 +210,7 @@ def test_rebuild_interleaved_degree_blocks(p):
         quotient = compute_basis(gb)
         assert _interleaves(gb, quotient.basis)
         mats, _stats = build_matrices_echelon(quotient, gb)
-        rebuilt = groebner_from_matrices([m.matrix for m in mats], field, n,
+        rebuilt = groebner_from_matrices([m.matrix.a for m in mats], field, n,
                                          TermOrder.drl(n))
         _assert_same_basis(rebuilt, gb)
 
@@ -274,7 +273,7 @@ def test_rebuild_leaves_its_inputs_unchanged():
     arrays = [m.matrix.a for m in mats]
     g = field.random_nonsingular_matrix(n, random.Random(3))
     before = [a.tobytes() for a in arrays] + [g.a.tobytes()]
-    groebner_from_matrices([m.matrix for m in mats], field, n, TermOrder.drl(n))
+    groebner_from_matrices([m.matrix.a for m in mats], field, n, TermOrder.drl(n))
     _transformed_gb_from_matrices(gb0, quotient, arrays, g, SolveConfig())
     assert [a.tobytes() for a in arrays] + [g.a.tobytes()] == before
 
@@ -288,7 +287,7 @@ def test_groebner_from_matrices_rejects_bad_input():
     with pytest.raises(ValueError):
         groebner_from_matrices([], field, n, TermOrder.drl(n))
     with pytest.raises(ValueError):
-        groebner_from_matrices([m.matrix for m in mats], field, n, TermOrder.lex(n))
+        groebner_from_matrices([m.matrix.a for m in mats], field, n, TermOrder.lex(n))
     # one extra coordinate that no monomial ever reaches: the matrices span
     # a D-dimensional quotient inside a (D+1)-dimensional space
     dim = quotient.dimension
@@ -296,7 +295,7 @@ def test_groebner_from_matrices_rejects_bad_input():
     for m in mats:
         a = np.zeros((dim + 1, dim + 1), dtype=np.int64)
         a[:dim, :dim] = m.matrix.a
-        padded.append(Matrix(field, a))
+        padded.append(a)
     with pytest.raises(NotZeroDimensional):
         groebner_from_matrices(padded, field, n, TermOrder.drl(n))
 

@@ -106,6 +106,59 @@ def test_inverse(f101):
         singular.inverse()
 
 
+def _gauss_jordan_ints(rows, p: int):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan on Python
+    integers: the reference for the halving elimination."""
+    a = [[v % p for v in r] for r in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _oracle_matrices(r: int, p: int, rng):
+    """Square, wide, tall and rank-deficient matrices with r rows."""
+    def deficient(cols):
+        k = max(min(r, cols) - 1, 0)
+        left, right = rng.integers(0, p, (r, k)), rng.integers(0, p, (k, cols))
+        return (left.astype(object).dot(right) % p).astype(np.int64)
+
+    return [rng.integers(0, p, (r, r)), rng.integers(0, p, (r, 2 * r + 3)),
+            rng.integers(0, p, (r, r // 2 + 1)), deficient(r), deficient(r + 5)]
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("r", [1, 2, 5, 17, 31, 32, 33, 40])
+def test_rref_rank_inverse_match_gauss_jordan(p, r):
+    # 32 is the halving elimination's leaf size, so 33 and 40 rows recurse
+    field = PrimeField(p)
+    rng = np.random.default_rng(r * p)
+    for a in _oracle_matrices(r, p, rng):
+        m = Matrix(field, a)
+        want, pivots = _gauss_jordan_ints(a.tolist(), p)
+        assert m.rref().tolist() == want
+        assert m.rank() == len(pivots)
+        if a.shape[0] != a.shape[1]:
+            continue
+        if len(pivots) < r:
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+            continue
+        aug, _ = _gauss_jordan_ints(np.hstack([a, np.eye(r, dtype=np.int64)]).tolist(), p)
+        assert m.inverse().tolist() == [row[r:] for row in aug]
+
+
 def test_density(f7):
     m = Matrix.from_rows(f7, [[0, 1], [0, 0]])
     assert m.density() == 0.25

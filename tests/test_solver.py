@@ -10,7 +10,7 @@ from polysolve.errors import (BudgetExceeded, ExhaustedRestarts, PolysolveError,
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
 from polysolve.poly import Monomial, Polynomial, TermOrder
-from polysolve.solver import (enumerate_rational_solutions,
+from polysolve.solver import (SolveConfig, enumerate_rational_solutions,
                               probability_bound, rational_solutions,
                               solve_deterministic, solve_lasvegas)
 
@@ -107,7 +107,7 @@ def test_exhausted_restarts_on_never_cyclic_ideal(f101):
     # can make cyclic, so every restart fails
     x, y = _xy(f101)
     with pytest.raises(ExhaustedRestarts) as err:
-        solve_lasvegas([x * x, y * y], random.Random(0), max_restarts=3)
+        solve_lasvegas([x * x, y * y], random.Random(0), config=SolveConfig(max_restarts=3))
     assert err.value.attempts == 3
     assert err.value.read_failures + err.value.chord_failures == 3
 
@@ -161,8 +161,29 @@ def test_lasvegas_runs_buchberger_once(f101, monkeypatch):
     calls.clear()
     x, y = _xy(f101)
     with pytest.raises(ExhaustedRestarts):
-        solve_lasvegas([x * x, y * y], random.Random(0), max_restarts=3)
+        solve_lasvegas([x * x, y * y], random.Random(0), config=SolveConfig(max_restarts=3))
     assert len(calls) == 1
+
+
+def test_lasvegas_rebuilds_once_per_transform(f101, monkeypatch):
+    # each drawn g costs one rebuild of the transformed basis, all through
+    # the one entry point
+    calls = []
+    real = solver.groebner_from_matrices
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "groebner_from_matrices", counting)
+    system, _gb = random_zero_dim_system(f101, 2, (2, 2), random.Random(7))
+    report = solve_lasvegas(system, random.Random(0))
+    assert len(calls) == report.stats.restarts + 1
+    calls.clear()
+    x, y = _xy(f101)
+    with pytest.raises(ExhaustedRestarts):
+        solve_lasvegas([x * x, y * y], random.Random(0), config=SolveConfig(max_restarts=3))
+    assert len(calls) == 3
 
 
 def test_solution_recovery_applies_the_transform(f101):
