@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     for n in range(args.min_n, args.max_n + 1):
         records = run_bench(n, seed=args.seed, with_fglm=args.with_fglm)
         if args.json:
-            print(json.dumps({"n": n, "records": [r.to_dict() for r in records]}))
+            print(json.dumps({"n": n, "records": records}))
         else:
             print(f"n = {n} (D = {2 ** n}), seed = {args.seed}")
             print(format_table(records))

@@ -1,4 +1,4 @@
-"""Worst-case benchmark family and the statistics table.
+"""Worst-case benchmark family and the statistics rows and table.
 
 The family: f_i = x_i^2 + (random combination of every monomial strictly
 below x_i^2 in the degree order, pure squares excluded) for i = 1..n over
@@ -9,13 +9,15 @@ reduced basis in the degree order, the quotient has dimension D = 2^n
 T_n column by column costs 2^(n-1) - 1 computed normal forms, while after a
 random change of variables the last matrix can typically be read off with
 zero arithmetic (and comes out sparser, too).
+
+A row is a plain dict, one per solve (``record_from_report``) or per timed
+builder; ``bench --json`` and the ``stats`` of ``solve --json`` print it.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, asdict
 from itertools import combinations
 
 from .field import DEFAULT_PRIME, PrimeField
@@ -55,39 +57,28 @@ def appendix_family(n: int, field: PrimeField | None = None, seed: int = 0) -> l
     return polys
 
 
-@dataclass
-class StatsRecord:
-    n: int
-    D: int
-    pipeline: str
-    gb_time: float
-    matrix_time: float
-    chord_time: float
-    nf_count: int
-    density: float
-    total_time: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _record(n: int, D: int, pipeline: str, gb_time: float, matrix_time: float,
+            chord_time: float, nf_count: int, density: float, total_time: float) -> dict:
+    """One row; its keys, in this order, are the printed JSON keys."""
+    return {"n": n, "D": D, "pipeline": pipeline, "gb_time": gb_time,
+            "matrix_time": matrix_time, "chord_time": chord_time, "nf_count": nf_count,
+            "density": density, "total_time": total_time}
 
 
-def record_from_report(report: SolveReport) -> StatsRecord:
+def record_from_report(report: SolveReport) -> dict:
     s = report.stats
-    return StatsRecord(n=s.n, D=s.D, pipeline=report.pipeline,
-                       gb_time=s.times.gb, matrix_time=s.times.matrices,
-                       chord_time=s.times.change_order,
-                       nf_count=s.nf_type2_tn if report.pipeline == "deterministic" else 0,
-                       density=s.tn_density, total_time=s.times.total)
+    return _record(s.n, s.D, report.pipeline, s.gb_time, s.matrix_time, s.chord_time,
+                   s.nf_type2_tn, s.tn_density, s.total_time)
 
 
 def run_bench(n: int, seed: int = 0, with_fglm: bool = False,
-              config: SolveConfig | None = None) -> list[StatsRecord]:
+              config: SolveConfig | None = None) -> list[dict]:
     """Both pipelines on the same seed-fixed instance; optionally also time
     the column-by-column builder for reference."""
     F = appendix_family(n, seed=seed)
     rng_det = random.Random(seed + 1)
     rng_lv = random.Random(seed + 2)
-    records = [record_from_report(solve_deterministic(F, rng_det, config))]
+    records = [record_from_report(solve_deterministic(F, rng_det))]
     records.append(record_from_report(solve_lasvegas(F, rng_lv, config=config)))
     if with_fglm:
         from .gb import buchberger
@@ -98,22 +89,19 @@ def run_bench(n: int, seed: int = 0, with_fglm: bool = False,
         Q = compute_basis(gbd)
         fr = compute_frontier(Q, gbd)
         t0 = time.perf_counter()
-        mats, stats = build_matrices_fglm(Q, gbd, fr)
+        mats, _ = build_matrices_fglm(Q, gbd, fr)
         dt = time.perf_counter() - t0
-        records.append(StatsRecord(n=n, D=Q.dimension, pipeline="fglm-builder",
-                                   gb_time=0.0, matrix_time=dt, chord_time=0.0,
-                                   nf_count=stats.type2_nf,
-                                   density=mats[n - 1].matrix.density(),
-                                   total_time=dt))
+        records.append(_record(n, Q.dimension, "fglm-builder", 0.0, dt, 0.0, fr.type2_nf,
+                               mats[n - 1].matrix.density(), dt))
     return records
 
 
-def format_table(records: list[StatsRecord]) -> str:
+def format_table(records: list[dict]) -> str:
     headers = ["pipeline", "n", "D", "gb_time", "matrix_time", "chord_time",
                "nf_count", "density", "total_time"]
-    rows = [[r.pipeline, str(r.n), str(r.D), f"{r.gb_time:.3f}",
-             f"{r.matrix_time:.3f}", f"{r.chord_time:.3f}", str(r.nf_count),
-             f"{r.density:.4f}", f"{r.total_time:.3f}"] for r in records]
+    def cell(key, v):
+        return f"{v:.4f}" if key == "density" else f"{v:.3f}" if isinstance(v, float) else str(v)
+    rows = [[cell(h, r[h]) for h in headers] for r in records]
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
     def fmt(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths))

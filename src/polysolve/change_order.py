@@ -16,7 +16,7 @@ normal-form coordinates of the variables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,20 +73,15 @@ class UnivariateRep:
         return tuple(vals)
 
 
-@dataclass
-class ChangeOrderStats:
-    krylov: KrylovStats = dc_field(default_factory=KrylovStats)
-    bm_degree: int = 0
-
-
 def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
-                    rng) -> tuple[UnivariateRep, ChangeOrderStats]:
-    """Shape-position representation from the last multiplication matrix.
+                    rng) -> tuple[UnivariateRep, KrylovStats]:
+    """Shape-position representation from the last multiplication matrix,
+    with the product counts of its Krylov matrix.
 
-    Raises ChangeOrderingFailed when the minimal recurrence of the random
-    sequence has degree < D; callers retry with a new random form and, if
-    that keeps failing, conclude the ideal is not in shape position for
-    this coordinate choice.
+    Raises ChangeOrderingFailed, carrying the degree found, when the minimal
+    recurrence of the random sequence has degree < D; callers retry with a
+    new random form and, if that keeps failing, conclude the ideal is not in
+    shape position for this coordinate choice.
     """
     if hasattr(tn, "matrix"):  # accept the annotated wrapper or a bare Matrix
         tn = tn.matrix
@@ -94,16 +89,15 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     p = fld.p
     n = quotient.n
     D = quotient.dimension
-    stats = ChangeOrderStats()
+    stats = KrylovStats()
     r = fld.random_vector(D, rng)
     # Row psi(m) of K is the sequence r(x_n^j m), so row psi(1) is S and
     # c K is the sequence of the element with normal-form coordinates c.
-    K = krylov_columns(tn.transpose(), r, D, stats=stats.krylov)
+    K = krylov_columns(tn.transpose(), r, D, stats=stats)
     S = [int(v) for v in K.a[quotient.psi(Monomial.one(n))]]
     mu = berlekamp_massey(S, fld)
-    stats.bm_degree = len(mu) - 1
-    if stats.bm_degree < D:
-        raise ChangeOrderingFailed(stats.bm_degree, D)
+    if len(mu) - 1 < D:
+        raise ChangeOrderingFailed(len(mu) - 1, D)
 
     # each x_i is standard or a leading monomial, so no row is unreadable
     C = _nf_rows(quotient, [Monomial.variable(n, i) for i in range(n - 1)])

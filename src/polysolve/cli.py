@@ -122,8 +122,7 @@ def _cmd_solve(args) -> int:
     if args.lv:
         report = solve_lasvegas(system.polys, rng, config=cfg)
     else:
-        report = solve_deterministic(system.polys, rng, config=cfg)
-    record = record_from_report(report)
+        report = solve_deterministic(system.polys, rng)
     try:
         solutions = rational_solutions(report)
     except BudgetExceeded:   # the field is too large to scan for roots
@@ -140,23 +139,24 @@ def _cmd_solve(args) -> int:
             },
             "g": report.g.tolist() if report.g is not None else None,
             "solutions": [list(pt) for pt in solutions] if solutions is not None else None,
-            "stats": record.to_dict(),
+            "stats": record_from_report(report),
         }
         print(json.dumps(payload, indent=2))
         return 0
 
     print(f"pipeline: {report.pipeline}")
-    print(f"n = {record.n}, D = {record.D}, p = {system.field.p}")
+    st = report.stats
+    print(f"n = {st.n}, D = {st.D}, p = {system.field.p}")
     if report.g is not None:
         print("change of variables g (original solutions are g*v):")
         for row in report.g.tolist():
             print("  " + " ".join(str(v) for v in row))
         print("representation of the transformed system:")
     print(f"  {_rep_text(report.rep, system.varnames)}")
-    print(f"T_n density {record.density:.4f}, computed normal forms {record.nf_count}, "
-          f"retries {report.stats.retries}, restarts {report.stats.restarts}")
-    print(f"times: gb {record.gb_time:.3f}s, matrices {record.matrix_time:.3f}s, "
-          f"change-order {record.chord_time:.3f}s, total {record.total_time:.3f}s")
+    print(f"T_n density {st.tn_density:.4f}, computed normal forms {st.nf_type2_tn}, "
+          f"retries {st.retries}, restarts {st.restarts}")
+    print(f"times: gb {st.gb_time:.3f}s, matrices {st.matrix_time:.3f}s, "
+          f"change-order {st.chord_time:.3f}s, total {st.total_time:.3f}s")
     if solutions is not None:
         if solutions:
             shown = ", ".join("(" + ", ".join(str(c) for c in pt) + ")" for pt in solutions)
@@ -185,19 +185,15 @@ def _cmd_matrices(args) -> int:
     Q = compute_basis(gbd)
     frontier = compute_frontier(Q, gbd)
     if args.method == "free":
-        mm = try_read_Tn(Q, gbd)
-        mats, stats = [mm], None
-    elif args.method == "fglm":
-        mats, stats = build_matrices_fglm(Q, gbd, frontier)
+        mats, computed = [try_read_Tn(Q, gbd)], 0
     else:
-        mats, stats = build_matrices_echelon(Q, gbd, frontier)
+        build = build_matrices_fglm if args.method == "fglm" else build_matrices_echelon
+        mats, _ = build(Q, gbd, frontier)
+        computed = frontier.type2_nf
     if args.summary:
         print(f"D = {Q.dimension}, frontier size {len(frontier)}, "
-              f"type-II members {frontier.type2_total()}")
-        if stats is not None:
-            print(f"method {stats.method}: computed normal forms {stats.type2_nf}")
-        else:
-            print("method free: computed normal forms 0")
+              f"type-II members {frontier.type2_nf}")
+        print(f"method {args.method}: computed normal forms {computed}")
         for mm in mats:
             print(f"T_{system.varnames[mm.var]} density {mm.matrix.density():.4f}")
     else:
@@ -213,7 +209,7 @@ def _cmd_bench(args) -> int:
         return _bad_argument(f"--n must be at least 1, got {args.n}")
     records = run_bench(args.n, seed=args.seed, with_fglm=args.with_fglm)
     if args.json:
-        print(json.dumps([r.to_dict() for r in records], indent=2))
+        print(json.dumps(records, indent=2))
     else:
         print(format_table(records))
     return 0

@@ -90,11 +90,9 @@ def _interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
         if not any(other.divides(lm) for other in kept_lms):
             minimal.append(g)
             kept_lms.append(lm)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = [_Reducer(h, order) for j, h in enumerate(minimal) if j != i]
-        r = _reduce_prepped(g, others, order).monic(order)
-        reduced.append(r)
+    reducers = [_Reducer(h, order) for h in minimal]
+    reduced = [_reduce_prepped(g, reducers[:i] + reducers[i + 1:], order).monic(order)
+               for i, g in enumerate(minimal)]
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return reduced
 

@@ -28,13 +28,13 @@ succeeds, agrees with both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClassificationFailure, NotReadable, NotZeroDimensional
 from .field import PrimeField
-from .gb import GroebnerBasis, is_zero_dimensional
+from .gb import GroebnerBasis, _candidates, is_zero_dimensional
 from .linalg import Matrix, OpCounter, _mul_arrays, _unit_ut_solve
 from .poly import Monomial, Polynomial, TermOrder
 
@@ -75,15 +75,15 @@ class QuotientStructure:
 
 
 def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
-    """Standard monomials by breadth-first search from 1, and ``tails``.
+    """Standard monomials one degree at a time, and ``tails``.
 
-    Every candidate is a variable multiple of a kept monomial, so each
-    membership decision is O(n) hash lookups: a candidate is reducible iff
-    it is a leading monomial or one of its single-variable quotients is
-    already known reducible.  Nontermination is impossible because
-    zero-dimensionality (pure power of every variable among the leading
-    monomials) is checked up front.  A rebuilt basis hands over its
-    ``standard`` and ``tails`` and skips the search.
+    A monomial whose every divisor m/x_j is standard is itself standard
+    unless it is a leading monomial, so the degree-d standard monomials are
+    the candidates of the degree-(d-1) ones (``gb._candidates``) that lead
+    no generator.  The walk ends because zero-dimensionality (a pure power
+    of every variable among the leading monomials) is checked up front.
+    A rebuilt basis hands over its ``standard`` and ``tails`` and skips the
+    walk.
     """
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional("quotient is not finite-dimensional over the field")
@@ -92,19 +92,13 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
     lead_row = {m: r for r, m in enumerate(gb.leading_monomials)}
     if gb.tails is not None:
         return QuotientStructure(gb.field, n, order, gb.standard, gb.tails, lead_row)
-    one = Monomial.one(n)
-    basis = [one]
-    reducible: set[Monomial] = set()
-    level = [one]
+    basis: list[Monomial] = []
+    level = [Monomial.one(n)]
     while level:
-        candidates = sorted({eps.mul_var(i) for eps in level for i in range(n)}, key=order.key)
-        level = []
-        for m in candidates:
-            if m in lead_row or any(m.exps[i] and m.div_var(i) in reducible for i in range(n)):
-                reducible.add(m)
-            else:
-                basis.append(m)
-                level.append(m)
+        basis += level
+        level = [m for m, _b, _i in _candidates(level, order) if m not in lead_row]
+    if order.kind != "drl":   # degree by degree is increasing only under DRL
+        basis.sort(key=order.key)
     q = QuotientStructure(gb.field, n, order, basis,
                           np.zeros((len(gb), len(basis)), dtype=np.int64), lead_row)
     p = gb.field.p
@@ -154,7 +148,10 @@ class Frontier:
     def __iter__(self):
         return iter(self.members)
 
-    def type2_total(self) -> int:
+    @property
+    def type2_nf(self) -> int:
+        """Frontier monomials needing a computed normal form, over all
+        variables: the normal forms the degree-by-degree builder computes."""
         return sum(1 for m in self.members if m.kind == "product")
 
     def type2_for_var(self, i: int) -> int:
@@ -210,18 +207,10 @@ class MulMatrix:
     matrix: Matrix
 
 
-@dataclass
-class BuildStats:
-    method: str
-    dimension: int
-    frontier_size: int
-    type2_nf: int
-    type2_for_var: list[int] = dc_field(default_factory=list)
-
-
 def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
-                        frontier: Frontier | None = None) -> tuple[list[MulMatrix], BuildStats]:
-    """All n multiplication matrices, one normal form at a time.
+                        frontier: Frontier | None = None) -> tuple[list[MulMatrix], Frontier]:
+    """All n multiplication matrices, one normal form at a time, and the
+    frontier used.
 
     Frontier monomials are processed in increasing order; a product-type
     monomial x_k t' costs one matrix-vector product T_k . psi(NF(t'))
@@ -241,27 +230,23 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
             if t in quotient.index:
                 mats[i][quotient.index[t], j] = 1
     nf: dict[Monomial, np.ndarray] = {}
-    type2 = 0
     for mem in frontier:
         if mem.kind == "generator":
             vec = quotient.tails[quotient.lead_row[mem.monomial]]
         else:
             alpha = nf[mem.witness]
             vec = _mul_arrays(mats[mem.witness_var], alpha[:, None], p).ravel()
-            type2 += 1
         nf[mem.monomial] = vec
         for i in mem.parent_vars:
             mats[i][:, quotient.index[mem.monomial.div_var(i)]] = vec
-    stats = BuildStats("fglm", dim, len(frontier), type2,
-                       [frontier.type2_for_var(i) for i in range(n)])
     out = [MulMatrix(i, Matrix(quotient.field, m.astype(np.int64))) for i, m in enumerate(mats)]
-    return out, stats
+    return out, frontier
 
 
 def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
                            frontier: Frontier | None = None,
-                           variables: list[int] | None = None) -> tuple[list[MulMatrix], BuildStats]:
-    """Multiplication matrices degree by degree.
+                           variables: list[int] | None = None) -> tuple[list[MulMatrix], Frontier]:
+    """Multiplication matrices degree by degree, and the frontier used.
 
     Under DRL the frontier is sorted by degree first, so each frontier
     degree d is one contiguous slice [lo, hi), and its normal forms solve
@@ -337,9 +322,7 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
         mat[tgt[unit], np.flatnonzero(unit)] = 1
         mat[:, ~unit] = nf[tgt[~unit] - dim].T
         out.append(MulMatrix(i, Matrix(fld, mat)))
-    stats = BuildStats("echelon", dim, total, frontier.type2_total(),
-                       [frontier.type2_for_var(i) for i in range(n)])
-    return out, stats
+    return out, frontier
 
 
 def _nf_rows(quotient: QuotientStructure, monomials: list[Monomial]) -> np.ndarray:

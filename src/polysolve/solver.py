@@ -31,8 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .change_order import (ChangeOrderStats, UnivariateRep, _eval_points,
-                           _root_points, change_ordering)
+from .change_order import UnivariateRep, _eval_points, _root_points, change_ordering
 from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
@@ -43,24 +42,19 @@ from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
                        compute_frontier, try_read_Tn)
 
 _BAND = 16
+_RETRIES = 4                       # fresh random vectors per ordering change
 
 
 @dataclass
 class SolveConfig:
     max_restarts: int = 8          # fresh g draws in the Las Vegas loop
-    r_retries: int = 4             # fresh random vectors per ordering change
-
-
-@dataclass
-class StageTimes:
-    gb: float = 0.0
-    matrices: float = 0.0
-    change_order: float = 0.0
-    total: float = 0.0
 
 
 @dataclass
 class SolveStats:
+    """The one record of a solve; the times are seconds per stage, named
+    like the keys of ``solve --json``."""
+
     n: int
     D: int
     nf_type2_tn: int               # classical per-T_n normal-form count of this ideal
@@ -68,8 +62,10 @@ class SolveStats:
     read_ops: OpCounter
     retries: int                   # fresh random vectors consumed beyond the first
     restarts: int                  # g draws beyond the first (always 0 deterministic)
-    times: StageTimes
-    chord: ChangeOrderStats | None = None
+    gb_time: float
+    matrix_time: float
+    chord_time: float
+    total_time: float
 
 
 @dataclass
@@ -106,25 +102,21 @@ def _drl_prefix(F: list[Polynomial], fld: PrimeField,
     return gb, compute_basis(gb)
 
 
-def _change_ordering_retries(tn, gb: GroebnerBasis, Q: QuotientStructure, rng,
-                             cfg: SolveConfig):
-    """Up to ``cfg.r_retries`` ordering changes with fresh random vectors.
+def _change_ordering_retries(tn, gb: GroebnerBasis, Q: QuotientStructure, rng):
+    """Up to ``_RETRIES`` ordering changes with fresh random vectors.
 
-    Returns (rep or None, its stats, failed attempts, last failure)."""
+    Returns (rep or None, failed attempts, last failure)."""
     last = None
-    for failures in range(cfg.r_retries):
+    for failures in range(_RETRIES):
         try:
-            rep, cstats = change_ordering(tn, gb, Q, rng)
-            return rep, cstats, failures, None
+            return change_ordering(tn, gb, Q, rng)[0], failures, None
         except ChangeOrderingFailed as exc:
             last = exc
-    return None, None, cfg.r_retries, last
+    return None, _RETRIES, last
 
 
-def solve_deterministic(F: list[Polynomial], rng=None,
-                        config: SolveConfig | None = None) -> SolveReport:
+def solve_deterministic(F: list[Polynomial], rng=None) -> SolveReport:
     """Shape-position representation without changing coordinates."""
-    cfg = config or SolveConfig()
     rng = rng or random.Random(0)
     fld, n = _require_system(F)
     t0 = time.perf_counter()
@@ -134,18 +126,18 @@ def solve_deterministic(F: list[Polynomial], rng=None,
     mats, _ = build_matrices_echelon(Q, gbd, frontier, variables=[n - 1])
     tn = mats[0]
     t2 = time.perf_counter()
-    rep, cstats, retries, last = _change_ordering_retries(tn, gbd, Q, rng, cfg)
+    rep, retries, last = _change_ordering_retries(tn, gbd, Q, rng)
     if rep is None:
         raise NotShapePosition(
             f"minimal recurrence degree stayed at {last.degree} < {last.expected} "
-            f"after {cfg.r_retries} random vectors")
+            f"after {_RETRIES} random vectors")
     t3 = time.perf_counter()
     stats = SolveStats(n=n, D=Q.dimension,
                        nf_type2_tn=frontier.type2_for_var(n - 1),
                        tn_density=tn.matrix.density(),
                        read_ops=OpCounter(), retries=retries, restarts=0,
-                       times=StageTimes(t1 - t0, t2 - t1, t3 - t2, t3 - t0),
-                       chord=cstats)
+                       gb_time=t1 - t0, matrix_time=t2 - t1, chord_time=t3 - t2,
+                       total_time=t3 - t0)
     return SolveReport("deterministic", None, rep, stats, list(F))
 
 
@@ -182,13 +174,13 @@ def solve_lasvegas(F: list[Polynomial], rng=None, config: SolveConfig | None = N
     rng = rng or random.Random(0)
     fld, n = _require_system(F)
     t0 = time.perf_counter()
-    times = StageTimes()
     gb0, Q0 = _drl_prefix(F, fld, n)
     t1 = time.perf_counter()
-    times.gb = t1 - t0
+    gb_time = t1 - t0
     mats_full, _ = build_matrices_echelon(Q0, gb0)
     mats0 = [m.matrix.a for m in mats_full]
-    times.matrices = time.perf_counter() - t1
+    matrix_time = time.perf_counter() - t1
+    chord_time = 0.0
 
     read_failures = 0
     chord_failures = 0
@@ -200,7 +192,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, config: SolveConfig | None = N
         gbT = _transformed_gb_from_matrices(gb0, Q0, mats0, g, cfg)
         QT = compute_basis(gbT)
         t2 = time.perf_counter()
-        times.gb += t2 - t1
+        gb_time += t2 - t1
 
         counter = OpCounter()
         try:
@@ -209,21 +201,21 @@ def solve_lasvegas(F: list[Polynomial], rng=None, config: SolveConfig | None = N
             read_failures += 1
             continue
         finally:
-            times.matrices += time.perf_counter() - t2
+            matrix_time += time.perf_counter() - t2
 
         t3 = time.perf_counter()
-        rep, cstats, failed, _ = _change_ordering_retries(tn, gbT, QT, rng, cfg)
+        rep, failed, _ = _change_ordering_retries(tn, gbT, QT, rng)
         retries += failed
-        times.change_order += time.perf_counter() - t3
+        chord_time += time.perf_counter() - t3
         if rep is None:
             chord_failures += 1
             continue
 
-        times.total = time.perf_counter() - t0
         stats = SolveStats(n=n, D=Q0.dimension, nf_type2_tn=0,
                            tn_density=tn.matrix.density(),
                            read_ops=counter, retries=retries, restarts=attempt,
-                           times=times, chord=cstats)
+                           gb_time=gb_time, matrix_time=matrix_time, chord_time=chord_time,
+                           total_time=time.perf_counter() - t0)
         return SolveReport("las_vegas", g, rep, stats, list(F))
     raise ExhaustedRestarts(cfg.max_restarts, read_failures, chord_failures)
 

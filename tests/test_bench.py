@@ -5,8 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from polysolve.bench import (StatsRecord, appendix_family, format_table,
-                             record_from_report, run_bench)
+from polysolve.bench import appendix_family, format_table, record_from_report, run_bench
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger
 from polysolve.poly import Monomial, TermOrder
@@ -65,32 +64,30 @@ def test_record_from_report():
     F = appendix_family(3, seed=4)
     report = solve_deterministic(F, random.Random(0))
     rec = record_from_report(report)
-    assert rec.pipeline == "deterministic"
-    assert rec.n == 3 and rec.D == 8
-    assert rec.nf_count == 3
-    assert 0.0 < rec.density < 1.0
-    d = rec.to_dict()
-    assert d["D"] == 8 and d["pipeline"] == "deterministic"
+    assert rec["pipeline"] == "deterministic"
+    assert rec["n"] == 3 and rec["D"] == 8
+    assert rec["nf_count"] == 3
+    assert 0.0 < rec["density"] < 1.0
 
 
 def test_run_bench_rows():
     records = run_bench(4, seed=3)
-    assert [r.pipeline for r in records] == ["deterministic", "las_vegas"]
+    assert [r["pipeline"] for r in records] == ["deterministic", "las_vegas"]
     det, lv = records
-    assert det.nf_count == 2 ** 3 - 1
-    assert lv.nf_count == 0
-    assert lv.density <= det.density
+    assert det["nf_count"] == 2 ** 3 - 1
+    assert lv["nf_count"] == 0
+    assert lv["density"] <= det["density"]
     table = format_table(records)
     assert "pipeline" in table and "las_vegas" in table
 
 
 def test_run_bench_with_fglm_reference():
     records = run_bench(3, seed=0, with_fglm=True)
-    assert [r.pipeline for r in records] == ["deterministic", "las_vegas",
-                                             "fglm-builder"]
+    assert [r["pipeline"] for r in records] == ["deterministic", "las_vegas",
+                                                "fglm-builder"]
     # building all n matrices the column-by-column way costs every type-II
     # normal form, strictly more than the single-matrix echelon pass
-    assert records[2].nf_count >= records[0].nf_count
+    assert records[2]["nf_count"] >= records[0]["nf_count"]
 
 
 def test_worstcase_script_runs_from_a_clean_checkout(tmp_path):

@@ -45,7 +45,8 @@ def test_change_ordering_worked_example(f7):
                                         y ** 3 - Polynomial.constant(f7, 2, 2)])
     rep, stats = change_ordering(mats[1], gb, q, random.Random(0))
     assert rep.coeffs == [[0, 0, 1], [5, 0, 0, 1]]
-    assert stats.bm_degree == 3
+    # 2D = 6 Krylov columns take ceil(log2 6) = 3 squarings and 3 block products
+    assert (stats.square_mults, stats.rect_mults) == (3, 3)
 
 
 def test_change_ordering_accepts_bare_matrix(f7):

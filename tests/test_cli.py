@@ -7,6 +7,9 @@ from polysolve.sysfile import parse_system
 
 
 WORKED = "p = 7\nvars = x, y\nx - y^2\ny^3 - 2\n"
+# the keys, in order, of the solve --json stats and of each bench --json row
+STATS_KEYS = ["n", "D", "pipeline", "gb_time", "matrix_time", "chord_time",
+              "nf_count", "density", "total_time"]
 
 
 @pytest.fixture
@@ -62,8 +65,7 @@ def test_solve_json_schema(worked_file, capsys):
     assert payload["solutions"] == []
     stats = payload["stats"]
     assert stats["n"] == 2 and stats["D"] == 3
-    assert set(stats) >= {"pipeline", "gb_time", "matrix_time", "chord_time",
-                          "nf_count", "density", "total_time"}
+    assert list(stats) == STATS_KEYS
 
 
 def test_solve_lv_json_carries_transform(tmp_path, capsys):
@@ -112,6 +114,7 @@ def test_bench_json(capsys):
     assert main(["bench", "appendix", "--n", "3", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["pipeline"] for r in rows] == ["deterministic", "las_vegas"]
+    assert all(list(r) == STATS_KEYS for r in rows)
     assert all(r["D"] == 8 for r in rows)
     det, lv = rows
     assert det["nf_count"] == 3    # 2^(3-1) - 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -62,6 +63,33 @@ def test_basis_is_divisor_closed_and_drl_sorted():
             assert order.greater(b, a)
 
 
+def _brute_staircase(gb):
+    """Every monomial below the pure-power bounds that no leading monomial
+    divides, sorted by the basis order."""
+    lms = gb.leading_monomials
+    bounds = [min(m.exps[i] for m in lms if m.support() == [i]) for i in range(gb.n)]
+    return sorted((Monomial(e) for e in itertools.product(*map(range, bounds))
+                   if not any(lm.divides(Monomial(e)) for lm in lms)), key=gb.order.key)
+
+
+def test_basis_is_the_whole_staircase(f7):
+    rng = random.Random(23)
+    for p in (101, 65521, 2 ** 31 - 1):
+        field = PrimeField(p)
+        for n, degs in ((2, (2, 3)), (3, (2, 2, 2)), (4, (2, 2, 1, 2))):
+            F, gb = random_zero_dim_system(field, n, degs, rng)
+            for basis in (gb, buchberger(F, TermOrder.lex(n))):
+                assert compute_basis(basis).basis == _brute_staircase(basis)
+    for n in range(2, 7):
+        gb = buchberger(appendix_family(n, seed=n), TermOrder.drl(n))
+        assert compute_basis(gb).basis == _brute_staircase(gb)
+    # a staircase whose LEX order is not the degree order: y^2 < x
+    x, y = _xy(f7)
+    for order in (TermOrder.drl(2), TermOrder.lex(2)):
+        gb = buchberger([x * x, y ** 3], order)
+        assert compute_basis(gb).basis == _brute_staircase(gb)
+
+
 def test_compute_basis_rejects_positive_dimension(f7):
     x, y = _xy(f7)
     gb = buchberger([x * y], TermOrder.drl(2))
@@ -78,7 +106,7 @@ def test_frontier_worked_example(f7):
     # frontier = {y^2, xy, x^2}, every one a leading monomial (no products)
     assert sorted(m.monomial.exps for m in fr) == [(0, 2), (1, 1), (2, 0)]
     assert all(m.kind == "generator" for m in fr)
-    assert fr.type2_total() == 0
+    assert fr.type2_nf == 0
 
 
 def test_frontier_product_classification(f7):
@@ -93,7 +121,7 @@ def test_frontier_product_classification(f7):
     assert by_mono[(1, 2)].kind == "product"
     assert by_mono[(1, 2)].witness_var == 1
     assert by_mono[(1, 2)].witness == Monomial((1, 1))
-    assert fr.type2_total() == 1
+    assert fr.type2_nf == 1
     # x*y^2 arises as x * (y^2): only parent variable is x (index 0)
     assert by_mono[(1, 2)].parent_vars == (0,)
     assert fr.type2_for_var(0) == 1 and fr.type2_for_var(1) == 0
@@ -153,13 +181,13 @@ def _frozen_system(f7):
 def test_multiplication_matrices_worked_example(f7):
     gb = _frozen_system(f7)
     q = compute_basis(gb)
-    mats, stats = build_matrices_fglm(q, gb)
+    mats, fr = build_matrices_fglm(q, gb)
     ty = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]
     tx = [[0, 2, 0], [0, 0, 2], [1, 0, 0]]
     assert mats[1].matrix.tolist() == ty
     assert mats[0].matrix.tolist() == tx
     assert mats[0].var == 0 and mats[1].var == 1
-    assert stats.method == "fglm" and stats.dimension == 3
+    assert q.dimension == 3 and len(fr) == 3 and fr.type2_nf == 0
 
 
 def test_matrix_columns_are_normal_forms():
@@ -275,8 +303,10 @@ def test_build_stats_counts(f7):
     gb = buchberger([x * x, x * y, y ** 3], TermOrder.drl(2))
     q = compute_basis(gb)
     fr = compute_frontier(q, gb)
-    _, stats = build_matrices_echelon(q, gb, fr)
-    assert stats.dimension == 4
-    assert stats.frontier_size == 4
-    assert stats.type2_nf == 1
-    assert stats.type2_for_var == [1, 0]
+    for build in (build_matrices_fglm, build_matrices_echelon):
+        assert build(q, gb, fr)[1] is fr
+        assert build(q, gb)[1].type2_nf == 1
+    assert q.dimension == 4
+    assert len(fr) == 4
+    assert fr.type2_nf == 1
+    assert [fr.type2_for_var(i) for i in range(2)] == [1, 0]
