@@ -22,8 +22,9 @@ frontier, and builds the multiplication matrices three ways:
   column of the last variable's matrix is a unit vector or a row of
   ``tails``, and performs zero field operations.
 
-The two computing builders agree bit for bit; the free path, when it
-succeeds, agrees with both.
+The two computing builders agree bit for bit and return the frontier they
+used with the matrices; its ``type2_nf`` counts the normal forms they
+compute.  The free path, when it succeeds, agrees with both.
 """
 
 from __future__ import annotations
