@@ -82,7 +82,6 @@ def run_bench(n: int, seed: int = 0, with_fglm: bool = False,
     records.append(record_from_report(solve_lasvegas(F, rng_lv, config=config)))
     if with_fglm:
         from .gb import buchberger
-        from .poly import TermOrder
         from .quotient import build_matrices_fglm, compute_basis, compute_frontier
 
         gbd = buchberger(F, TermOrder.drl(n))

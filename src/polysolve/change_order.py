@@ -8,9 +8,12 @@ every other variable satisfies x_i = h_i(x_n).  Each h_i comes from the
 numerators of two generating functions: with N_0 from S and N_i from the
 sequence r(x_i x_n^j), h_i = N_i N_0^-1 mod h_n (``recur.parametrizations``).
 
-S and every sequence r(x_i x_n^j) are read off a single Krylov matrix built
-with O(log D) matrix products, the latter by one product with the
-normal-form coordinates of the variables.
+S and every sequence r(x_i x_n^j) are read off a single Krylov matrix of
+T_n^T, the latter by one product with the normal-form coordinates of the
+variables.  ``krylov_columns`` builds it by one matrix-vector step per
+column when D >= 256 and at least half of the rows of T_n^T are unit
+vectors (x_n times that basis monomial is itself standard, so the step is
+a gather there), and otherwise with O(log D) matrix products by doubling.
 """
 
 from __future__ import annotations

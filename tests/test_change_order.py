@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import levinson_breakdown_sequence, random_zero_dim_system, shape_instance
-from polysolve import change_order
+from polysolve import change_order, solver
+from polysolve.bench import appendix_family
 from polysolve.change_order import (UnivariateRep, change_ordering, verify_rep)
 from polysolve.errors import ChangeOrderingFailed
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
-from polysolve.linalg import Matrix
+from polysolve.linalg import (KrylovStats, Matrix, _krylov_doubling, _krylov_steps, _unit_rows,
+                              krylov_columns)
 from polysolve.poly import Monomial, Polynomial, TermOrder
 from polysolve.quotient import build_matrices_fglm, compute_basis
 from polysolve.recur import berlekamp_massey
@@ -47,6 +50,55 @@ def test_change_ordering_worked_example(f7):
     assert rep.coeffs == [[0, 0, 1], [5, 0, 0, 1]]
     # 2D = 6 Krylov columns take ceil(log2 6) = 3 squarings and 3 block products
     assert (stats.square_mults, stats.rect_mults) == (3, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _family_change_ordering(n: int, p: int, pipeline: str):
+    """(T_n, KrylovStats) of the first change of ordering in a solve of the
+    appendix family (seed 0), det seeded with Random(1) and LV with Random(2)."""
+    calls = []
+
+    def spy(tn, gb, q, rng):
+        rep, stats = change_ordering(tn, gb, q, rng)
+        calls.append((getattr(tn, "matrix", tn), stats))
+        return rep, stats
+
+    solve, seed = {"det": (solver.solve_deterministic, 1), "lv": (solver.solve_lasvegas, 2)}[pipeline]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "change_ordering", spy)
+        solve(appendix_family(n, PrimeField(p)), random.Random(seed))
+    return calls[0]
+
+
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("pipeline", ["det", "lv"])
+def test_krylov_routes_agree_on_family_tn(pipeline, p):
+    # appendix n = 8, D = 256: the smallest T_n that krylov_columns steps through
+    tn, _ = _family_change_ordering(8, p, pipeline)
+    t = tn.transpose()
+    D = t.nrows
+    unit, src = _unit_rows(t.a)
+    assert D == 256 and 2 * np.count_nonzero(unit) >= D
+    r = np.array(t.field.random_vector(D, random.Random(8)), dtype=np.int64)
+    assert np.array_equal(_krylov_steps(t.a, r, 2 * D, p, unit, src),
+                          _krylov_doubling(t, r, 2 * D, None))
+
+
+def test_change_ordering_reports_its_krylov_route():
+    # LV's T_n at n = 8 (D = 256): one matrix-vector step per column after r
+    _, stats = _family_change_ordering(8, 65521, "lv")
+    assert (stats.steps, stats.square_mults, stats.rect_mults) == (2 * 256 - 1, 0, 0)
+    # the family at n = 7 (D = 128, as family-bigp runs it) stays on the doubling
+    for pipeline in ("det", "lv"):
+        _, stats = _family_change_ordering(7, 2 ** 31 - 1, pipeline)
+        assert (stats.steps, stats.square_mults, stats.rect_mults) == (0, 8, 8)
+    # so does a dense T of D = 256, which has no unit rows
+    field = PrimeField(65521)
+    rng = np.random.default_rng(256)
+    stats = KrylovStats()
+    krylov_columns(Matrix(field, rng.integers(1, field.p, (256, 256))),
+                   rng.integers(0, field.p, 256), 256, stats=stats)
+    assert (stats.steps, stats.square_mults, stats.rect_mults) == (0, 9, 9)
 
 
 def test_change_ordering_accepts_bare_matrix(f7):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
-from polysolve.linalg import (KrylovStats, Matrix, _reduce, _sub_mod, _unit_ut_solve,
-                              binary_power_table, krylov_columns, mat_mul)
+from polysolve.linalg import (KrylovStats, Matrix, _krylov_steps, _reduce, _sub_mod,
+                              _unit_rows, _unit_ut_solve, binary_power_table, krylov_columns,
+                              mat_mul)
 
 
 def _random_matrix(field, r, c, rng):
@@ -243,6 +244,44 @@ def test_krylov_matches_naive_and_counts_products():
             k = max(1, math.ceil(math.log2(2 * dim)))
             assert stats.square_mults == k
             assert stats.rect_mults == k
+
+
+def _krylov_step_input(kind: str, dim: int, p: int, rng) -> np.ndarray:
+    """A T whose rows are all dense, half unit rows (sources repeat, and a
+    lone p - 1 stays a dense row), a permutation, or unit rows over zero
+    dense rows.  Dense entries are at least 2, so no dense row is a unit row."""
+    a = rng.integers(2, p, (dim, dim))
+    if kind == "dense":
+        return a
+    if kind == "permutation":
+        return np.eye(dim, dtype=np.int64)[rng.permutation(dim)]
+    unit = rng.permutation(dim)[:(dim + 1) // 2]
+    if kind == "zero-dense":
+        a[:] = 0
+    a[unit] = 0
+    a[unit, rng.integers(0, dim, unit.size)] = 1
+    if kind == "some-unit" and dim > unit.size:
+        lone = np.setdiff1d(np.arange(dim), unit)[0]
+        a[lone] = 0
+        a[lone, 0] = p - 1
+    return a
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("kind", ["dense", "some-unit", "permutation", "zero-dense"])
+def test_krylov_steps_match_naive_iteration(p, kind):
+    # the step route is called directly, below the size krylov_columns
+    # routes to it; at 2^31 - 1 every step takes the split product
+    rng = np.random.default_rng(p)
+    field = PrimeField(p)
+    for dim in range(1, 65):
+        a = _krylov_step_input(kind, dim, p, rng)
+        unit, src = _unit_rows(a)
+        assert np.count_nonzero(unit) == {"dense": 0, "permutation": dim}.get(kind, (dim + 1) // 2)
+        r = rng.integers(0, p, dim)
+        got = _krylov_steps(a, r, 2 * dim, p, unit, src)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _naive_krylov(Matrix(field, a), r, dim).a)
 
 
 def test_krylov_rejects_non_square(f7):
