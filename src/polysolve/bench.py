@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .field import DEFAULT_PRIME, PrimeField
 from .poly import Monomial, Polynomial, TermOrder
-from .solver import SolveConfig, SolveReport, solve_deterministic, solve_lasvegas
+from .solver import SolveReport, solve_deterministic, solve_lasvegas
 
 
 def appendix_family(n: int, field: PrimeField | None = None, seed: int = 0) -> list[Polynomial]:
@@ -71,15 +71,14 @@ def record_from_report(report: SolveReport) -> dict:
                    s.nf_type2_tn, s.tn_density, s.total_time)
 
 
-def run_bench(n: int, seed: int = 0, with_fglm: bool = False,
-              config: SolveConfig | None = None) -> list[dict]:
+def run_bench(n: int, seed: int = 0, with_fglm: bool = False) -> list[dict]:
     """Both pipelines on the same seed-fixed instance; optionally also time
     the column-by-column builder for reference."""
     F = appendix_family(n, seed=seed)
     rng_det = random.Random(seed + 1)
     rng_lv = random.Random(seed + 2)
     records = [record_from_report(solve_deterministic(F, rng_det))]
-    records.append(record_from_report(solve_lasvegas(F, rng_lv, config=config)))
+    records.append(record_from_report(solve_lasvegas(F, rng_lv)))
     if with_fglm:
         from .gb import buchberger
         from .quotient import build_matrices_fglm, compute_basis, compute_frontier

@@ -26,9 +26,9 @@ import numpy as np
 from .errors import ChangeOrderingFailed
 from .field import PrimeField
 from .gb import GroebnerBasis
-from .linalg import KrylovStats, Matrix, _mul_arrays, krylov_columns
+from .linalg import KrylovStats, _mul_arrays, krylov_columns
 from .poly import Monomial, Polynomial
-from .quotient import QuotientStructure, _nf_rows
+from .quotient import MulMatrix, QuotientStructure, _nf_rows
 from .recur import _trim_coeffs, berlekamp_massey, parametrizations
 
 
@@ -76,7 +76,7 @@ class UnivariateRep:
         return tuple(vals)
 
 
-def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
+def change_ordering(tn: MulMatrix, gb: GroebnerBasis, quotient: QuotientStructure,
                     rng) -> tuple[UnivariateRep, KrylovStats]:
     """Shape-position representation from the last multiplication matrix,
     with the product counts of its Krylov matrix.
@@ -86,8 +86,6 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     new random form and, if that keeps failing, conclude the ideal is not in
     shape position for this coordinate choice.
     """
-    if hasattr(tn, "matrix"):  # accept the annotated wrapper or a bare Matrix
-        tn = tn.matrix
     fld = quotient.field
     p = fld.p
     n = quotient.n
@@ -96,7 +94,7 @@ def change_ordering(tn: Matrix, gb: GroebnerBasis, quotient: QuotientStructure,
     r = fld.random_vector(D, rng)
     # Row psi(m) of K is the sequence r(x_n^j m), so row psi(1) is S and
     # c K is the sequence of the element with normal-form coordinates c.
-    K = krylov_columns(tn.transpose(), r, D, stats=stats)
+    K = krylov_columns(tn.matrix.transpose(), r, D, stats=stats)
     S = [int(v) for v in K.a[quotient.psi(Monomial.one(n))]]
     mu = berlekamp_massey(S, fld)
     if len(mu) - 1 < D:

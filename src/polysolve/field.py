@@ -84,10 +84,6 @@ class PrimeField:
 
     # -- randomness ----------------------------------------------------------
 
-    def random_element(self, rng) -> int:
-        """Uniform residue from a seeded random.Random instance."""
-        return rng.randrange(self.p)
-
     def random_vector(self, n: int, rng) -> list[int]:
         return [rng.randrange(self.p) for _ in range(n)]
 

@@ -62,9 +62,6 @@ class GroebnerBasis:
                            for lm, row in zip(self.leading_monomials, self.tails.tolist())]
         return self._polys
 
-    def leading_set(self) -> set[Monomial]:
-        return set(self.leading_monomials)
-
     def __iter__(self):
         return iter(self.polys)
 
@@ -161,13 +158,6 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
         if not any(m.exps[i] and m.support() == [i] for m in gb.leading_monomials):
             return False
     return True
-
-
-def degree(gb: GroebnerBasis) -> int:
-    """Vector-space dimension of the quotient ring."""
-    from .quotient import compute_basis
-
-    return len(compute_basis(gb).basis)
 
 
 def lex_oracle(polys, n: int, field: PrimeField | None = None):

@@ -126,10 +126,6 @@ class TermOrder:
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def max(self, monomials):
         return max(monomials, key=self.key)
 
@@ -207,15 +203,6 @@ class Polynomial:
 
     def constant_term(self) -> int:
         return self.terms.get(Monomial.one(self.n), 0)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def support_vars(self) -> set[int]:
-        used: set[int] = set()
-        for m in self.terms:
-            used.update(m.support())
-        return used
 
     def is_univariate_in(self, var: int) -> bool:
         return all(not s or s == [var] for s in (m.support() for m in self.terms))

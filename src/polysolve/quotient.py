@@ -4,9 +4,13 @@ multiplication matrices.
 Given a reduced degree-reverse-lexicographic basis, this module computes the
 monomial basis B of the quotient (standard monomials, sorted increasingly)
 and ``tails``, the row psi(NF(lm)) of every leading monomial lm, which later
-steps copy; it classifies the frontier {x_i * eps : eps in B} \\ B with a
-table ``targets`` that locates every product x_k * eps_l in B or in the
-frontier, and builds the multiplication matrices three ways:
+steps copy.  ``compute_frontier`` describes the frontier {x_i * eps : eps in
+B} \\ B by integer tables only: ``targets`` locates every product
+x_k * eps_l in B or in the frontier, ``gen_row`` marks the leading monomials
+by their row of ``tails``, and ``witness_var``/``witness_row`` give every
+other member as x_k times a member one degree down.  Both computing
+builders read those tables; the multiplication matrices are built three
+ways:
 
 * ``build_matrices_fglm``     — one normal form at a time, in increasing
   order, each product-type frontier monomial costing one matrix-vector
@@ -109,68 +113,52 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
     return q
 
 
-@dataclass
-class FrontierMember:
-    """One monomial of {x_i eps} \\ B with its classification.
+@dataclass(eq=False)
+class Frontier:
+    """The frontier {x_i eps} \\ B as tables, filled by ``compute_frontier``.
 
-    kind "generator": the monomial is a leading monomial; its normal form is
-    its row of ``QuotientStructure.tails``.  kind "product": the monomial is
-    x_k * t' for another frontier monomial t' one degree down; its normal
-    form is a linear combination of columns of the k-th matrix.
-    ``parent_vars`` lists every i with monomial / x_i in B, i.e. the
-    matrices this monomial provides a column for.
+    ``monomials[f]`` is member f, sorted increasingly in the working order.
+    ``targets[k, l]`` is j < D when x_k * eps_l is the basis monomial eps_j,
+    and D + f when it is member f; for a fixed k the map is injective, so
+    member f provides a column of the k-th matrix exactly when D + f occurs
+    in ``targets[k]``.  ``gen_row[f]`` is the member's row of
+    ``QuotientStructure.tails`` when it is a leading monomial, else -1.
+    Every other member is x_k * t' for the member t' one degree down with
+    ``witness_var[f]`` = k and ``witness_row[f]`` = the index of t' (both -1
+    for a leading monomial); its normal form is T_k NF(t').
     """
 
-    monomial: Monomial
-    kind: str
-    parent_vars: tuple[int, ...]
-    witness_var: int = -1
-    witness: Monomial | None = None
-
-    @property
-    def degree(self) -> int:
-        return self.monomial.deg
-
-
-class Frontier:
-    """All frontier members, sorted increasingly in the working order, and
-    the n x D table ``targets`` built by ``compute_frontier``."""
-
-    __slots__ = ("members", "index", "targets")
-
-    def __init__(self, members: list[FrontierMember], targets: np.ndarray):
-        self.members = members
-        self.index = {m.monomial: i for i, m in enumerate(members)}
-        self.targets = targets
+    monomials: list[Monomial]
+    targets: np.ndarray
+    gen_row: np.ndarray
+    witness_var: np.ndarray
+    witness_row: np.ndarray
 
     def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+        return len(self.monomials)
 
     @property
     def type2_nf(self) -> int:
         """Frontier monomials needing a computed normal form, over all
         variables: the normal forms the degree-by-degree builder computes."""
-        return sum(1 for m in self.members if m.kind == "product")
+        return int(np.count_nonzero(self.witness_var >= 0))
 
     def type2_for_var(self, i: int) -> int:
         """Frontier monomials x_i * eps needing a computed normal form —
         the cost of building the i-th matrix alone the classical way."""
-        return sum(1 for m in self.members if m.kind == "product" and i in m.parent_vars)
+        tgt = self.targets[i]
+        dim = tgt.size
+        return int(np.count_nonzero(self.witness_var[tgt[tgt >= dim] - dim] >= 0))
 
 
 def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier:
     """Classify the frontier and locate every product x_k * eps_l.
 
-    ``targets[k, l]`` is j < D when x_k * eps_l is the basis monomial eps_j,
-    and D + f when it is frontier member f; for a fixed k the map is
-    injective.  This is the one place that decides where a product lands.
+    This is the one place that decides where a product lands and how each
+    member's normal form is obtained.
     """
     n = quotient.n
     dim = quotient.dimension
-    order = quotient.order
     targets = [[0] * dim for _ in range(n)]
     cells: dict[Monomial, list[tuple[int, int]]] = {}
     for l, eps in enumerate(quotient.basis):
@@ -181,22 +169,26 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
                 cells.setdefault(t, []).append((i, l))
             else:
                 targets[i][l] = j
-    members = []
-    for f, t in enumerate(sorted(cells, key=order.key)):
+    monomials = sorted(cells, key=quotient.order.key)
+    row = {t: f for f, t in enumerate(monomials)}
+    gen_row = [-1] * len(monomials)
+    witness_var = [-1] * len(monomials)
+    witness_row = [-1] * len(monomials)
+    for f, t in enumerate(monomials):
         for i, l in cells[t]:
             targets[i][l] = dim + f
-        pv = tuple(sorted(i for i, _ in cells[t]))
         if t in quotient.lead_row:
-            members.append(FrontierMember(t, "generator", pv))
+            gen_row[f] = quotient.lead_row[t]
             continue
         for k in t.support():
-            t_prev = t.div_var(k)
-            if t_prev in cells:
-                members.append(FrontierMember(t, "product", pv, witness_var=k, witness=t_prev))
+            w = row.get(t.div_var(k))
+            if w is not None:
+                witness_var[f], witness_row[f] = k, w
                 break
         else:
             raise ClassificationFailure(f"{t} is neither a leading monomial nor a shifted frontier monomial")
-    return Frontier(members, np.array(targets, dtype=np.int64))
+    return Frontier(monomials, *(np.array(a, dtype=np.int64)
+                                 for a in (targets, gen_row, witness_var, witness_row)))
 
 
 @dataclass
@@ -216,30 +208,32 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
     Frontier monomials are processed in increasing order; a product-type
     monomial x_k t' costs one matrix-vector product T_k . psi(NF(t'))
     (columns of T_k not yet filled are never touched because the
-    corresponding coordinates of NF(t') vanish).
+    corresponding coordinates of NF(t') vanish).  Unit columns and the
+    columns each member fills are read from ``targets``.
     """
     if frontier is None:
         frontier = compute_frontier(quotient, gb)
-    n = quotient.n
     p = quotient.field.p
     dim = quotient.dimension
+    targets = frontier.targets
     # float64-resident, so the kernel reads them without a conversion
-    mats = [np.zeros((dim, dim), dtype=np.float64) for _ in range(n)]
-    for j, eps in enumerate(quotient.basis):
-        for i in range(n):
-            t = eps.mul_var(i)
-            if t in quotient.index:
-                mats[i][quotient.index[t], j] = 1
-    nf: dict[Monomial, np.ndarray] = {}
-    for mem in frontier:
-        if mem.kind == "generator":
-            vec = quotient.tails[quotient.lead_row[mem.monomial]]
+    mats = np.zeros((quotient.n, dim, dim), dtype=np.float64)
+    ks, ls = np.nonzero(targets < dim)
+    mats[ks, targets[ks, ls], ls] = 1
+    # cells[f]: the columns (k, l) that member f fills
+    cells: list[list[tuple[int, int]]] = [[] for _ in range(len(frontier))]
+    ks, ls = np.nonzero(targets >= dim)
+    for k, l, f in zip(ks.tolist(), ls.tolist(), (targets[ks, ls] - dim).tolist()):
+        cells[f].append((k, l))
+    nf = np.zeros((len(frontier), dim), dtype=np.int64)
+    for f, (k, g, w) in enumerate(zip(frontier.witness_var.tolist(), frontier.gen_row.tolist(),
+                                      frontier.witness_row.tolist())):
+        if k < 0:
+            nf[f] = quotient.tails[g]
         else:
-            alpha = nf[mem.witness]
-            vec = _mul_arrays(mats[mem.witness_var], alpha[:, None], p).ravel()
-        nf[mem.monomial] = vec
-        for i in mem.parent_vars:
-            mats[i][:, quotient.index[mem.monomial.div_var(i)]] = vec
+            nf[f] = _mul_arrays(mats[k], nf[w, :, None], p).ravel()
+        for i, l in cells[f]:
+            mats[i, :, l] = nf[f]
     out = [MulMatrix(i, Matrix(quotient.field, m.astype(np.int64))) for i, m in enumerate(mats)]
     return out, frontier
 
@@ -277,21 +271,20 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     p = fld.p
     dim = quotient.dimension
     total = len(frontier)
-    members = frontier.members
     targets = frontier.targets
-    witness_var = np.array([m.witness_var for m in members], dtype=np.int64)
-    witness_row = np.array([frontier.index[m.witness] if m.kind == "product" else -1
-                            for m in members], dtype=np.int64)
-    gen_row = np.array([quotient.lead_row[m.monomial] if m.kind == "generator" else -1
-                        for m in members], dtype=np.int64)
+    gen_row, witness_var, witness_row = frontier.gen_row, frontier.witness_var, frontier.witness_row
     basis_deg = np.array([eps.deg for eps in quotient.basis], dtype=np.int64)
-    cuts = (np.flatnonzero(np.diff([m.degree for m in members])) + 1).tolist()
+    # a member is one degree above each basis monomial it extends
+    deg = np.zeros(total, dtype=np.int64)
+    front = targets >= dim
+    deg[targets[front] - dim] = np.broadcast_to(basis_deg + 1, targets.shape)[front]
+    cuts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
 
     # row f holds NF(frontier member f), in frontier order
     nf = np.zeros((total, dim), dtype=np.int64)
     for lo, hi in zip([0] + cuts, cuts + [total]):
         s = hi - lo
-        low = int(np.searchsorted(basis_deg, members[lo].degree))
+        low = int(np.searchsorted(basis_deg, deg[lo]))
         # member lo + r is rhs[r] plus a combination of earlier members of
         # the slice; t holds that relation in descending member order
         rhs = np.zeros((s, dim), dtype=np.int64)

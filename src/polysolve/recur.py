@@ -69,10 +69,6 @@ def berlekamp_massey(seq, field: PrimeField) -> list[int]:
     return [int(c[ell - k]) for k in range(ell + 1)]
 
 
-def minimal_polynomial_degree(seq, field: PrimeField) -> int:
-    return len(berlekamp_massey(seq, field)) - 1
-
-
 def hankel_matrix(seq, dim: int, field: PrimeField) -> Matrix:
     """Materialized dim x dim Hankel matrix (tests and rank checks only;
     the solving paths work from the defining sequence)."""

@@ -56,9 +56,9 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(line) and line[j].isdigit():
+            while j < len(line) and line[j].isdecimal():
                 j += 1
             out.append(_Token("int", line[i:j], col))
             i = j
@@ -193,7 +193,7 @@ def parse_system(text: str) -> ParsedSystem:
     if len(parts) != 2 or parts[0].strip() != "p":
         raise ParseError("expected a 'p = <prime>' header line", no, 1)
     pstr = parts[1].strip()
-    if not pstr.isdigit():
+    if not pstr.isdecimal():
         raise ParseError(f"modulus must be a positive integer, got {pstr!r}", no, 1)
     field = PrimeField(int(pstr))  # NonPrimeModulus on bad modulus
 

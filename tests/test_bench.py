@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import random
@@ -9,8 +11,12 @@ from polysolve.bench import appendix_family, format_table, record_from_report, r
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger
 from polysolve.poly import Monomial, TermOrder
-from polysolve.quotient import compute_basis, compute_frontier
+from polysolve.quotient import build_matrices_echelon, compute_basis, compute_frontier
 from polysolve.solver import solve_deterministic
+
+# perfbench/tracer.py names functions that are gone; it reports them as
+# "not found" until the benchmark drops them
+STALE_TRACER_TARGETS = {("linalg", "block_echelon"), ("recur", "hankel_solve")}
 
 
 def test_family_shape():
@@ -98,3 +104,26 @@ def test_worstcase_script_runs_from_a_clean_checkout(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["n"] == 2
+
+
+def _tracer_targets():
+    """``TARGETS`` of perfbench/tracer.py, read from its source without running it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    for mod, fn in set(_tracer_targets()) - STALE_TRACER_TARGETS:
+        assert callable(getattr(importlib.import_module(f"polysolve.{mod}"), fn, None)), \
+            f"perfbench/tracer.py wraps polysolve.{mod}.{fn}, which does not exist"
+
+
+def test_echelon_frontier_count_is_an_int():
+    # the tracer adds build_matrices_echelon(...)[1].type2_nf to its counters
+    gb = buchberger(appendix_family(3), TermOrder.drl(3))
+    nf = build_matrices_echelon(compute_basis(gb), gb)[1].type2_nf
+    assert type(nf) is int and nf > 0

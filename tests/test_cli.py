@@ -150,6 +150,18 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gb", "solve"])
+@pytest.mark.parametrize("text", ["p = 7\u00b2\nvars = x\nx\n", "p = 7\nvars = x\nx^\u00b2\n",
+                                  "p = 7\nvars = x\n2\u00b2*x\n"],
+                         ids=["modulus", "exponent", "coefficient"])
+def test_exit_code_unicode_digit(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "column" in err and "Traceback" not in err
+
+
 def test_exit_code_missing_file(capsys):
     assert main(["gb", "/nonexistent/system.txt"]) == 1
     assert "error:" in capsys.readouterr().err

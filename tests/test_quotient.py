@@ -97,6 +97,12 @@ def test_compute_basis_rejects_positive_dimension(f7):
         compute_basis(gb)
 
 
+def _parent_vars(fr, f):
+    """The variables i for which member f is a column of the i-th matrix."""
+    return [i for i in range(fr.targets.shape[0])
+            if fr.targets.shape[1] + f in fr.targets[i]]
+
+
 def test_frontier_worked_example(f7):
     x, y = _xy(f7)
     gb = buchberger([x - y * y, y ** 3 - Polynomial.constant(f7, 2, 2)],
@@ -104,8 +110,9 @@ def test_frontier_worked_example(f7):
     q = compute_basis(gb)
     fr = compute_frontier(q, gb)
     # frontier = {y^2, xy, x^2}, every one a leading monomial (no products)
-    assert sorted(m.monomial.exps for m in fr) == [(0, 2), (1, 1), (2, 0)]
-    assert all(m.kind == "generator" for m in fr)
+    assert [m.exps for m in fr.monomials] == [(0, 2), (1, 1), (2, 0)]
+    assert [gb.leading_monomials[r] for r in fr.gen_row] == fr.monomials
+    assert fr.witness_var.tolist() == fr.witness_row.tolist() == [-1, -1, -1]
     assert fr.type2_nf == 0
 
 
@@ -116,14 +123,19 @@ def test_frontier_product_classification(f7):
     gb = buchberger([x * x, x * y, y ** 3], TermOrder.drl(2))
     q = compute_basis(gb)
     fr = compute_frontier(q, gb)
-    by_mono = {m.monomial.exps: m for m in fr}
-    assert set(by_mono) == {(2, 0), (1, 1), (0, 3), (1, 2)}
-    assert by_mono[(1, 2)].kind == "product"
-    assert by_mono[(1, 2)].witness_var == 1
-    assert by_mono[(1, 2)].witness == Monomial((1, 1))
+    row = {m.exps: f for f, m in enumerate(fr.monomials)}
+    assert set(row) == {(2, 0), (1, 1), (0, 3), (1, 2)}
+    f = row[(1, 2)]
+    assert fr.gen_row[f] == -1
+    assert fr.witness_var[f] == 1
+    assert fr.monomials[fr.witness_row[f]] == Monomial((1, 1))
+    for exps in ((2, 0), (1, 1), (0, 3)):
+        g = row[exps]
+        assert gb.leading_monomials[fr.gen_row[g]] == Monomial(exps)
+        assert fr.witness_var[g] == fr.witness_row[g] == -1
     assert fr.type2_nf == 1
     # x*y^2 arises as x * (y^2): only parent variable is x (index 0)
-    assert by_mono[(1, 2)].parent_vars == (0,)
+    assert _parent_vars(fr, f) == [0]
     assert fr.type2_for_var(0) == 1 and fr.type2_for_var(1) == 0
 
 
@@ -135,11 +147,23 @@ def test_frontier_covers_all_products():
     fr = compute_frontier(q, gb)
     basis = set(q.basis)
     products = {b.mul_var(i) for b in q.basis for i in range(3)} - basis
-    assert {m.monomial for m in fr} == products
-    for m in fr:
-        assert m.parent_vars == tuple(i for i in range(3)
-                                      if m.monomial.exps[i]
-                                      and m.monomial.div_var(i) in basis)
+    assert set(fr.monomials) == products and len(fr) == len(products)
+    assert fr.monomials == sorted(products, key=gb.order.key)
+    for f, m in enumerate(fr.monomials):
+        assert _parent_vars(fr, f) == [i for i in range(3)
+                                       if m.exps[i] and m.div_var(i) in basis]
+        # a leading monomial, or x_k times a member one degree down
+        if m in gb.leading_monomials:
+            assert gb.leading_monomials[fr.gen_row[f]] == m
+            assert fr.witness_var[f] == fr.witness_row[f] == -1
+        else:
+            assert fr.gen_row[f] == -1
+            w = fr.monomials[fr.witness_row[f]]
+            assert w.mul_var(int(fr.witness_var[f])) == m
+    witnessed = [f for f in range(len(fr)) if fr.gen_row[f] < 0]
+    assert fr.type2_nf == len(witnessed)
+    for i in range(3):
+        assert fr.type2_for_var(i) == sum(i in _parent_vars(fr, f) for f in witnessed)
 
 
 def test_frontier_targets_locate_products():
@@ -157,7 +181,7 @@ def test_frontier_targets_locate_products():
                 if v < dim:
                     assert q.basis[v] == t
                 else:
-                    assert fr.members[v - dim].monomial == t
+                    assert fr.monomials[v - dim] == t
             assert len(set(fr.targets[k].tolist())) == dim
 
 

@@ -9,8 +9,7 @@ from polysolve.errors import ZeroInverse
 from polysolve.field import PrimeField
 from polysolve.recur import (_euclid, _inverse_series, _poly_mul, _rem, _safe_dot,
                              berlekamp_massey, hankel_matrix, is_squarefree,
-                             minimal_polynomial_degree, parametrizations,
-                             univariate_derivative)
+                             parametrizations, univariate_derivative)
 
 
 def _recurrent_sequence(field, order, length, rng):
@@ -35,7 +34,6 @@ def test_berlekamp_massey_frozen_cases(f7):
     assert berlekamp_massey([0, 0, 0, 0], f7) == [1]
     # geometric sequence r^k: z - r
     assert berlekamp_massey([1, 3, 2, 6], f7) == [4, 1]
-    assert minimal_polynomial_degree(fib, f7) == 2
 
 
 def test_berlekamp_massey_is_monic_and_minimal(f101):

@@ -97,6 +97,18 @@ def test_stray_character():
         parse_system("p = 7\nvars = x\nx % 2\n")
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("p = 7\u00b2\nvars = x\nx\n", 1, 1),
+    ("p = 7\nvars = x\nx^\u00b2\n", 3, 3),
+    ("p = 7\nvars = x\n2\u00b2*x\n", 3, 2),
+], ids=["modulus", "exponent", "coefficient"])
+def test_unicode_digits_are_parse_errors(text, line, col):
+    # superscripts pass str.isdigit() but int() rejects them
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert f"line {line}, column {col}" in str(err.value)
+
+
 def test_format_round_trip():
     parsed = parse_system(GOOD)
     text = format_system(parsed)
