@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse errors, 2 violated preconditions
 (non-prime modulus, not zero-dimensional, not in shape position, budget,
-invalid --threads, solve, bench or probbound arguments), 3 exhausted
-restarts.
+out of memory, invalid --threads, solve, bench or probbound arguments),
+3 exhausted restarts.
 """
 
 from __future__ import annotations
@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except (NonPrimeModulus, NotZeroDimensional, NotShapePosition,
             BudgetExceeded, NotReadable) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. the D x D matrices of a huge quotient
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ExhaustedRestarts as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,7 +95,11 @@ def _interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
 
 
 def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``polys``."""
+    """Reduced Groebner basis of the ideal generated by ``polys``, which
+    must all lie in one ring."""
+    polys = list(polys)
+    for f in polys[1:]:
+        polys[0]._check(f)
     inputs = [f for f in polys if not f.is_zero()]
     if not inputs:
         if field is None:

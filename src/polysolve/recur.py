@@ -1,22 +1,23 @@
-"""Linearly recurrent sequences: Berlekamp-Massey, the univariate core,
-squarefree test.
+"""Linearly recurrent sequences on one univariate core: Berlekamp-Massey,
+the Hankel solves of the change of ordering, squarefree test.
 
 The minimal polynomial is returned in the monic "characteristic" convention:
 ``mu = x^L + c_{L-1} x^{L-1} + ... + c_0`` with ``sum_k mu[k] * S[j+k] = 0``
 for every window, so that when the sequence comes from a multiplication
-matrix and has full degree, ``mu`` IS the univariate eliminant.  (This is the
-reversal of the LFSR connection polynomial, zero-padded to the register
-length, so the degree equals the recurrence order even when the trailing
-connection coefficient vanishes.)
+matrix and has full degree, ``mu`` IS the univariate eliminant.
 
 The univariate core works on ascending int64 coefficient arrays: products
 by Kronecker substitution into Python ints (which CPython multiplies by
 Karatsuba), an extended Euclid on preallocated arrays, and reduction modulo
-a monic polynomial through the Newton inverse of its reversal.
-``parametrizations`` solves the Hankel systems H c = b, H[i][j] = seq[i+j],
-of the change of ordering with it: no Hankel matrix is formed, and there is
-no fallback, because the numerator of the sequence is invertible modulo its
-minimal polynomial exactly when H is nonsingular.
+a monic polynomial through the Newton inverse of its reversal.  Every
+quadratic step is that one Euclid.  ``berlekamp_massey`` runs it halfway on
+x^N and the reversed sequence: the cofactor at the first remainder of lower
+degree than its cofactor is mu.  ``parametrizations`` runs it to the end to
+invert the sequence's numerator modulo mu, and so solves the Hankel systems
+H c = b, H[i][j] = seq[i+j], of the change of ordering: no Hankel matrix is
+formed, and there is no fallback, because the numerator is invertible
+modulo mu exactly when H is nonsingular.  ``is_squarefree`` runs it on a
+polynomial and its derivative.
 """
 
 from __future__ import annotations
@@ -30,43 +31,26 @@ from .field import PrimeField
 from .linalg import Matrix, _sub_mod
 
 
-def _safe_dot(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    # canonical residues below 2^31: each product is below 2^62 and each
-    # reduced term below 2^31, so the int64 sum is exact
-    return int((a * b % p).sum() % p)
-
-
 def berlekamp_massey(seq, field: PrimeField) -> list[int]:
     """Minimal polynomial of a scalar sequence, ascending coefficients.
 
-    Returns [c_0, ..., c_{L-1}, 1]; the zero sequence gives [1].
+    Returns [c_0, ..., c_{L-1}, 1]; the zero and the empty sequence give
+    [1].  A monic mu of degree L annihilates every window of s_0..s_{N-1}
+    exactly when mu S mod x^N has degree below L, for S = sum_j s_j
+    x^(N-1-j).  So the extended Euclid on (x^N, S), stopped at the first
+    remainder of lower degree than its cofactor, yields mu as that
+    cofactor made monic (Dornstetter 1987).
+
+    mu is unique when 2L <= N, as in the change of ordering, where
+    L <= D and N = 2D.  On a shorter sequence several monic annihilators
+    of the minimal degree L can exist; one of them is returned.
     """
     p = field.p
     s = np.asarray(list(seq), dtype=np.int64) % p
-    nlen = s.shape[0]
-    # connection polynomial c(x), ascending; register length ell
-    c = np.zeros(nlen + 1, dtype=np.int64)
-    b = np.zeros(nlen + 1, dtype=np.int64)
-    c[0] = b[0] = 1
-    ell, m, bb = 0, 1, 1
-    for i in range(nlen):
-        if ell:
-            d = (int(s[i]) + _safe_dot(c[1:ell + 1], s[i - ell:i][::-1], p)) % p
-        else:
-            d = int(s[i]) % p
-        if d == 0:
-            m += 1
-        elif 2 * ell <= i:
-            t = c.copy()
-            coef = d * pow(bb, -1, p) % p
-            c[m:nlen + 1] = (c[m:nlen + 1] - coef * b[:nlen + 1 - m]) % p
-            ell, b, bb, m = i + 1 - ell, t, d, 1
-        else:
-            coef = d * pow(bb, -1, p) % p
-            c[m:nlen + 1] = (c[m:nlen + 1] - coef * b[:nlen + 1 - m]) % p
-            m += 1
-    # reverse to the monic characteristic convention, padded to degree ell
-    return [int(c[ell - k]) for k in range(ell + 1)]
+    xn = np.zeros(s.shape[0] + 1, dtype=np.int64)
+    xn[-1] = 1
+    _, t = _euclid(xn, s[::-1], p, half=True)
+    return (t * pow(int(t[-1]), -1, p) % p).tolist()
 
 
 def hankel_matrix(seq, dim: int, field: PrimeField) -> Matrix:
@@ -165,13 +149,16 @@ def _degree(a: np.ndarray, d: int) -> int:
     return d
 
 
-def _euclid(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _euclid(a: np.ndarray, b: np.ndarray, p: int,
+            half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Extended Euclid for a of degree len(a) - 1 > deg b: the last nonzero
     remainder g (not made monic) and the cofactor t with t b = g mod a.
 
-    Remainders and cofactors live in four preallocated arrays that trade
-    places each step; degrees are tracked as ints, and entries above a
-    remainder's degree are stale, never read.
+    With ``half`` it stops earlier, at the first remainder r of lower
+    degree than its cofactor t, and returns (r, t): the minimal polynomial
+    step of ``berlekamp_massey``.  Remainders and cofactors live in four
+    preallocated arrays that trade places each step; degrees are tracked
+    as ints, and entries above a remainder's degree are stale, never read.
     """
     n = a.shape[0]
     r0 = a.astype(np.int64)
@@ -182,7 +169,7 @@ def _euclid(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     t1[0] = 1
     d0, d1 = n - 1, _degree(r1, b.shape[0] - 1)
     e0, e1 = -1, 0                       # deg t0 < deg t1
-    while d1 >= 0:
+    while d1 >= (e1 if half else 0):
         # divide r0 by r1 in place; t0 -= (the quotient) t1 alongside
         inv = pow(int(r1[d1]), -1, p)
         low, tc = r1[:d1], t1[:e1 + 1]
@@ -198,6 +185,8 @@ def _euclid(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
                 seg %= p
         r0, r1, t0, t1 = r1, r0, t1, t0
         d0, d1, e0, e1 = d1, _degree(r1, d1 - 1), e1, e1 + d0 - d1
+    if half:
+        return r1[:d1 + 1].copy(), t1[:e1 + 1].copy()
     return r0[:d0 + 1].copy(), t0[:e0 + 1].copy()
 
 

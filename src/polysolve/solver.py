@@ -165,8 +165,8 @@ def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
     return groebner_from_matrices(mats, fld, n, TermOrder.drl(n))
 
 
-def solve_lasvegas(F: list[Polynomial], rng=None, config: SolveConfig | None = None,
-                   first_transform: Matrix | None = None) -> SolveReport:
+def solve_lasvegas(F: list[Polynomial], rng=None,
+                   config: SolveConfig | None = None) -> SolveReport:
     """Random change of variables until the last multiplication matrix can
     be read for free; the returned representation describes the transformed
     system, with ``g`` attached (original solutions are {g v})."""
@@ -186,8 +186,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None, config: SolveConfig | None = N
     chord_failures = 0
     retries = 0
     for attempt in range(cfg.max_restarts):
-        g = first_transform if (attempt == 0 and first_transform is not None) \
-            else fld.random_nonsingular_matrix(n, rng)
+        g = fld.random_nonsingular_matrix(n, rng)
         t1 = time.perf_counter()
         gbT = _transformed_gb_from_matrices(gb0, Q0, mats0, g, cfg)
         QT = compute_basis(gbT)

@@ -194,6 +194,18 @@ def test_exit_code_exhausted_restarts(tmp_path, capsys):
     assert main(["solve", str(path), "--lv", "--max-restarts", "2"]) == 3
 
 
+def test_exit_code_out_of_memory(worked_file, capsys, monkeypatch):
+    from polysolve import solver
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+    monkeypatch.setattr(solver, "solve_deterministic", exhausted)
+    assert main(["solve", worked_file]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 32.0 GiB for an array\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["probbound", "--n", "2", "--q", "101", "--degrees", "2"],
     ["probbound", "--n", "2", "--q", "101", "--degrees", "2,x"],

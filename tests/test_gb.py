@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (eliminate_block_by_rows, monomials_up_to, random_zero_dim_system,
                      shape_instance)
 from polysolve.bench import appendix_family
-from polysolve.errors import NotShapePosition, NotZeroDimensional
+from polysolve.errors import DimensionMismatch, NotShapePosition, NotZeroDimensional
 from polysolve.field import PrimeField
 from polysolve.gb import (buchberger, groebner_from_matrices, is_zero_dimensional, lex_oracle,
                           shape_rep_from_lex)
@@ -107,6 +107,18 @@ def test_buchberger_infers_field_and_checks_input(f7):
     x, y = _xy(f7)
     gb = buchberger([x, y], TermOrder.drl(2))
     assert gb.field.p == 7 and len(gb) == 2
+
+
+def test_buchberger_rejects_mixed_rings(f7, f101):
+    x101 = Polynomial.variable(f101, 2, 0)
+    y7 = Polynomial.variable(f7, 2, 1)
+    y7_3 = Polynomial.variable(f7, 3, 1)
+    x7 = Polynomial.variable(f7, 2, 0)
+    for polys in ([x101, y7], [x7, y7_3], [x7, y7, Polynomial.zero(f101, 2)]):
+        with pytest.raises(DimensionMismatch, match="different rings"):
+            buchberger(polys, TermOrder.drl(2))
+        with pytest.raises(DimensionMismatch):
+            lex_oracle(polys, 2)
 
 
 def test_lex_oracle_worked_example(f7):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import levinson_breakdown_sequence
 from polysolve.errors import ZeroInverse
 from polysolve.field import PrimeField
-from polysolve.recur import (_euclid, _inverse_series, _poly_mul, _rem, _safe_dot,
-                             berlekamp_massey, hankel_matrix, is_squarefree,
-                             parametrizations, univariate_derivative)
+from polysolve.recur import (_euclid, _inverse_series, _poly_mul, _rem, berlekamp_massey,
+                             hankel_matrix, is_squarefree, parametrizations,
+                             univariate_derivative)
 
 
 def _recurrent_sequence(field, order, length, rng):
@@ -79,6 +80,70 @@ def _hankel_inverse_solve(seq, block, field):
     dim = block.shape[1]
     hinv = hankel_matrix(seq, dim, field).inverse().a.astype(object)
     return (hinv @ block.T.astype(object) % field.p).T.astype(np.int64)
+
+
+def _annihilates(mu, seq, p):
+    d = len(mu) - 1
+    return all(sum(c * seq[j + k] for k, c in enumerate(mu)) % p == 0
+               for j in range(len(seq) - d))
+
+
+def _oracle_minpoly(seq, dim, field):
+    """The monic mu of degree dim whose low coefficients c solve
+    H c = -(seq[dim], ..., seq[2 dim - 1]), H the dim x dim Hankel matrix."""
+    if dim == 0:
+        return [1]
+    rhs = np.array([[-v % field.p for v in seq[dim:2 * dim]]], dtype=np.int64)
+    return _hankel_inverse_solve(seq, rhs, field)[0].tolist() + [1]
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_berlekamp_massey_matches_hankel_oracle(p):
+    # 2L <= N: the minimal polynomial is unique, so it must equal the one
+    # solved from the L x L Hankel system
+    field = PrimeField(p)
+    rng = random.Random(p % 1009)
+    cases = [([], 0), ([0] * 9, 0)]
+    for dim in range(1, 40):
+        cases.append((_nonsingular_hankel_sequence(field, dim, rng), dim))   # full degree
+        while True:                                                          # deficient
+            seq = _recurrent_sequence(field, dim, 2 * dim + 1 + rng.randrange(dim + 2), rng)
+            if hankel_matrix(seq, dim, field).rank() == dim:
+                break
+        cases.append((seq, dim))
+    for seq, dim in cases:
+        mu = berlekamp_massey(seq, field)
+        assert 2 * dim <= len(seq)
+        assert mu == _oracle_minpoly(seq, dim, field), (len(seq), dim)
+
+
+def test_berlekamp_massey_short_sequences_are_minimal(f7):
+    # 2L > N: mu need not be unique, but it is monic, annihilates every
+    # window, and no monic polynomial of lower degree does (brute force)
+    rng = random.Random(17)
+    seen = 0
+    for _ in range(400):
+        seq = [rng.randrange(7) if rng.random() < 0.6 else 0 for _ in range(rng.randrange(1, 7))]
+        mu = berlekamp_massey(seq, f7)
+        d = len(mu) - 1
+        if 2 * d <= len(seq):
+            continue
+        seen += 1
+        assert mu[-1] == 1 and _annihilates(mu, seq, 7)
+        for k in range(d):
+            # every monic polynomial of degree k, one per row: low coefficients
+            # then the leading 1; a row annihilates when all windows vanish
+            mus = np.array([low + (1,) for low in itertools.product(range(7), repeat=k)])
+            windows = np.array([seq[j:j + k + 1] for j in range(len(seq) - k)]).reshape(-1, k + 1)
+            assert (mus @ windows.T % 7).any(axis=1).all(), (seq, k)
+    assert seen > 50
+
+
+def test_berlekamp_massey_returns_python_ints(f65521):
+    # the change of ordering concatenates it into UnivariateRep coefficients
+    for seq in ([], [0, 0], [1, 2, 3, 5, 8, 13], np.arange(6, dtype=np.int64)):
+        mu = berlekamp_massey(seq, f65521)
+        assert type(mu) is list and all(type(c) is int for c in mu)
 
 
 @pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
@@ -258,10 +323,3 @@ def test_gcd_divides_both_inputs(seed):
     # the cofactor: t b = g mod a
     tb = _divmod_schoolbook(_schoolbook(t, b, 101), a, 101)[1]
     assert tb == g + [0] * (len(tb) - len(g))
-
-
-@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
-@pytest.mark.parametrize("k", [0, 1, 2048])
-def test_safe_dot_exact_on_largest_residues(p, k):
-    a = np.full(k, p - 1, dtype=np.int64)
-    assert _safe_dot(a, a.copy(), p) == sum(int(u) * int(v) for u, v in zip(a, a)) % p

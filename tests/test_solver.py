@@ -5,8 +5,8 @@ import pytest
 
 from helpers import random_zero_dim_system, shape_instance
 from polysolve import solver
-from polysolve.errors import (BudgetExceeded, ExhaustedRestarts, PolysolveError,
-                              NotShapePosition, NotZeroDimensional)
+from polysolve.errors import (BudgetExceeded, DimensionMismatch, ExhaustedRestarts,
+                              PolysolveError, NotShapePosition, NotZeroDimensional)
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
 from polysolve.poly import Monomial, Polynomial, TermOrder
@@ -74,16 +74,31 @@ def test_matching_reps_between_pipelines(f101):
     assert sorted(rational_solutions(det)) == sorted(rational_solutions(lv))
 
 
-def test_identity_transform_matches_deterministic(f7):
+def test_identity_transform_matches_deterministic(f7, monkeypatch):
     from polysolve.linalg import Matrix
 
+    # the first g drawn is the identity: LV then computes what det does
+    monkeypatch.setattr(PrimeField, "random_nonsingular_matrix",
+                        lambda self, n, rng: Matrix.identity(self, n))
     x, y = _xy(f7)
     system = [x - y * y, y ** 3 - _c(f7, 2)]
     det = solve_deterministic(system, random.Random(0))
-    lv = solve_lasvegas(system, random.Random(0),
-                        first_transform=Matrix.identity(f7, 2))
+    lv = solve_lasvegas(system, random.Random(0))
     assert lv.stats.restarts == 0
+    assert lv.g.tolist() == [[1, 0], [0, 1]]
     assert lv.rep.coeffs == det.rep.coeffs
+
+
+def test_mixed_rings_are_rejected(f7, f101):
+    # polynomials over different fields, or on different numbers of
+    # variables, do not generate one ideal
+    x101 = Polynomial.variable(f101, 2, 0)
+    y7 = Polynomial.variable(f7, 2, 1)
+    y7_3 = Polynomial.variable(f7, 3, 1)
+    for system in ([x101, y7], [_xy(f7)[0], y7_3], [y7_3, _xy(f7)[0]]):
+        for solve in (solve_deterministic, solve_lasvegas):
+            with pytest.raises(DimensionMismatch, match="different rings"):
+                solve(system, random.Random(0))
 
 
 def test_unit_ideal_is_rejected(f7):
