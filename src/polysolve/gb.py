@@ -1,9 +1,21 @@
-"""Groebner bases via Buchberger's algorithm.
+"""Groebner bases: F4 under DRL, Buchberger's pair loop under LEX.
 
-The engine uses the normal selection strategy (smallest lcm first), the
-coprime leading-term criterion and the chain criterion for pair pruning, and
-always returns the unique reduced basis (monic, inter-reduced, sorted by
-ascending leading monomial).
+``buchberger`` always returns the unique reduced basis (monic,
+inter-reduced, sorted by ascending leading monomial), by one of two routes
+that pick and prune S-pairs alike: the normal selection strategy (smallest
+lcm first), the coprime leading-term criterion and the chain criterion.
+
+* Under DRL it runs F4 (``_f4``): all pairs of the lowest lcm degree are
+  reduced together, by one ``linalg._row_echelon`` per step over a
+  Macaulay-type matrix whose columns are the monomials in descending
+  order, and one more elimination gives the reduced basis.  Monomials are
+  packed into ints (``_Packed``), so no ``Monomial`` is built before the
+  output.  This is the DRL prefix of every solve.
+* Under LEX it runs the pair-by-pair loop (``_buchberger_pairs``): each
+  S-polynomial is reduced on its own by sparse division, then
+  ``_interreduce`` reduces the basis.  A LEX basis reaches degree D, past
+  any dense Macaulay matrix, and keeping the LEX oracle (``lex_oracle``)
+  off the F4 code keeps it an independent cross-check of the pipeline.
 
 Also here: a linear-algebra path (`groebner_from_matrices`) that rebuilds the
 reduced DRL basis of an ideal from its multiplication matrices, one total
@@ -17,8 +29,8 @@ merges.  The matrices are held once as float64 residues, which the exact
 kernel multiplies without converting them.  The Las Vegas solver takes
 every basis after a linear change of coordinates from it, fed with
 combinations of the original ideal's multiplication matrices, so no second
-Buchberger run happens; its output is bit-identical to Buchberger's by
-uniqueness of the reduced basis.  It hands over the rows it holds, and its
+``buchberger`` run happens; its output is bit-identical to ``buchberger``'s
+by uniqueness of the reduced basis.  It hands over the rows it holds, and its
 ``polys`` are built on first read, which a Las Vegas solve never does.
 """
 
@@ -28,10 +40,11 @@ import heapq
 
 import numpy as np
 
-from .errors import NotShapePosition, NotZeroDimensional
+from .errors import DimensionMismatch, NotShapePosition, NotZeroDimensional
 from .field import PrimeField
-from .linalg import _eliminate_block, _mul_arrays, _sub_mod
-from .poly import Monomial, Polynomial, TermOrder, _Reducer, _reduce_prepped, s_polynomial
+from .linalg import _eliminate_block, _mul_arrays, _row_echelon, _sub_mod
+from .poly import (MAX_EXPONENT, Monomial, Polynomial, TermOrder, _Reducer, _reduce_prepped,
+                   s_polynomial)
 
 
 class GroebnerBasis:
@@ -94,23 +107,11 @@ def _interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
     return reduced
 
 
-def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``polys``, which
-    must all lie in one ring."""
-    polys = list(polys)
-    for f in polys[1:]:
-        polys[0]._check(f)
-    inputs = [f for f in polys if not f.is_zero()]
-    if not inputs:
-        if field is None:
-            raise ValueError("cannot infer the field from an empty generating set")
-        return GroebnerBasis(field, order.n, order, [])
-    field = inputs[0].field
-    n = inputs[0].n
-    if n != order.n:
-        raise ValueError(f"order on {order.n} variables, polynomials on {n}")
-
-    basis = [f.monic(order) for f in inputs]
+def _buchberger_pairs(basis: list[Polynomial], order: TermOrder) -> list[Polynomial]:
+    """The reduced basis by Buchberger's loop, one S-pair at a time: the
+    normal strategy (smallest lcm first), the coprime leading-term
+    criterion and the chain criterion, each S-polynomial reduced in full,
+    then ``_interreduce``.  ``basis`` holds monic nonzero polynomials."""
     lms = [f.leading_monomial(order) for f in basis]
     reducers = [_Reducer(f, order) for f in basis]
 
@@ -151,7 +152,225 @@ def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> Groe
         for i2 in range(t):
             heapq.heappush(pairs, (order.key(lms[i2].lcm(lms[t])), i2, t))
 
-    return GroebnerBasis(field, n, order, _interreduce(basis, order))
+    return _interreduce(basis, order)
+
+
+class _Packed:
+    """Monomials in n variables packed into one int, so that the inner
+    loops of F4 never build a ``Monomial`` or an exponent tuple.
+
+    Exponent e_i sits in field i, ``shift * i`` bits up, and the total
+    degree above all n fields.  A field has ``bits`` value bits, enough for
+    the sum of n exponents up to ``MAX_EXPONENT``, and a guard bit above
+    them.  A product is the sum of the packed ints.  a divides b exactly
+    when (b | guard) - a keeps every guard bit set, since a field of b
+    below a's clears its guard without borrowing from the next.  Under DRL
+    a > b exactly when (a ^ emask) > (b ^ emask): the degree comes first,
+    then the complemented fields with x_n's on top.
+    """
+
+    __slots__ = ("n", "bits", "shift", "top", "guard", "values", "emask", "ones")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.bits = 16 + n.bit_length()
+        self.shift = self.bits + 1
+        self.top = self.shift * n
+        self.guard = sum(1 << (self.shift * i + self.bits) for i in range(n))
+        self.values = sum(((1 << self.bits) - 1) << (self.shift * i) for i in range(n))
+        self.emask = (1 << self.top) - 1
+        self.ones = sum(1 << (self.shift * i) for i in range(n))
+
+    def pack(self, m: Monomial) -> int:
+        if any(e > MAX_EXPONENT for e in m.exps):
+            raise OverflowError(f"exponent above {MAX_EXPONENT}")
+        s = self.shift
+        return sum(e << (s * i) for i, e in enumerate(m.exps)) | (m.deg << self.top)
+
+    def unpack(self, a: int) -> Monomial:
+        s, field = self.shift, (1 << self.bits) - 1
+        return Monomial(tuple((a >> (s * i)) & field for i in range(self.n)))
+
+    def lcm(self, a: int, b: int) -> int:
+        guard, bits = self.guard, self.bits
+        ge = (((a | guard) - b) & guard) >> bits   # 1 in each field where a_i >= b_i
+        keep_a = (ge << bits) - ge
+        e = (a & keep_a) | (b & (self.values ^ keep_a))
+        # field n-1 of e * ones is the sum of all fields, below 2^bits
+        deg = ((e * self.ones) >> (self.shift * (self.n - 1))) & ((1 << self.shift) - 1)
+        return e | (deg << self.top)
+
+
+def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> GroebnerBasis:
+    """The reduced DRL basis of the ideal of ``inputs`` (nonzero) by F4
+    (Faugere, JPAA 1999), the monomials packed by ``_Packed``.
+
+    Each step takes every pair whose lcm has the lowest degree, pruned by
+    the coprime and the chain criterion in ``_buchberger_pairs``'s order.
+    Both halves (lcm / lm) g of each pair make a row; symbolic
+    preprocessing adds a reducer row t g for every other monomial of the
+    rows that a leading monomial divides; and one ``_row_echelon``, with
+    the columns in descending DRL order, reduces them together.  An echelon
+    row is zero left of its pivot, so the pivots are the leading monomials
+    of the row space, and a pivot that leads no row leads a new element.
+    The reduced basis is one more such matrix, over the minimal generators:
+    each non-pivot column is then a standard monomial, so the echelon row
+    at a generator's leading monomial is its reduced form.
+    """
+    n = order.n
+    pk = _Packed(n)
+    p = field.p
+    guard, emask = pk.guard, pk.emask
+    mons: list[list[int]] = []      # packed monomials of each element, descending
+    coeffs: list[list[int]] = []    # its coefficients, the leading one 1
+    for f in inputs:
+        terms = sorted(((pk.pack(m), c) for m, c in f.terms.items()),
+                       key=lambda t: t[0] ^ emask, reverse=True)
+        inv = field.inv(terms[0][1])
+        mons.append([m for m, _c in terms])
+        coeffs.append([c * inv % p for _m, c in terms])
+    lms = [ms[0] for ms in mons]
+    one = [Polynomial.constant(field, n, 1)]
+    if 0 in lms:   # 0 packs the monomial 1
+        return GroebnerBasis(field, n, order, one)
+
+    def eliminate(rows, lead: set[int], reducers):
+        """Symbolic preprocessing of ``rows``, (multiplier, element) pairs,
+        whose leading monomials are ``lead``, with reducers taken from
+        ``reducers`` in order, each reducer's leading monomial joining
+        ``lead``; then the elimination.  Returns the columns (packed,
+        descending), the pivot columns and the echelon rows."""
+        seen: set[int] = set()
+        todo: list[int] = []
+        row_mons: list[list[int]] = []
+        row_elem: list[int] = []
+
+        def add(t: int, k: int):
+            ms = [t + m for m in mons[k]]
+            row_mons.append(ms)
+            row_elem.append(k)
+            fresh = [m for m in ms if m not in seen]
+            seen.update(fresh)
+            todo.extend(fresh)
+
+        for t, k in rows:
+            add(t, k)
+        while todo:
+            m = todo.pop()
+            if m in lead:
+                continue
+            mg = m | guard
+            for k in reducers:
+                if (mg - lms[k]) & guard == guard:   # lms[k] divides m
+                    lead.add(m)
+                    add(m - lms[k], k)
+                    break
+        cols = sorted(seen, key=lambda m: m ^ emask, reverse=True)
+        index = {m: c for c, m in enumerate(cols)}
+        width = len(cols)
+        flat: list[int] = []
+        vals: list[int] = []
+        # rows by leading column, so each half of the halving holds its pivots
+        for r, i in enumerate(sorted(range(len(row_elem)), key=lambda i: index[row_mons[i][0]])):
+            base = r * width
+            flat.extend([base + index[m] for m in row_mons[i]])
+            vals.extend(coeffs[row_elem[i]])
+        a = np.zeros((len(row_elem), width), dtype=np.int64)
+        a.flat[flat] = vals
+        _new, _dep, pcols, ech, _lost = _row_echelon(a, width, p)
+        return cols, pcols, ech
+
+    pairs: list[tuple[int, int, int, int]] = []   # (DRL key of the lcm, i, j, lcm)
+
+    def push_pairs(t: int):
+        for i in range(t):
+            lcm = pk.lcm(lms[i], lms[t])
+            heapq.heappush(pairs, (lcm ^ emask, i, t, lcm))
+
+    for t in range(1, len(lms)):
+        push_pairs(t)
+    done: set[tuple[int, int]] = set()
+    while pairs:
+        degree = pairs[0][0] >> pk.top
+        batch = []
+        while pairs and pairs[0][0] >> pk.top == degree:
+            _, i, j, lcm = heapq.heappop(pairs)
+            done.add((i, j))
+            if lcm == lms[i] + lms[j]:   # coprime: the lcm is the product
+                continue
+            lg = lcm | guard
+            if any(k != i and k != j and (lg - lms[k]) & guard == guard
+                   and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+                   for k in range(len(lms))):
+                continue
+            batch.append((i, j, lcm))
+        if not batch:
+            continue
+        if degree > MAX_EXPONENT:   # the step's monomials could overflow a field
+            raise OverflowError(f"exponent above {MAX_EXPONENT}")
+        rows = {(k, lcm): (lcm - lms[k], k) for i, j, lcm in batch for k in (i, j)}
+        lead = {lcm for _i, _j, lcm in batch}
+        cols, pcols, ech = eliminate(rows.values(), lead, range(len(lms)))
+        for r, c in enumerate(pcols):
+            if cols[c] in lead:
+                continue
+            if cols[c] == 0:
+                return GroebnerBasis(field, n, order, one)
+            nz = np.flatnonzero(ech[r])
+            mons.append([cols[q] for q in nz.tolist()])
+            coeffs.append(ech[r, nz].tolist())
+            lms.append(cols[c])
+            push_pairs(len(lms) - 1)
+
+    # the minimal generators, ascending, as _interreduce keeps them
+    minimal: list[int] = []
+    for k in sorted(range(len(lms)), key=lambda k: lms[k] ^ emask):
+        lg = lms[k] | guard
+        if not any((lg - lms[q]) & guard == guard for q in minimal):
+            minimal.append(k)
+    cols, pcols, ech = eliminate([(0, k) for k in minimal], {lms[k] for k in minimal}, minimal)
+    row_at = {cols[c]: r for r, c in enumerate(pcols)}
+    monos: dict[int, Monomial] = {}   # column -> Monomial, built once
+    polys, leads = [], []
+    for k in minimal:
+        row = ech[row_at[lms[k]]]
+        nz = np.flatnonzero(row).tolist()   # the pivot first, then descending
+        terms = {}
+        for q, c in zip(nz, row[nz].tolist()):
+            if q not in monos:
+                monos[q] = pk.unpack(cols[q])
+            terms[monos[q]] = c
+        polys.append(Polynomial(field, n, terms))
+        leads.append(monos[nz[0]])
+    return GroebnerBasis(field, n, order, polys, leads)
+
+
+def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``polys``, which
+    must all lie in one ring; ``field``, when given, must be that ring's.
+
+    DRL runs F4 (``_f4``) and LEX the pair-by-pair loop
+    (``_buchberger_pairs``); see the module docstring for why LEX stays
+    there.  Both give the same basis, as the reduced basis is unique.
+    """
+    polys = list(polys)
+    for f in polys[1:]:
+        polys[0]._check(f)
+    if polys and field is not None and field.p != polys[0].field.p:
+        raise DimensionMismatch("polynomials from different rings")
+    inputs = [f for f in polys if not f.is_zero()]
+    if not inputs:
+        if field is None:
+            raise ValueError("cannot infer the field from an empty generating set")
+        return GroebnerBasis(field, order.n, order, [])
+    field = inputs[0].field
+    n = inputs[0].n
+    if n != order.n:
+        raise ValueError(f"order on {order.n} variables, polynomials on {n}")
+    if order.kind == "drl":
+        return _f4(inputs, order, field)
+    basis = _buchberger_pairs([f.monic(order) for f in inputs], order)
+    return GroebnerBasis(field, n, order, basis)
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
@@ -330,7 +549,7 @@ def groebner_from_matrices(mats, field: PrimeField, n: int,
     (``_Echelon.coordinates``).
 
     Every product is exact (``_mul_arrays``).  The output comes out sorted
-    by leading monomial and is bit-identical to Buchberger's, by uniqueness
+    by leading monomial and is bit-identical to ``buchberger``'s, by uniqueness
     of the reduced basis.  It comes in coordinate form: the kept
     monomials as ``standard`` and the tails as ``tails``.
     """

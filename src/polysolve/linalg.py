@@ -20,7 +20,8 @@ residues as exact integer arithmetic.
 Every general elimination is one routine too, ``_row_echelon``, the
 halving rank-profile elimination of Jeannerod, Pernet and Storjohann (J.
 Symb. Comp. 2013), whose row operations are ``_mul_arrays`` products.  It
-backs ``Matrix.rref``, ``rank`` and ``inverse`` and the rebuild in ``gb``.
+backs ``Matrix.rref``, ``rank`` and ``inverse``, and in ``gb`` the F4 steps
+and the rebuild.
 
 The Krylov matrix [r | Tr | ... | T^(2w-1) r] of the change of ordering,
 ``krylov_columns``, has two routes that give the same residues.  The

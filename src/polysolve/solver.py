@@ -144,7 +144,7 @@ def solve_deterministic(F: list[Polynomial], rng=None) -> SolveReport:
 def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
                                   mats0: list[np.ndarray], g: Matrix,
                                   cfg: SolveConfig) -> GroebnerBasis:
-    """Reduced basis of the transformed ideal without a second Buchberger run.
+    """Reduced basis of the transformed ideal without a second ``buchberger`` run.
 
     Under the substitution X -> g X the quotient rings are isomorphic, and
     multiplication by x_j on the transformed side acts on the original

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (eliminate_block_by_rows, monomials_up_to, random_zero_dim_system,
-                     shape_instance)
+from helpers import (eliminate_block_by_rows, monomials_up_to, random_polynomial,
+                     random_zero_dim_system, shape_instance)
+from polysolve import gb as gb_module
 from polysolve.bench import appendix_family
+from polysolve.cli import main
 from polysolve.errors import DimensionMismatch, NotShapePosition, NotZeroDimensional
 from polysolve.field import PrimeField
 from polysolve.gb import (buchberger, groebner_from_matrices, is_zero_dimensional, lex_oracle,
@@ -119,6 +121,84 @@ def test_buchberger_rejects_mixed_rings(f7, f101):
             buchberger(polys, TermOrder.drl(2))
         with pytest.raises(DimensionMismatch):
             lex_oracle(polys, 2)
+
+
+def test_buchberger_rejects_a_mismatched_field(f7, f101):
+    x, y = _xy(f7)
+    for order in (TermOrder.drl(2), TermOrder.lex(2)):
+        with pytest.raises(DimensionMismatch, match="different rings"):
+            buchberger([x, y], order, field=f101)
+        with pytest.raises(DimensionMismatch, match="different rings"):
+            buchberger([Polynomial.zero(f7, 2)], order, field=f101)
+        assert buchberger([x, y], order, field=PrimeField(7)).field.p == 7
+
+
+def _oracle_systems(field):
+    """Inputs for the F4 route against the pair-by-pair loop: dense random
+    systems of mixed degrees (with linear equations, and one more equation
+    than variables), and the edge cases of the reduced basis."""
+    rng = random.Random(field.p)
+    shapes = ((2, (1, 3)), (2, (2, 3)), (2, (3, 3)), (2, (2, 2, 2)), (3, (1, 2, 2)),
+              (3, (2, 2, 3)), (3, (2, 2, 2, 2)), (4, (2, 2, 2, 2)), (4, (1, 2, 2, 3)),
+              (5, (1, 1, 2, 2, 2)), (5, (1, 2, 2, 2, 2)), (5, (2, 2, 2, 2, 2)))
+    systems = [[random_polynomial(field, n, d, rng) for d in degrees] for n, degrees in shapes]
+    x, y = _xy(field)
+    one = Polynomial.constant(field, 2, 1)
+    systems.append([x * x - y, one.scale(3), x * y])                 # a nonzero constant
+    # zero and duplicate generators, not monic
+    systems.append([Polynomial.zero(field, 2), (x * x - y).scale(5), x * x - y,
+                    Polynomial.zero(field, 2), (y * y - x).scale(2)])
+    systems.append([x * y])                                          # positive-dimensional
+    systems.append([(x * y).scale(4), y ** 3 - x])                   # one S-pair, one new element
+    systems.append([y * y - x, x ** 3 - x * y * y])                  # a basis, tail not reduced
+    for n in range(2, 8):                                            # already reduced
+        systems.append(appendix_family(n, field, seed=n))
+    # a reduced basis with overlapping leading terms: every S-pair reduces to 0
+    systems.append(random_zero_dim_system(field, 3, (2, 2, 2), rng)[1].polys)
+    return systems
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_f4_matches_pair_by_pair(p):
+    field = PrimeField(p)
+    for system in _oracle_systems(field):
+        n = system[0].n
+        order = TermOrder.drl(n)
+        got = buchberger(system, order)
+        want = gb_module._buchberger_pairs([f.monic(order) for f in system if not f.is_zero()],
+                                           order)
+        assert [list(g.terms.items()) for g in got.polys] == \
+            [list(g.terms.items()) for g in want]
+        assert got.leading_monomials == [g.leading_monomial(order) for g in want]
+        assert all(type(c) is int for g in got.polys for c in g.terms.values())
+
+
+def test_solvers_never_run_the_pair_loop(f101, monkeypatch):
+    from polysolve.solver import solve_deterministic, solve_lasvegas
+
+    def refuse(*args):
+        raise AssertionError("the pair-by-pair loop ran")
+
+    monkeypatch.setattr(gb_module, "_buchberger_pairs", refuse)
+    system, _gb = random_zero_dim_system(f101, 2, (2, 3), random.Random(5))
+    assert solve_deterministic(system, random.Random(1)).rep.degree == 6
+    assert solve_lasvegas(system, random.Random(2)).rep.degree == 6
+
+
+def test_lex_routes_never_run_f4(f7, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("F4 ran")
+
+    monkeypatch.setattr(gb_module, "_f4", refuse)
+    x, y = _xy(f7)
+    rep = lex_oracle([x - y * y, y ** 3 - Polynomial.constant(f7, 2, 2)], 2)
+    assert rep.coeffs == [[0, 0, 1], [5, 0, 0, 1]]
+    path = tmp_path / "system.txt"
+    path.write_text("p = 7\nvars = x, y\nx - y^2\ny^3 - 2\n")
+    assert main(["gb", str(path), "--order", "lex"]) == 0
+    assert "y^3 + 5" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="F4 ran"):
+        buchberger([x, y], TermOrder.drl(2))
 
 
 def test_lex_oracle_worked_example(f7):
