@@ -10,7 +10,9 @@ lcm first), the coprime leading-term criterion and the chain criterion.
   Macaulay-type matrix whose columns are the monomials in descending
   order, and one more elimination gives the reduced basis.  Monomials are
   packed into ints (``_Packed``), so no ``Monomial`` is built before the
-  output.  This is the DRL prefix of every solve.
+  output.  This is the DRL prefix of every solve.  A matrix too sparse
+  or too large for dense rows (a long reduction chain of high degree),
+  or a step above ``MAX_EXPONENT``, sends the input to the pair loop.
 * Under LEX it runs the pair-by-pair loop (``_buchberger_pairs``): each
   S-polynomial is reduced on its own by sparse division, then
   ``_interreduce`` reduces the basis.  A LEX basis reaches degree D, past
@@ -182,8 +184,6 @@ class _Packed:
         self.ones = sum(1 << (self.shift * i) for i in range(n))
 
     def pack(self, m: Monomial) -> int:
-        if any(e > MAX_EXPONENT for e in m.exps):
-            raise OverflowError(f"exponent above {MAX_EXPONENT}")
         s = self.shift
         return sum(e << (s * i) for i, e in enumerate(m.exps)) | (m.deg << self.top)
 
@@ -201,7 +201,15 @@ class _Packed:
         return e | (deg << self.top)
 
 
-def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> GroebnerBasis:
+# F4 gives a step up (``_f4`` returns None) when its dense matrix would hold
+# more than _DENSE_LIMIT entries, or more than _SPARSE_RATIO per nonzero: a
+# long reduction chain of sparse rows, where the pair loop's sparse
+# division is far cheaper (x^e - 1, x^4 - 1 makes e/4 rows of 2 terms).
+_DENSE_LIMIT = 1 << 25
+_SPARSE_RATIO = 32
+
+
+def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> GroebnerBasis | None:
     """The reduced DRL basis of the ideal of ``inputs`` (nonzero) by F4
     (Faugere, JPAA 1999), the monomials packed by ``_Packed``.
 
@@ -216,6 +224,10 @@ def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> Groebn
     The reduced basis is one more such matrix, over the minimal generators:
     each non-pivot column is then a standard monomial, so the echelon row
     at a generator's leading monomial is its reduced form.
+
+    Returns None, before building it, when a matrix is past
+    ``_DENSE_LIMIT`` or ``_SPARSE_RATIO``, or a step's degree is above
+    ``MAX_EXPONENT``, so a monomial could overflow its field.
     """
     n = order.n
     pk = _Packed(n)
@@ -239,7 +251,8 @@ def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> Groebn
         whose leading monomials are ``lead``, with reducers taken from
         ``reducers`` in order, each reducer's leading monomial joining
         ``lead``; then the elimination.  Returns the columns (packed,
-        descending), the pivot columns and the echelon rows."""
+        descending), the pivot columns and the echelon rows, or None for a
+        matrix too sparse or too large."""
         seen: set[int] = set()
         todo: list[int] = []
         row_mons: list[list[int]] = []
@@ -265,9 +278,12 @@ def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> Groebn
                     lead.add(m)
                     add(m - lms[k], k)
                     break
+        width = len(seen)
+        entries = len(row_elem) * width
+        if entries > _DENSE_LIMIT or entries > _SPARSE_RATIO * sum(map(len, row_mons)):
+            return None
         cols = sorted(seen, key=lambda m: m ^ emask, reverse=True)
         index = {m: c for c, m in enumerate(cols)}
-        width = len(cols)
         flat: list[int] = []
         vals: list[int] = []
         # rows by leading column, so each half of the halving holds its pivots
@@ -307,10 +323,13 @@ def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> Groebn
         if not batch:
             continue
         if degree > MAX_EXPONENT:   # the step's monomials could overflow a field
-            raise OverflowError(f"exponent above {MAX_EXPONENT}")
+            return None
         rows = {(k, lcm): (lcm - lms[k], k) for i, j, lcm in batch for k in (i, j)}
         lead = {lcm for _i, _j, lcm in batch}
-        cols, pcols, ech = eliminate(rows.values(), lead, range(len(lms)))
+        step = eliminate(rows.values(), lead, range(len(lms)))
+        if step is None:
+            return None
+        cols, pcols, ech = step
         for r, c in enumerate(pcols):
             if cols[c] in lead:
                 continue
@@ -328,7 +347,10 @@ def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> Groebn
         lg = lms[k] | guard
         if not any((lg - lms[q]) & guard == guard for q in minimal):
             minimal.append(k)
-    cols, pcols, ech = eliminate([(0, k) for k in minimal], {lms[k] for k in minimal}, minimal)
+    step = eliminate([(0, k) for k in minimal], {lms[k] for k in minimal}, minimal)
+    if step is None:
+        return None
+    cols, pcols, ech = step
     row_at = {cols[c]: r for r, c in enumerate(pcols)}
     monos: dict[int, Monomial] = {}   # column -> Monomial, built once
     polys, leads = [], []
@@ -351,7 +373,9 @@ def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> Groe
 
     DRL runs F4 (``_f4``) and LEX the pair-by-pair loop
     (``_buchberger_pairs``); see the module docstring for why LEX stays
-    there.  Both give the same basis, as the reduced basis is unique.
+    there.  DRL input that F4 gives up on (a matrix too sparse or too
+    large) runs the pair loop too.  Both give the same basis, as the
+    reduced basis is unique.
     """
     polys = list(polys)
     for f in polys[1:]:
@@ -368,7 +392,9 @@ def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> Groe
     if n != order.n:
         raise ValueError(f"order on {order.n} variables, polynomials on {n}")
     if order.kind == "drl":
-        return _f4(inputs, order, field)
+        gb = _f4(inputs, order, field)
+        if gb is not None:
+            return gb
     basis = _buchberger_pairs([f.monic(order) for f in inputs], order)
     return GroebnerBasis(field, n, order, basis)
 

@@ -201,6 +201,51 @@ def test_lex_routes_never_run_f4(f7, monkeypatch, tmp_path, capsys):
         buchberger([x, y], TermOrder.drl(2))
 
 
+def test_f4_hands_long_sparse_chains_to_the_pair_loop(f7, monkeypatch, tmp_path, capsys):
+    """Inputs whose F4 matrix would be a tall chain of two-term rows (up to
+    16384 x 16385), or whose first step passes MAX_EXPONENT in degree, give
+    the pair loop's basis without any elimination."""
+    def refuse(*args):
+        raise AssertionError("F4 eliminated")
+
+    monkeypatch.setattr(gb_module, "_row_echelon", refuse)
+
+    def poly(n, terms):
+        return Polynomial.from_terms(f7, n, [(Monomial(e), c) for e, c in terms])
+
+    cases = [
+        ([poly(1, [((e,), 1), ((0,), 6)]), poly(1, [((4,), 1), ((0,), 6)])],
+         [poly(1, [((1,), 1), ((0,), 6)])]) for e in (8001, 65535)]
+    cases += [
+        ([poly(2, [((40000, 40000), 1), ((0, 0), 1)]), poly(2, [((1, 1), 1), ((0, 0), 6)])],
+         [poly(2, [((0, 0), 1)])]),
+        # a first step of degree 80000, a 2 x 3 matrix
+        ([poly(2, [((40000, 40000), 1), ((0, 0), 1)]), poly(2, [((40000, 39999), 1), ((0, 1), 1)])],
+         [poly(2, [((0, 2), 1), ((0, 0), 6)]), poly(2, [((40000, 0), 1), ((0, 0), 1)])]),
+        # no S-pair: only the final reduction is a long chain
+        ([poly(3, [((2, 0, 0), 1), ((0, 1, 0), 6)]), poly(3, [((0, 0, 40001), 1), ((40000, 0, 0), 1)])],
+         [poly(3, [((2, 0, 0), 1), ((0, 1, 0), 6)]), poly(3, [((0, 0, 40001), 1), ((0, 20000, 0), 1)])]),
+    ]
+    for system, want in cases:
+        order = TermOrder.drl(system[0].n)
+        assert gb_module._f4(system, order, f7) is None
+        assert buchberger(system, order).polys == want
+    path = tmp_path / "system.txt"
+    path.write_text("p = 7\nvars = x, y\nx^40000*y^40000 + 1\nx*y - 1\n")
+    assert main(["gb", str(path)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "1"
+
+
+def test_f4_hands_large_matrices_to_the_pair_loop(f101, monkeypatch):
+    rng = random.Random(3)
+    system = [random_polynomial(f101, 3, 2, rng) for _ in range(3)]
+    order = TermOrder.drl(3)
+    want = buchberger(system, order).polys
+    monkeypatch.setattr(gb_module, "_DENSE_LIMIT", 50)
+    assert gb_module._f4(system, order, f101) is None
+    assert buchberger(system, order).polys == want
+
+
 def test_lex_oracle_worked_example(f7):
     x, y = _xy(f7)
     rep = lex_oracle([x - y * y, y ** 3 - Polynomial.constant(f7, 2, 2)], 2)
