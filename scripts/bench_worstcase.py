@@ -4,11 +4,10 @@
 For each n both pipelines run on the same seed-fixed instance: the usual
 path (column-by-column T_n, 2^(n-1)-1 computed normal forms) and the Las
 Vegas path (random change of variables, T_n read off with zero arithmetic).
-With --with-fglm the one-at-a-time builder is timed as a third row.
 
 Example:
     python scripts/bench_worstcase.py --min-n 5 --max-n 10
-    python scripts/bench_worstcase.py --min-n 8 --max-n 11 --with-fglm --json
+    python scripts/bench_worstcase.py --min-n 8 --max-n 11 --json
 """
 
 import argparse
@@ -27,16 +26,14 @@ def main(argv=None) -> int:
     ap.add_argument("--min-n", type=int, default=5, help="smallest n (default 5)")
     ap.add_argument("--max-n", type=int, default=10, help="largest n, inclusive (default 10)")
     ap.add_argument("--seed", type=int, default=0, help="family / pipeline seed (default 0)")
-    ap.add_argument("--with-fglm", action="store_true",
-                    help="also time the one-at-a-time matrix builder")
     ap.add_argument("--json", action="store_true", help="emit one JSON object per n")
     args = ap.parse_args(argv)
 
-    if args.min_n < 2 or args.max_n < args.min_n:
-        ap.error("need 2 <= min-n <= max-n")
+    if args.min_n < 1 or args.max_n < args.min_n:
+        ap.error("need 1 <= min-n <= max-n")
 
     for n in range(args.min_n, args.max_n + 1):
-        records = run_bench(n, seed=args.seed, with_fglm=args.with_fglm)
+        records = run_bench(n, seed=args.seed)
         if args.json:
             print(json.dumps({"n": n, "records": records}))
         else:

@@ -10,14 +10,13 @@ T_n column by column costs 2^(n-1) - 1 computed normal forms, while after a
 random change of variables the last matrix can typically be read off with
 zero arithmetic (and comes out sparser, too).
 
-A row is a plain dict, one per solve (``record_from_report``) or per timed
-builder; ``bench --json`` and the ``stats`` of ``solve --json`` print it.
+A row is a plain dict, one per solve (``record_from_report``);
+``bench --json`` and the ``stats`` of ``solve --json`` print it.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from itertools import combinations
 
 from .field import DEFAULT_PRIME, PrimeField
@@ -57,41 +56,19 @@ def appendix_family(n: int, field: PrimeField | None = None, seed: int = 0) -> l
     return polys
 
 
-def _record(n: int, D: int, pipeline: str, gb_time: float, matrix_time: float,
-            chord_time: float, nf_count: int, density: float, total_time: float) -> dict:
-    """One row; its keys, in this order, are the printed JSON keys."""
-    return {"n": n, "D": D, "pipeline": pipeline, "gb_time": gb_time,
-            "matrix_time": matrix_time, "chord_time": chord_time, "nf_count": nf_count,
-            "density": density, "total_time": total_time}
-
-
 def record_from_report(report: SolveReport) -> dict:
+    """One row; its keys, in this order, are the printed JSON keys."""
     s = report.stats
-    return _record(s.n, s.D, report.pipeline, s.gb_time, s.matrix_time, s.chord_time,
-                   s.nf_type2_tn, s.tn_density, s.total_time)
+    return {"n": s.n, "D": s.D, "pipeline": report.pipeline, "gb_time": s.gb_time,
+            "matrix_time": s.matrix_time, "chord_time": s.chord_time,
+            "nf_count": s.nf_type2_tn, "density": s.tn_density, "total_time": s.total_time}
 
 
-def run_bench(n: int, seed: int = 0, with_fglm: bool = False) -> list[dict]:
-    """Both pipelines on the same seed-fixed instance; optionally also time
-    the column-by-column builder for reference."""
+def run_bench(n: int, seed: int = 0) -> list[dict]:
+    """Both pipelines on the same seed-fixed instance."""
     F = appendix_family(n, seed=seed)
-    rng_det = random.Random(seed + 1)
-    rng_lv = random.Random(seed + 2)
-    records = [record_from_report(solve_deterministic(F, rng_det))]
-    records.append(record_from_report(solve_lasvegas(F, rng_lv)))
-    if with_fglm:
-        from .gb import buchberger
-        from .quotient import build_matrices_fglm, compute_basis, compute_frontier
-
-        gbd = buchberger(F, TermOrder.drl(n))
-        Q = compute_basis(gbd)
-        fr = compute_frontier(Q, gbd)
-        t0 = time.perf_counter()
-        mats, _ = build_matrices_fglm(Q, gbd, fr)
-        dt = time.perf_counter() - t0
-        records.append(_record(n, Q.dimension, "fglm-builder", 0.0, dt, 0.0, fr.type2_nf,
-                               mats[n - 1].matrix.density(), dt))
-    return records
+    return [record_from_report(solve_deterministic(F, random.Random(seed + 1))),
+            record_from_report(solve_lasvegas(F, random.Random(seed + 2)))]
 
 
 def format_table(records: list[dict]) -> str:

@@ -18,12 +18,11 @@ a gather there), and otherwise with O(log D) matrix products by doubling.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChangeOrderingFailed
+from .errors import BudgetExceeded, ChangeOrderingFailed
 from .field import PrimeField
 from .gb import GroebnerBasis
 from .linalg import KrylovStats, _mul_arrays, krylov_columns
@@ -148,6 +147,17 @@ def _eval_points(f: Polynomial, coords: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+# the largest field a root scan covers: it evaluates h_n at every element
+ROOT_SCAN_LIMIT = 1 << 20
+
+
+def _scan_points(p: int, limit: int) -> np.ndarray:
+    """Every element of F_p, for a root scan; refuses fields past ``limit``."""
+    if p > limit:
+        raise BudgetExceeded(f"root scan over {p} points exceeds limit {limit}")
+    return np.arange(p, dtype=np.int64)
+
+
 def _root_points(rep: UnivariateRep, xs: np.ndarray) -> np.ndarray:
     """The points (h_1(z), ..., h_{n-1}(z), z) for the distinct roots z of
     h_n among ``xs``, as the columns of an n x r array, ascending in z."""
@@ -160,24 +170,15 @@ def _root_points(rep: UnivariateRep, xs: np.ndarray) -> np.ndarray:
     return coords
 
 
-def verify_rep(rep: UnivariateRep, system: list[Polynomial],
-               sample_budget: int = 1 << 20, rng=None) -> VerifyResult:
+def verify_rep(rep: UnivariateRep, system: list[Polynomial]) -> VerifyResult:
     """Check that every root of h_n in the base field maps to a common zero
     of the given system.
 
-    For moduli up to ``sample_budget`` the whole field is scanned, so every
-    rational root is certified.  For larger fields ``sample_budget`` random
-    points are screened instead; only the roots found among them are
-    certified (possibly none — the result is then vacuously true, with
-    ``points_checked`` saying how many were certified)."""
+    The whole field is scanned, so every rational root is certified;
+    ``points_checked`` says how many there are (possibly none).  A field
+    larger than ``ROOT_SCAN_LIMIT`` (2^20) raises BudgetExceeded, as
+    ``solver.rational_solutions`` does."""
     p = rep.field.p
-    if p <= sample_budget:
-        xs = np.arange(p, dtype=np.int64)
-    else:
-        if rng is None:
-            rng = random.Random(0)
-        xs = np.fromiter((rng.randrange(p) for _ in range(sample_budget)),
-                         dtype=np.int64, count=sample_budget)
-    coords = _root_points(rep, xs)
+    coords = _root_points(rep, _scan_points(p, ROOT_SCAN_LIMIT))
     ok = not any(np.any(_eval_points(f, coords, p)) for f in system)
     return VerifyResult(ok, coords.shape[1])

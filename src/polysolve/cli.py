@@ -1,16 +1,19 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands (``--threads N`` before any of them sets the thread-count hint
+of the linear algebra backend):
   gb FILE [--order drl|lex]            reduced basis, printed as a system file
   solve FILE [--det|--lv] [--seed N]   univariate representation + report
   matrices FILE [--method ...]         multiplication matrices or a summary
   bench appendix --n K [--seed N]      worst-case family, both pipelines
   probbound --n N --q Q --degrees ...  success-probability lower bound
 
-Exit codes: 0 success, 1 parse errors, 2 violated preconditions
-(non-prime modulus, not zero-dimensional, not in shape position, budget,
-out of memory, invalid --threads, solve, bench or probbound arguments),
-3 exhausted restarts.
+Exit codes, by the class of the failure, each failure printed as one
+``error:`` line: 0 success; 1 ``ParseError`` and ``OSError``; 3
+``ExhaustedRestarts``; 2 every other ``PolysolveError`` (non-prime modulus,
+not zero-dimensional, not in shape position, budget, unreadable T_n, ...),
+``MemoryError``, ``OverflowError`` (an exponent above 65535) and invalid
+arguments.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--lv", action="store_true",
                       help="random change of variables until T_n reads off free")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-restarts", type=int, default=8)
+    s.add_argument("--max-restarts", type=int, default=None,
+                   help="Las Vegas transforms to try (default: SolveConfig.max_restarts)")
     s.add_argument("--json", action="store_true")
 
     m = sub.add_parser("matrices", help="multiplication matrices of the quotient")
@@ -52,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("family", choices=["appendix"])
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--with-fglm", action="store_true")
     b.add_argument("--json", action="store_true")
 
     pb = sub.add_parser("probbound", help="success probability of a random transform")
@@ -114,11 +117,11 @@ def _cmd_solve(args) -> int:
                          solve_lasvegas)
     from .sysfile import parse_system
 
-    if args.max_restarts < 1:
-        return _bad_argument(f"--max-restarts must be at least 1, got {args.max_restarts}")
+    cfg = SolveConfig() if args.max_restarts is None else SolveConfig(args.max_restarts)
+    if cfg.max_restarts < 1:
+        return _bad_argument(f"--max-restarts must be at least 1, got {cfg.max_restarts}")
     system = parse_system(_read_file(args.file))
     rng = random.Random(args.seed)
-    cfg = SolveConfig(max_restarts=args.max_restarts)
     if args.lv:
         report = solve_lasvegas(system.polys, rng, config=cfg)
     else:
@@ -173,8 +176,9 @@ def _print_matrix(name: str, mat) -> None:
 
 
 def _cmd_matrices(args) -> int:
+    from .errors import NotReadable
     from .gb import buchberger
-    from .poly import TermOrder
+    from .poly import Polynomial, TermOrder, to_string
     from .quotient import (build_matrices_echelon, build_matrices_fglm,
                            compute_basis, compute_frontier, try_read_Tn)
     from .sysfile import parse_system
@@ -185,7 +189,11 @@ def _cmd_matrices(args) -> int:
     Q = compute_basis(gbd)
     frontier = compute_frontier(Q, gbd)
     if args.method == "free":
-        mats, computed = [try_read_Tn(Q, gbd)], 0
+        try:
+            mats, computed = [try_read_Tn(Q, gbd)], 0
+        except NotReadable as exc:   # name the monomial in the file's variables
+            mono = Polynomial.from_terms(system.field, n, [(exc.offending, 1)])
+            raise NotReadable(exc.offending, to_string(mono, system.varnames)) from None
     else:
         build = build_matrices_fglm if args.method == "fglm" else build_matrices_echelon
         mats, _ = build(Q, gbd, frontier)
@@ -207,7 +215,7 @@ def _cmd_bench(args) -> int:
 
     if args.n < 1:
         return _bad_argument(f"--n must be at least 1, got {args.n}")
-    records = run_bench(args.n, seed=args.seed, with_fglm=args.with_fglm)
+    records = run_bench(args.n, seed=args.seed)
     if args.json:
         print(json.dumps(records, indent=2))
     else:
@@ -239,9 +247,8 @@ def _cmd_probbound(args) -> int:
         print("bound >= 0 (vacuous: the error terms reach the field size)")
     else:
         print(f"bound >= {frac.numerator}/{frac.denominator} = {float(frac):.6f}")
-    delta = sum(d - 1 for d in pb.degrees) + 1
     state = "satisfied" if pb.char_condition_ok else "NOT satisfied"
-    print(f"characteristic condition q > {delta}: {state}")
+    print(f"characteristic condition q > {pb.delta}: {state}")
     return 0
 
 
@@ -254,30 +261,24 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(args.threads))
 
-    from .errors import (BudgetExceeded, ExhaustedRestarts, NonPrimeModulus,
-                         NotReadable, NotShapePosition, NotZeroDimensional,
-                         ParseError)
+    from .errors import ExhaustedRestarts, ParseError, PolysolveError
 
     handlers = {"gb": _cmd_gb, "solve": _cmd_solve, "matrices": _cmd_matrices,
                 "bench": _cmd_bench, "probbound": _cmd_probbound}
     try:
         return handlers[args.command](args)
-    except OSError as exc:
+    except (ParseError, OSError) as exc:  # ParseError includes UnknownVariable
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:  # includes UnknownVariable
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NonPrimeModulus, NotZeroDimensional, NotShapePosition,
-            BudgetExceeded, NotReadable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # e.g. the D x D matrices of a huge quotient
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
     except ExhaustedRestarts as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # e.g. the D x D matrices of a huge quotient
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except (PolysolveError, OverflowError) as exc:  # OverflowError: an exponent past 65535
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

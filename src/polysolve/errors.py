@@ -47,12 +47,13 @@ class NotReadable(PolysolveError):
     """The multiplication matrix cannot be read off for free from the basis.
 
     Expected control flow in the Las Vegas pipeline: the offending monomial
-    is carried so diagnostics can report it.
+    is carried so diagnostics can report it, under ``name`` if given.
     """
 
-    def __init__(self, offending, message=None):
+    def __init__(self, offending, name=None):
         self.offending = offending
-        super().__init__(message or f"column monomial {offending} is neither standard nor a leading term")
+        super().__init__(f"column monomial {name or offending} is neither standard "
+                         "nor a leading term")
 
 
 # --- change of ordering ----------------------------------------------------
@@ -61,10 +62,10 @@ class ChangeOrderingFailed(PolysolveError):
     """The sequence's minimal polynomial came out with degree < D for this
     projection vector; retry with a fresh vector (expected control flow)."""
 
-    def __init__(self, degree, expected, message=None):
+    def __init__(self, degree, expected):
         self.degree = degree
         self.expected = expected
-        super().__init__(message or f"minimal polynomial degree {degree} < quotient dimension {expected}")
+        super().__init__(f"minimal polynomial degree {degree} < quotient dimension {expected}")
 
 
 class NotShapePosition(PolysolveError):
@@ -76,15 +77,12 @@ class NotShapePosition(PolysolveError):
 class ExhaustedRestarts(PolysolveError):
     """All random-transform restarts failed; diagnostics attached."""
 
-    def __init__(self, attempts, read_failures, chord_failures, message=None):
+    def __init__(self, attempts, read_failures, chord_failures):
         self.attempts = attempts
         self.read_failures = read_failures
         self.chord_failures = chord_failures
-        super().__init__(
-            message
-            or f"gave up after {attempts} transforms "
-            f"({read_failures} unreadable, {chord_failures} change-of-ordering failures)"
-        )
+        super().__init__(f"gave up after {attempts} transforms ({read_failures} unreadable, "
+                         f"{chord_failures} change-of-ordering failures)")
 
 
 class BudgetExceeded(PolysolveError):

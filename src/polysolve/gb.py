@@ -293,7 +293,7 @@ def _f4(inputs: list[Polynomial], order: TermOrder, field: PrimeField) -> Groebn
             vals.extend(coeffs[row_elem[i]])
         a = np.zeros((len(row_elem), width), dtype=np.int64)
         a.flat[flat] = vals
-        _new, _dep, pcols, ech, _lost = _row_echelon(a, width, p)
+        _new, _dep, pcols, ech = _row_echelon(a, width, p)
         return cols, pcols, ech
 
     pairs: list[tuple[int, int, int, int]] = []   # (DRL key of the lcm, i, j, lcm)
@@ -449,33 +449,42 @@ def shape_rep_from_lex(gb: GroebnerBasis):
     return UnivariateRep(gb.field, n, [list(c) for c in coeffs])
 
 
-def _candidates(prev: list[Monomial], order: TermOrder):
-    """The degree-d candidates, given the standard monomials of degree d-1.
+def _candidates(prev: list[Monomial], order: TermOrder) -> list[Monomial]:
+    """The degree-d candidates, in ascending order, given the standard
+    monomials of degree d-1.
 
     A monomial m is a standard monomial or a minimal leading monomial
     exactly when every divisor m/x_j is standard.  The smallest of those
     divisors under DRL is m/x_j for the smallest j in m's support, so m is
     produced only from that parent b, as x_i b with i <= min support of b,
     which yields each candidate once.
-
-    As every m/x_j is standard, m's coordinate vector is that of any of them
-    times M_j.  The rebuild makes one product per variable, each a pass over
-    that variable's whole matrix, so the variables are picked greedily, the
-    one in most uncovered candidates first, to cover a degree with few.
-    Returns ``(m, index of m/x_i in prev, i)`` triples in ascending order.
     """
     n = order.n
-    index = {b.exps: r for r, b in enumerate(prev)}
+    standard = {b.exps for b in prev}
     monos = []
     for b in prev:
         e = b.exps
         first = next((j for j, v in enumerate(e) if v), n - 1)
         for i in range(first + 1):
             exps = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if all(exps[:j] + (exps[j] - 1,) + exps[j + 1:] in index
+            if all(exps[:j] + (exps[j] - 1,) + exps[j + 1:] in standard
                    for j in range(i + 1, n) if exps[j]):
                 monos.append(Monomial(exps))
     monos.sort(key=order.key)
+    return monos
+
+
+def _cover(monos: list[Monomial], prev: list[Monomial], n: int) -> list[tuple[int, int]]:
+    """For each candidate m of ``_candidates(prev, ...)``, a variable x_i
+    of m and the index of m/x_i in ``prev``.
+
+    As every m/x_j is standard, m's coordinate vector is that of any of them
+    times M_j.  The rebuild makes one product per variable, each a pass over
+    that variable's whole matrix, so the variables are picked greedily, the
+    one in most uncovered candidates first, to cover a degree with few.
+    Returns ``(index of m/x_i in prev, i)`` pairs in the order of ``monos``.
+    """
+    index = {b.exps: r for r, b in enumerate(prev)}
     support = np.array([m.exps for m in monos], dtype=bool).reshape(len(monos), n)
     var = np.zeros(len(monos), dtype=np.intp)
     left = np.ones(len(monos), dtype=bool)
@@ -483,7 +492,7 @@ def _candidates(prev: list[Monomial], order: TermOrder):
         j = int(np.argmax(support[left].sum(axis=0)))
         var[left & support[:, j]] = j
         left &= ~support[:, j]
-    return [(m, index[m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:]], i)
+    return [(index[m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:]], i)
             for m, i in zip(monos, var.tolist())]
 
 
@@ -516,7 +525,7 @@ class _Echelon:
         p = self.p
         y = vecs[:, self.pivots]
         resid = _sub_mod(vecs[:, self.free], _mul_arrays(y, self.red, p), p)
-        new, dep, _rel, echelon, pcols, gmat = _eliminate_block(resid, p)
+        new, dep, echelon, pcols, gmat = _eliminate_block(resid, p)
         if new:
             # E' = [[I, -h], [0, I]] @ [[I, 0], [-gmat y[new], gmat]] @ [E; vecs[new]]
             stay = np.ones(len(self.free), dtype=bool)
@@ -546,9 +555,9 @@ class _Echelon:
         return w
 
 
-def groebner_from_matrices(mats, field: PrimeField, n: int,
-                           order: TermOrder) -> GroebnerBasis:
-    """Reduced DRL Groebner basis from multiplication matrices.
+def groebner_from_matrices(mats, field: PrimeField, n: int) -> GroebnerBasis:
+    """Reduced Groebner basis under ``TermOrder.drl(n)`` from multiplication
+    matrices.
 
     ``mats[i]`` must represent multiplication by (the image of) x_i on a
     D-dimensional quotient, in a basis whose coordinate vector for 1 is the
@@ -559,8 +568,8 @@ def groebner_from_matrices(mats, field: PrimeField, n: int,
     leading monomials of lower degree can make a degree-d monomial a
     non-candidate.  For each degree:
 
-    * the candidates' coordinate vectors come from one product per
-      variable in a small cover of them (``_candidates``),
+    * the candidates (``_candidates``) get their coordinate vectors from
+      one product per variable in a small cover of them (``_cover``),
       (vectors of their degree-(d-1) divisors) @ M_i^T;
     * in ascending order, all at once, one product reduces them against
       the echelon form of the standard monomials' vectors found so far,
@@ -581,8 +590,7 @@ def groebner_from_matrices(mats, field: PrimeField, n: int,
     """
     if len(mats) == 0:
         raise ValueError("need at least one multiplication matrix")
-    if order.kind != "drl":
-        raise ValueError("the degree-by-degree rebuild needs the DRL order")
+    order = TermOrder.drl(n)
     mats = np.asarray(mats, dtype=np.float64)
     p = field.p
     dim = mats.shape[1]
@@ -602,13 +610,14 @@ def groebner_from_matrices(mats, field: PrimeField, n: int,
         if not std:
             break
         prev_vecs = vecs[std]
-        cands = _candidates([monos[r] for r in std], order)
-        monos = [m for m, _b, _i in cands]
-        vecs = np.empty((len(cands), dim), dtype=np.int64)
+        prev = [monos[r] for r in std]
+        monos = _candidates(prev, order)
+        cover = _cover(monos, prev, n)
+        vecs = np.empty((len(monos), dim), dtype=np.int64)
         for i in range(n):
-            rows = [r for r, c in enumerate(cands) if c[2] == i]
+            rows = [r for r, (_b, v) in enumerate(cover) if v == i]
             if rows:
-                parents = prev_vecs[[cands[r][1] for r in rows]]
+                parents = prev_vecs[[cover[r][0] for r in rows]]
                 vecs[rows] = _mul_arrays(parents, mats[i].T, p)
 
     if len(kept_monos) != dim:

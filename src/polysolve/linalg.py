@@ -151,9 +151,10 @@ _ELIM_LEAF = 32
 
 
 def _gauss_jordan(a: np.ndarray, f: int, p: int):
-    """``_row_echelon``'s outputs by one row at a time, for a small ``a``:
-    each pivot clears its column in every other row, so the pivot rows
-    come out reduced with no back-substitution."""
+    """``_row_echelon``'s outputs by one row at a time, for a small ``a``,
+    and the dependent rows as reduced: each pivot clears its column in
+    every other row, so the pivot rows come out reduced with no
+    back-substitution."""
     new: list[int] = []
     dep: list[int] = []
     pcols: list[int] = []
@@ -194,16 +195,16 @@ def _leaf(a: np.ndarray, f: int, p: int):
         out = _mul_arrays(np.vstack([ech, lost])[:, len(win):], a, p)
         s = len(new)
         if len(win) == len(cols) or not out[s:, :f].any():
-            return new, dep, win[pc].tolist(), out[:s], out[s:]
+            return new, dep, win[pc].tolist(), out[:s]
         k *= 2
 
 
 def _row_echelon(a: np.ndarray, f: int, p: int):
     """Row-order elimination of ``a`` with pivots in its first ``f`` columns.
 
-    Returns ``(new, dep, pcols, ech, lost)``: ``ech`` is the reduced
-    echelon form of ``a[new]``, the identity at ``pcols``, and ``lost`` is
-    ``a[dep]`` reduced by the rows above it, zero in the first f columns.
+    Returns ``(new, dep, pcols, ech)``: the indices of the independent and
+    of the dependent rows, and ``ech``, the reduced echelon form of
+    ``a[new]``, the identity at ``pcols``.
 
     By halving (the recursion of Jeannerod, Pernet and Storjohann's
     rank-profile elimination): eliminate the top half; reduce the bottom
@@ -216,13 +217,13 @@ def _row_echelon(a: np.ndarray, f: int, p: int):
     if c <= _ELIM_LEAF:
         return _leaf(a, f, p)
     h = c // 2
-    new_t, dep_t, pc_t, ech_t, lost_t = _row_echelon(a[:h], f, p)
+    new_t, dep_t, pc_t, ech_t = _row_echelon(a[:h], f, p)
     bottom = _sub_mod(a[h:], _mul_arrays(a[h:, pc_t], ech_t, p), p)
-    new_b, dep_b, pc_b, ech_b, lost_b = _row_echelon(bottom, f, p)
+    new_b, dep_b, pc_b, ech_b = _row_echelon(bottom, f, p)
     if new_b:
         ech_t = _sub_mod(ech_t, _mul_arrays(ech_t[:, pc_b], ech_b, p), p)
     return (new_t + [h + r for r in new_b], dep_t + [h + r for r in dep_b], pc_t + pc_b,
-            np.vstack([ech_t, ech_b]), np.vstack([lost_t, lost_b]))
+            np.vstack([ech_t, ech_b]))
 
 
 def _eliminate_block(w: np.ndarray, p: int):
@@ -230,18 +231,16 @@ def _eliminate_block(w: np.ndarray, p: int):
 
     Each row of ``w`` is reduced by the pivot rows above it and, if
     anything is left, becomes a pivot row on its first nonzero entry.
-    Returns ``(new, dep, rel, echelon, pcols, gmat)``: the indices of the
-    independent and of the dependent rows, ``w[dep] = rel @ w[new]``
-    (every dependence uses earlier rows only), and
-    ``echelon = gmat @ w[new]``, whose rows are the identity at ``pcols``.
-    Row operations ride along on an identity block, and ``_row_echelon``
-    does the work.  Every output is unique given the pivots, and the
-    pivots are the row-by-row ones, so the result is the row-by-row result.
+    Returns ``(new, dep, echelon, pcols, gmat)``: the indices of the
+    independent and of the dependent rows, and ``echelon = gmat @ w[new]``,
+    whose rows are the identity at ``pcols``.  Row operations ride along
+    on an identity block, and ``_row_echelon`` does the work.  Every
+    output is unique given the pivots, and the pivots are the row-by-row
+    ones, so the result is the row-by-row result.
     """
     c, f = w.shape
-    new, dep, pcols, ech, lost = _row_echelon(np.hstack([w, np.eye(c, dtype=np.int64)]), f, p)
-    ops = f + np.array(new, dtype=np.intp)
-    return new, dep, _sub_mod(0, lost[:, ops], p), ech[:, :f], pcols, ech[:, ops]
+    new, dep, pcols, ech = _row_echelon(np.hstack([w, np.eye(c, dtype=np.int64)]), f, p)
+    return new, dep, ech[:, :f], pcols, ech[:, f + np.array(new, dtype=np.intp)]
 
 
 class Matrix:
@@ -348,7 +347,7 @@ class Matrix:
 
     def rref(self) -> "Matrix":
         p = self.field.p
-        new, _dep, pcols, ech, _lost = _row_echelon(self.a % p, self.ncols, p)
+        new, _dep, pcols, ech = _row_echelon(self.a % p, self.ncols, p)
         out = np.zeros(self.shape, dtype=np.int64)
         out[:len(new)] = ech[np.argsort(pcols)]
         return Matrix(self.field, out)
@@ -362,7 +361,7 @@ class Matrix:
         if n != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
         p = self.field.p
-        _new, dep, pcols, ech, _lost = _row_echelon(
+        _new, dep, pcols, ech = _row_echelon(
             np.hstack([self.a % p, np.eye(n, dtype=np.int64)]), n, p)
         if dep:
             raise SingularMatrix("matrix is singular")

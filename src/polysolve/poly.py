@@ -37,10 +37,6 @@ class Monomial:
     def variable(cls, n: int, i: int) -> "Monomial":
         return cls(tuple(1 if j == i else 0 for j in range(n)))
 
-    @property
-    def nvars(self) -> int:
-        return len(self.exps)
-
     def is_one(self) -> bool:
         return self.deg == 0
 

@@ -101,7 +101,7 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
     level = [Monomial.one(n)]
     while level:
         basis += level
-        level = [m for m, _b, _i in _candidates(level, order) if m not in lead_row]
+        level = [m for m in _candidates(level, order) if m not in lead_row]
     if order.kind != "drl":   # degree by degree is increasing only under DRL
         basis.sort(key=order.key)
     q = QuotientStructure(gb.field, n, order, basis,

@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .change_order import UnivariateRep, _eval_points, _root_points, change_ordering
+from .change_order import (ROOT_SCAN_LIMIT, UnivariateRep, _eval_points, _root_points,
+                           _scan_points, change_ordering)
 from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
                      NotReadable, NotShapePosition, NotZeroDimensional)
 from .field import PrimeField
@@ -162,7 +163,7 @@ def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
     for r in range(0, dim, _BAND):
         band = np.stack([m[r:r + _BAND] for m in mats0]).reshape(n, -1)
         mats[:, r:r + _BAND] = _mul_arrays(ginv, band, fld.p).reshape(n, -1, dim)
-    return groebner_from_matrices(mats, fld, n, TermOrder.drl(n))
+    return groebner_from_matrices(mats, fld, n)
 
 
 def solve_lasvegas(F: list[Polynomial], rng=None,
@@ -222,15 +223,14 @@ def solve_lasvegas(F: list[Polynomial], rng=None,
 # -- solution recovery ------------------------------------------------------
 
 
-def rational_solutions(report: SolveReport, limit: int = 1 << 20) -> list[tuple[int, ...]]:
+def rational_solutions(report: SolveReport,
+                       limit: int = ROOT_SCAN_LIMIT) -> list[tuple[int, ...]]:
     """All F_p-rational solutions of the ORIGINAL system, recovered from the
     representation by scanning for roots of h_n (transformed points are
     mapped back through g).  Refuses fields larger than ``limit``."""
     rep = report.rep
     p = rep.field.p
-    if p > limit:
-        raise BudgetExceeded(f"root scan over {p} points exceeds limit {limit}")
-    coords = _root_points(rep, np.arange(p, dtype=np.int64))
+    coords = _root_points(rep, _scan_points(p, limit))
     if report.g is not None:
         coords = _mul_arrays(report.g.a, coords, p)
     return sorted(map(tuple, coords.T.tolist()))
@@ -260,9 +260,10 @@ class ProbabilityBound:
     q: int
     degrees: tuple[int, ...]
     D: int
+    delta: int                     # the degree bound sum (d_i - 1) + 1
     bound: Fraction
     vacuous: bool
-    char_condition_ok: bool        # q exceeds the degree bound delta
+    char_condition_ok: bool        # q exceeds delta
 
     def __float__(self) -> float:
         return float(self.bound)
@@ -287,4 +288,4 @@ def probability_bound(n: int, q: int, degrees, D: int | None = None) -> Probabil
         bound = Fraction(0)
     elif bound > 1:
         bound = Fraction(1)
-    return ProbabilityBound(n, q, degrees, D, bound, vacuous, q > delta)
+    return ProbabilityBound(n, q, degrees, D, delta, bound, vacuous, q > delta)

@@ -129,9 +129,8 @@ def eliminate_block_by_rows(w: np.ndarray, p: int):
         new.append(i)
         pcols.append(q)
     ops = f + np.array(new, dtype=np.intp)
-    rel = (-a[np.ix_(dep, ops)]) % p
     # each pivot row is zero at the pivot columns of the rows above it, so
     # at the pivot columns the pivot rows form a unit upper triangle
     piv = a[new]
     red = _unit_ut_solve(piv[:, pcols], np.hstack([piv[:, :f], piv[:, ops]]), p)
-    return new, dep, rel, red[:, :f], pcols, red[:, f:]
+    return new, dep, red[:, :f], pcols, red[:, f:]

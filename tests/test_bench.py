@@ -87,23 +87,17 @@ def test_run_bench_rows():
     assert "pipeline" in table and "las_vegas" in table
 
 
-def test_run_bench_with_fglm_reference():
-    records = run_bench(3, seed=0, with_fglm=True)
-    assert [r["pipeline"] for r in records] == ["deterministic", "las_vegas",
-                                                "fglm-builder"]
-    # building all n matrices the column-by-column way costs every type-II
-    # normal form, strictly more than the single-matrix echelon pass
-    assert records[2]["nf_count"] >= records[0]["nf_count"]
-
-
 def test_worstcase_script_runs_from_a_clean_checkout(tmp_path):
     # no installed package and no PYTHONPATH: the script finds src itself
     script = Path(__file__).resolve().parents[1] / "scripts" / "bench_worstcase.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, str(script), "--min-n", "2", "--max-n", "2", "--json"],
+    # n = 1 (D = 2) is the smallest family, as for ``polysolve bench``
+    done = subprocess.run([sys.executable, str(script), "--min-n", "1", "--max-n", "2", "--json"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["n"] == 2
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["n"] for r in rows] == [1, 2]
+    assert [rec["D"] for r in rows for rec in r["records"]] == [2, 2, 4, 4]
 
 
 def _tracer_targets():

@@ -9,7 +9,7 @@ from helpers import levinson_breakdown_sequence, random_zero_dim_system, shape_i
 from polysolve import change_order, solver
 from polysolve.bench import appendix_family
 from polysolve.change_order import (UnivariateRep, change_ordering, verify_rep)
-from polysolve.errors import ChangeOrderingFailed
+from polysolve.errors import BudgetExceeded, ChangeOrderingFailed
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
 from polysolve.linalg import (KrylovStats, Matrix, _krylov_doubling, _krylov_steps, _unit_rows,
@@ -210,15 +210,13 @@ def test_verify_rep_vacuous_when_no_roots(f7):
     assert res.ok and res.points_checked == 0
 
 
-def test_verify_rep_sampling_mode(f101):
-    x, y = _xy(f101)
-    system = [x - y, y * y - Polynomial.constant(f101, 2, 1)]
-    rep = lex_oracle(system, 2)
-    res = verify_rep(rep, system, sample_budget=50, rng=random.Random(3))
-    assert res.ok
-    assert 0 <= res.points_checked <= 2   # only sampled roots are certified
-    full = verify_rep(rep, system)
-    assert full.ok and full.points_checked == 2
+def test_verify_rep_refuses_fields_past_the_scan_limit():
+    # the scan certifies every root or raises; it never samples
+    field = PrimeField(2 ** 31 - 1)
+    y = Polynomial.variable(field, 1, 0)
+    rep = UnivariateRep(field, 1, [[field.p - 1, 1]])
+    with pytest.raises(BudgetExceeded):
+        verify_rep(rep, [y - Polynomial.constant(field, 1, 1)])
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from polysolve.cli import main
+from polysolve.cli import _build_parser, main
 from polysolve.sysfile import parse_system
 
 
@@ -206,6 +209,23 @@ def test_exit_code_out_of_memory(worked_file, capsys, monkeypatch):
     assert err == "error: out of memory: Unable to allocate 32.0 GiB for an array\n"
 
 
+def test_exit_code_exponent_overflow(tmp_path, capsys):
+    # the S-pair of these two needs x^65535 * x; the pair loop refuses it
+    path = tmp_path / "high.txt"
+    path.write_text("p = 7\nvars = x, y\nx^65000*y^600 + x^65535*y^64\nx^65001\n")
+    assert main(["gb", str(path)]) == 2
+    assert capsys.readouterr().err == "error: exponent above 65535\n"
+
+
+def test_exit_code_free_read_names_the_monomial(tmp_path, capsys):
+    path = tmp_path / "dense.txt"
+    path.write_text("p = 65521\nvars = x, y, z\nx^2 + 3*y*z + 2*x + 5\n"
+                    "y^2 + 7*x*z + y + 1\nz^2 + 11*x + 13*z + 2\n")
+    assert main(["matrices", str(path), "--method", "free"]) == 2
+    assert capsys.readouterr().err == ("error: column monomial y*z^2 is neither standard "
+                                       "nor a leading term\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["probbound", "--n", "2", "--q", "101", "--degrees", "2"],
     ["probbound", "--n", "2", "--q", "101", "--degrees", "2,x"],
@@ -227,3 +247,21 @@ def test_exit_code_bad_arguments(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _options(parser) -> set[str]:
+    return {o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")}
+
+
+def test_readme_synopses_match_the_parser():
+    # each synopsis line of README's command-line section, `polysolve ...` for
+    # the global options and `<subcommand> ...` for each subcommand, names
+    # exactly the options its parser has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    synopses = dict(re.findall(r"^`(polysolve|%s) ([^`]*)`" % "|".join(subs), readme, re.M))
+    assert set(synopses) == {"polysolve", *subs}
+    for name, synopsis in synopses.items():
+        want = _options(parser if name == "polysolve" else subs[name])
+        assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == want, name

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_zero_dim_system
+from polysolve import gb as gb_module
 from polysolve.bench import appendix_family
 from polysolve.errors import NotReadable, NotZeroDimensional
 from polysolve.field import PrimeField
@@ -87,6 +88,18 @@ def test_basis_is_the_whole_staircase(f7):
     x, y = _xy(f7)
     for order in (TermOrder.drl(2), TermOrder.lex(2)):
         gb = buchberger([x * x, y ** 3], order)
+        assert compute_basis(gb).basis == _brute_staircase(gb)
+
+
+def test_compute_basis_walks_without_the_cover(f7, monkeypatch):
+    # the greedy variable cover serves the rebuild's products only
+    def refuse(*args):
+        raise AssertionError("compute_basis built the rebuild's cover")
+
+    monkeypatch.setattr(gb_module, "_cover", refuse)
+    x, y = _xy(f7)
+    for gb in (buchberger([x * x, x * y, y ** 3], TermOrder.drl(2)),
+               buchberger(appendix_family(5, seed=5), TermOrder.drl(5))):
         assert compute_basis(gb).basis == _brute_staircase(gb)
 
 

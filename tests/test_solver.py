@@ -239,7 +239,7 @@ def test_probability_bound_worked_example():
     b = probability_bound(2, 65521, (2, 2))
     assert b.bound == Fraction(65497, 65521)
     assert float(b) == pytest.approx(1 - 24 / 65521)
-    assert b.D == 4 and not b.vacuous and b.char_condition_ok
+    assert b.D == 4 and b.delta == 3 and not b.vacuous and b.char_condition_ok
 
 
 def test_probability_bound_monotone_in_q():
