@@ -441,17 +441,16 @@ def apply_change_of_variables(f: Polynomial, g) -> Polynomial:
 
 # -- printing ---------------------------------------------------------------
 
-def to_string(f: Polynomial, varnames, order: TermOrder | None = None) -> str:
-    """Render with terms in descending order (DRL unless told otherwise).
+def to_string(f: Polynomial, varnames) -> str:
+    """Render with terms in descending DRL order.
 
     Output re-parses under the system-file grammar: explicit ``*`` between
     factors, ``^`` for exponents, canonical nonnegative coefficients.
     """
     if f.is_zero():
         return "0"
-    order = order or TermOrder.drl(f.n)
     parts = []
-    for m, c in f.terms_sorted(order):
+    for m, c in f.terms_sorted(TermOrder.drl(f.n)):
         factors = []
         if c != 1 or m.is_one():
             factors.append(str(c))
