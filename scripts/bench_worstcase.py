@@ -2,8 +2,10 @@
 """Sweep the worst-case quadric family and print the pipeline comparison.
 
 For each n both pipelines run on the same seed-fixed instance: the usual
-path (column-by-column T_n, 2^(n-1)-1 computed normal forms) and the Las
-Vegas path (random change of variables, T_n read off with zero arithmetic).
+path (T_n from the degree-by-degree builder, 2^(n-1)-1 computed normal
+forms) and the Las Vegas path (random change of variables, the transformed
+basis rebuilt from the normal-form table, T_n read off with zero
+arithmetic).
 
 Example:
     python scripts/bench_worstcase.py --min-n 5 --max-n 10

@@ -563,7 +563,9 @@ def groebner_from_matrices(mats, field: PrimeField, n: int) -> GroebnerBasis:
     D-dimensional quotient, in a basis whose coordinate vector for 1 is the
     first unit vector.  ``mats`` holds n D x D arrays of canonical
     residues, or is one n x D x D float64 stack of them, which is used
-    without a copy: a product by the view M_i^T runs as a transposed GEMM.
+    without a copy.  The products take M_i^T; the Las Vegas solver passes
+    the transposed view of a contiguous stack of the M_i^T, so they read
+    their operand contiguous rather than as a transposed view.
     Monomials are taken one total degree at a time, as under DRL only
     leading monomials of lower degree can make a degree-d monomial a
     non-candidate.  For each degree:

@@ -122,12 +122,6 @@ class TermOrder:
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
 
-    def max(self, monomials):
-        return max(monomials, key=self.key)
-
-    def sorted(self, monomials, reverse: bool = False):
-        return sorted(monomials, key=self.key, reverse=reverse)
-
     def __eq__(self, other):
         return isinstance(other, TermOrder) and (self.kind, self.n) == (other.kind, other.n)
 

@@ -15,13 +15,13 @@ ways:
 * ``build_matrices_fglm``     — one normal form at a time, in increasing
   order, each product-type frontier monomial costing one matrix-vector
   product against the partially built matrix (the classical approach);
-* ``build_matrices_echelon``  — degree by degree: each degree is one
-  contiguous slice of the frontier; the members of one witness variable k
-  take their witnesses' normal forms through ``targets[k]``, so the earlier
-  degrees enter by one product per k whose inner size is at most D, and
-  the slice's own relations form a unit-triangular system solved by
-  products (``linalg._unit_ut_solve``); each matrix is one gather from
-  ``targets``;
+* ``build_matrices_echelon``  — degree by degree (``normal_form_table``):
+  each degree is one contiguous slice of the frontier; the members of one
+  witness variable k take their witnesses' normal forms through
+  ``targets[k]``, so the earlier degrees enter by one product per k whose
+  inner size is at most D, and the slice's own relations form a
+  unit-triangular system solved by products (``linalg._unit_ut_solve``);
+  each matrix is one gather from that table through ``targets``;
 * ``try_read_Tn``             — the free path: succeeds only when every
   column of the last variable's matrix is a unit vector or a row of
   ``tails``, and performs zero field operations.
@@ -29,6 +29,11 @@ ways:
 The two computing builders agree bit for bit and return the frontier they
 used with the matrices; its ``type2_nf`` counts the normal forms they
 compute.  The free path, when it succeeds, agrees with both.
+
+The normal-form table and ``targets`` together describe all n matrices:
+column l of T_k is the unit vector of ``targets[k, l]`` or a row of the
+table.  The Las Vegas solver keeps only those two and never gathers a
+matrix; the deterministic one gathers T_n alone.
 """
 
 from __future__ import annotations
@@ -238,10 +243,9 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
     return out, frontier
 
 
-def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
-                           frontier: Frontier | None = None,
-                           variables: list[int] | None = None) -> tuple[list[MulMatrix], Frontier]:
-    """Multiplication matrices degree by degree, and the frontier used.
+def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.ndarray:
+    """The normal forms of every frontier member, degree by degree: row f
+    is psi(NF(frontier member f)), in frontier order, int64.
 
     Under DRL the frontier is sorted by degree first, so each frontier
     degree d is one contiguous slice [lo, hi), and its normal forms solve
@@ -256,19 +260,15 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     W[:, early] . NF[early targets] per k, whose inner size is at most D
     (the FGLM relation NF(x_k t') = T_k NF(t')).  Taken in descending
     order the slice's block is unit upper triangular, and ``_unit_ut_solve``
-    gives the slice's normal forms.  Each matrix is then one gather through
-    ``targets``.  Equals the one-at-a-time builder exactly.
+    gives the slice's normal forms.
 
-    ``variables`` restricts which matrices are gathered at the end (the
-    normal-form table is shared); default all n.
+    Column l of T_k is the unit vector of ``targets[k, l]`` when that is
+    below D, else row ``targets[k, l] - D`` of this table.
     """
     if quotient.order.kind != "drl":
         raise ValueError("the degree-by-degree builder needs the DRL order")
-    if frontier is None:
-        frontier = compute_frontier(quotient, gb)
     n = quotient.n
-    fld = quotient.field
-    p = fld.p
+    p = quotient.field.p
     dim = quotient.dimension
     total = len(frontier)
     targets = frontier.targets
@@ -280,7 +280,6 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     deg[targets[front] - dim] = np.broadcast_to(basis_deg + 1, targets.shape)[front]
     cuts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
 
-    # row f holds NF(frontier member f), in frontier order
     nf = np.zeros((total, dim), dtype=np.int64)
     for lo, hi in zip([0] + cuts, cuts + [total]):
         s = hi - lo
@@ -307,16 +306,35 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
             rhs[rk] = part
             t[s - 1 - rk[:, None], dim + hi - 1 - tgt[inside]] = -w[:, inside] % p
         nf[lo:hi] = _unit_ut_solve(t, rhs[::-1], p)[::-1]
+    return nf
 
-    out = []
-    for i in (range(n) if variables is None else variables):
-        tgt = targets[i]
-        unit = tgt < dim
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        mat[tgt[unit], np.flatnonzero(unit)] = 1
-        mat[:, ~unit] = nf[tgt[~unit] - dim].T
-        out.append(MulMatrix(i, Matrix(fld, mat)))
-    return out, frontier
+
+def _gather(table: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """One multiplication matrix from the normal-form table: column l is
+    the unit vector of ``tgt[l]`` or row ``tgt[l] - D`` of ``table``."""
+    dim = tgt.size
+    unit = tgt < dim
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    mat[tgt[unit], np.flatnonzero(unit)] = 1
+    mat[:, ~unit] = table[tgt[~unit] - dim].T
+    return mat
+
+
+def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
+                           frontier: Frontier | None = None,
+                           variables: list[int] | None = None) -> tuple[list[MulMatrix], Frontier]:
+    """Multiplication matrices degree by degree, and the frontier used:
+    ``normal_form_table``, then each matrix is one gather through
+    ``targets``.  Equals the one-at-a-time builder exactly.
+
+    ``variables`` restricts which matrices are gathered (the normal-form
+    table is shared); default all n.
+    """
+    if frontier is None:
+        frontier = compute_frontier(quotient, gb)
+    table = normal_form_table(quotient, frontier)
+    return [MulMatrix(i, Matrix(quotient.field, _gather(table, frontier.targets[i])))
+            for i in (range(quotient.n) if variables is None else variables)], frontier
 
 
 def _nf_rows(quotient: QuotientStructure, monomials: list[Monomial]) -> np.ndarray:

@@ -8,11 +8,13 @@ degree-by-degree builder, then the recurrence-based change of ordering
 (retried with fresh random vectors a few times before concluding the ideal
 is not in shape position for these coordinates).
 
-``solve_lasvegas``: build the n multiplication matrices of the original
-ideal once; then draw an invertible change of variables g, derive the
-transformed ideal's reduced basis from those matrices (no second Groebner
-computation), and insist on reading the last multiplication matrix for
-free; restart with a new g whenever reading or the ordering change fails.
+``solve_lasvegas``: compute the normal form of every frontier monomial of
+the original ideal once (``quotient.normal_form_table``), which locates
+every column of the n multiplication matrices without gathering them;
+then draw an invertible change of variables g, form the transformed
+multiplication matrices from that table and derive the transformed
+ideal's reduced basis from them (no second Groebner computation), and
+insist on reading the last multiplication matrix for free; restart with a new g whenever reading or the ordering change fails.
 Output is always correct when produced — failure is only ever reported as
 ExhaustedRestarts with diagnostics.
 
@@ -40,7 +42,7 @@ from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimen
 from .linalg import Matrix, OpCounter, _mul_arrays
 from .poly import Polynomial, TermOrder, apply_change_of_variables
 from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
-                       compute_frontier, try_read_Tn)
+                       compute_frontier, normal_form_table, try_read_Tn)
 
 _BAND = 16
 _RETRIES = 4                       # fresh random vectors per ordering change
@@ -142,28 +144,52 @@ def solve_deterministic(F: list[Polynomial], rng=None) -> SolveReport:
     return SolveReport("deterministic", None, rep, stats, list(F))
 
 
+def _transformed_gb(table: np.ndarray, targets: np.ndarray, g: Matrix,
+                    fld: PrimeField, n: int) -> GroebnerBasis:
+    """Reduced basis of the ideal under X -> g X without a second
+    ``buchberger`` run.
+
+    The quotient rings are isomorphic, and multiplication by x_j on the
+    transformed side acts on the original coordinates as
+    M_j = sum_k (g^-1)[j,k] T_k; enumerating monomials against the M_j
+    reproduces the transformed ideal's reduced basis exactly
+    (``groebner_from_matrices``).  Row l of T_k^T, column l of T_k, is the
+    unit vector of ``targets[k, l]`` when that is below D, else row
+    ``targets[k, l] - D`` of ``table``.  So the M_j^T are formed from the
+    table directly, in bands of ``_BAND`` rows l: one gather of table rows
+    and unit entries for all k, and one exact product by g^-1.  The M_j^T
+    are written once, contiguous, as one float64 stack, which the rebuild
+    multiplies by without a copy.
+    """
+    p = fld.p
+    dim = targets.shape[1]
+    ginv = g.inverse().a
+    mt = np.empty((n, dim, dim))
+    for r in range(0, dim, _BAND):
+        tgt = targets[:, r:r + _BAND]
+        unit = tgt < dim
+        band = np.zeros(tgt.shape + (dim,), dtype=np.int64)
+        band[unit, tgt[unit]] = 1
+        band[~unit] = table[tgt[~unit] - dim]
+        mt[:, r:r + _BAND] = _mul_arrays(ginv, band.reshape(n, -1), p).reshape(n, -1, dim)
+    return groebner_from_matrices(mt.transpose(0, 2, 1), fld, n)
+
+
 def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
                                   mats0: list[np.ndarray], g: Matrix,
                                   cfg: SolveConfig) -> GroebnerBasis:
-    """Reduced basis of the transformed ideal without a second ``buchberger`` run.
+    """``_transformed_gb`` fed with the n multiplication matrices T_k
+    themselves: their columns are stacked as the table, and every target
+    points into it.
 
-    Under the substitution X -> g X the quotient rings are isomorphic, and
-    multiplication by x_j on the transformed side acts on the original
-    coordinates as sum_k (g^-1)[j,k] T_k.  Enumerating monomials against
-    those matrices reproduces the transformed ideal's reduced basis exactly.
+    The solver runs from the normal-form table and never calls this;
+    acceptance criterion 8 and the rebuild tests do, with gathered
+    matrices, so it keeps their signature: ``Q0`` and ``cfg`` are unused.
     """
-    fld = gb0.field
     n = gb0.n
     dim = mats0[0].shape[0]
-    ginv = g.inverse().a
-    # (g^-1) . [T_0; ...; T_{n-1}], each T_k flattened to one row, taken in
-    # bands of _BAND matrix rows so the float64 operands stay small; the
-    # result is written once, as float64, for the rebuild to multiply by
-    mats = np.empty((n, dim, dim))
-    for r in range(0, dim, _BAND):
-        band = np.stack([m[r:r + _BAND] for m in mats0]).reshape(n, -1)
-        mats[:, r:r + _BAND] = _mul_arrays(ginv, band, fld.p).reshape(n, -1, dim)
-    return groebner_from_matrices(mats, fld, n)
+    table = np.concatenate([m.T for m in mats0])
+    return _transformed_gb(table, dim + np.arange(n * dim).reshape(n, dim), g, gb0.field, n)
 
 
 def solve_lasvegas(F: list[Polynomial], rng=None,
@@ -178,8 +204,8 @@ def solve_lasvegas(F: list[Polynomial], rng=None,
     gb0, Q0 = _drl_prefix(F, fld, n)
     t1 = time.perf_counter()
     gb_time = t1 - t0
-    mats_full, _ = build_matrices_echelon(Q0, gb0)
-    mats0 = [m.matrix.a for m in mats_full]
+    frontier = compute_frontier(Q0, gb0)
+    table = normal_form_table(Q0, frontier)
     matrix_time = time.perf_counter() - t1
     chord_time = 0.0
 
@@ -189,7 +215,7 @@ def solve_lasvegas(F: list[Polynomial], rng=None,
     for attempt in range(cfg.max_restarts):
         g = fld.random_nonsingular_matrix(n, rng)
         t1 = time.perf_counter()
-        gbT = _transformed_gb_from_matrices(gb0, Q0, mats0, g, cfg)
+        gbT = _transformed_gb(table, frontier.targets, g, fld, n)
         QT = compute_basis(gbT)
         t2 = time.perf_counter()
         gb_time += t2 - t1

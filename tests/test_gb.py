@@ -16,8 +16,9 @@ from polysolve.gb import (buchberger, groebner_from_matrices, is_zero_dimensiona
 from polysolve.linalg import _ELIM_LEAF, _eliminate_block
 from polysolve.poly import (Monomial, Polynomial, TermOrder,
                             apply_change_of_variables, normal_form, s_polynomial)
-from polysolve.quotient import build_matrices_echelon, compute_basis
-from polysolve.solver import SolveConfig, _transformed_gb_from_matrices
+from polysolve.quotient import (build_matrices_echelon, compute_basis, compute_frontier,
+                                normal_form_table)
+from polysolve.solver import _BAND, SolveConfig, _transformed_gb, _transformed_gb_from_matrices
 
 
 def _xy(field):
@@ -308,6 +309,34 @@ def test_transformed_rebuild_matches_buchberger(p, n):
                                             g, SolveConfig())
     reference = buchberger([apply_change_of_variables(f, g) for f in F], order)
     _assert_same_basis(rebuilt, reference)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_table_route_matches_gathered_matrices(p):
+    # the solver forms the transformed matrices from the normal-form table,
+    # with unit rows for basis targets; fed the gathered matrices, whose
+    # every row is a table row, the same rebuild must give the same basis
+    field = PrimeField(p)
+    rng = random.Random(p)
+    bases = [buchberger(appendix_family(n, field, seed=n), TermOrder.drl(n)) for n in range(2, 8)]
+    bases += [random_zero_dim_system(field, n, degs, rng)[1]
+              for n, degs in ((2, (2, 3)), (3, (2, 2, 5)))]
+    dims = []
+    for gb0 in bases:
+        n = gb0.n
+        quotient = compute_basis(gb0)
+        frontier = compute_frontier(quotient, gb0)
+        mats, _ = build_matrices_echelon(quotient, gb0, frontier)
+        g = field.random_nonsingular_matrix(n, rng)
+        got = _transformed_gb(normal_form_table(quotient, frontier), frontier.targets, g, field, n)
+        want = _transformed_gb_from_matrices(gb0, quotient, [m.matrix.a for m in mats],
+                                             g, SolveConfig())
+        assert got.standard == want.standard
+        assert got.leading_monomials == want.leading_monomials
+        assert got.tails.dtype == want.tails.dtype and np.array_equal(got.tails, want.tails)
+        dims.append(quotient.dimension)
+    # one quotient fits in a single band, one ends in a partial band
+    assert dims[-2] < _BAND and dims[-1] > _BAND and dims[-1] % _BAND
 
 
 def _pure_power_system(field, n, degrees, rng):

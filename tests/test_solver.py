@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_zero_dim_system, shape_instance
-from polysolve import solver
+from polysolve import quotient as quotient_module, solver
+from polysolve.bench import appendix_family
 from polysolve.errors import (BudgetExceeded, DimensionMismatch, ExhaustedRestarts,
                               PolysolveError, NotShapePosition, NotZeroDimensional)
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
 from polysolve.poly import Monomial, Polynomial, TermOrder
+from polysolve.quotient import compute_basis, compute_frontier
 from polysolve.solver import (SolveConfig, enumerate_rational_solutions,
                               probability_bound, rational_solutions,
                               solve_deterministic, solve_lasvegas)
@@ -331,3 +334,27 @@ def test_pinned_outputs(family, p):
         outcomes.append(_pinned_outcome(solve_lasvegas, system, 2))
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
     assert digest == _PINNED_DIGESTS[family, p]
+
+
+def test_lasvegas_never_gathers_a_matrix(monkeypatch):
+    # LV forms its transformed matrices from the normal-form table; only
+    # det gathers a multiplication matrix, and only T_n
+    n = 5
+    F = appendix_family(n, PrimeField(65521), seed=n)
+    real = quotient_module._gather
+    gathered = []
+
+    def refuse(table, tgt):
+        raise AssertionError("solve_lasvegas gathered a multiplication matrix")
+
+    def spy(table, tgt):
+        gathered.append(tgt.copy())
+        return real(table, tgt)
+
+    monkeypatch.setattr(quotient_module, "_gather", refuse)
+    assert solve_lasvegas(F, random.Random(2)).rep.degree == 2 ** n
+    monkeypatch.setattr(quotient_module, "_gather", spy)
+    assert solve_deterministic(F, random.Random(1)).rep.degree == 2 ** n
+    gb = buchberger(F, TermOrder.drl(n))
+    targets = compute_frontier(compute_basis(gb), gb).targets
+    assert len(gathered) == 1 and np.array_equal(gathered[0], targets[n - 1])
