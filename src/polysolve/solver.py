@@ -168,7 +168,7 @@ def _transformed_gb(table: np.ndarray, targets: np.ndarray, g: Matrix,
     for r in range(0, dim, _BAND):
         tgt = targets[:, r:r + _BAND]
         unit = tgt < dim
-        band = np.zeros(tgt.shape + (dim,), dtype=np.int64)
+        band = np.zeros(tgt.shape + (dim,))   # float64: the kernel reads it unconverted
         band[unit, tgt[unit]] = 1
         band[~unit] = table[tgt[~unit] - dim]
         mt[:, r:r + _BAND] = _mul_arrays(ginv, band.reshape(n, -1), p).reshape(n, -1, dim)
