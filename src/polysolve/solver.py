@@ -14,7 +14,8 @@ every column of the n multiplication matrices without gathering them;
 then draw an invertible change of variables g, form the transformed
 multiplication matrices from that table and derive the transformed
 ideal's reduced basis from them (no second Groebner computation), and
-insist on reading the last multiplication matrix for free; restart with a new g whenever reading or the ordering change fails.
+insist on reading the last multiplication matrix for free; restart with a
+new g whenever reading or the ordering change fails.
 Output is always correct when produced — failure is only ever reported as
 ExhaustedRestarts with diagnostics.
 
