@@ -11,7 +11,8 @@ random change of variables the last matrix can typically be read off with
 zero arithmetic (and comes out sparser, too).
 
 A row is a plain dict, one per solve (``record_from_report``);
-``bench --json`` and the ``stats`` of ``solve --json`` print it.
+``bench --json``, the ``stats`` of ``solve --json`` and
+``scripts/bench_worstcase.py`` print it.
 """
 
 from __future__ import annotations
@@ -61,14 +62,21 @@ def record_from_report(report: SolveReport) -> dict:
     s = report.stats
     return {"n": s.n, "D": s.D, "pipeline": report.pipeline, "gb_time": s.gb_time,
             "matrix_time": s.matrix_time, "chord_time": s.chord_time,
-            "nf_count": s.nf_type2_tn, "density": s.tn_density, "total_time": s.total_time}
+            "nf_count": s.nf_type2_tn, "density": s.tn_density, "total_time": s.total_time,
+            "retries": s.retries, "restarts": s.restarts}
 
 
-def run_bench(n: int, seed: int = 0) -> list[dict]:
-    """Both pipelines on the same seed-fixed instance."""
-    F = appendix_family(n, seed=seed)
-    return [record_from_report(solve_deterministic(F, random.Random(seed + 1))),
-            record_from_report(solve_lasvegas(F, random.Random(seed + 2)))]
+# each pipeline, with the offset of its rng's seed from the family's
+PIPELINES = {"deterministic": (solve_deterministic, 1), "las_vegas": (solve_lasvegas, 2)}
+
+
+def run_bench(n: int, seed: int = 0, field: PrimeField | None = None,
+              pipelines=tuple(PIPELINES)) -> list[dict]:
+    """The given pipelines, by default both, on the same seed-fixed
+    instance over ``field`` (default F_65521)."""
+    F = appendix_family(n, field, seed=seed)
+    return [record_from_report(solve(F, random.Random(seed + offset)))
+            for solve, offset in map(PIPELINES.get, pipelines)]
 
 
 def format_table(records: list[dict]) -> str:

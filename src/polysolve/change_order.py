@@ -100,7 +100,7 @@ def change_ordering(tn: MulMatrix, gb: GroebnerBasis, quotient: QuotientStructur
         raise ChangeOrderingFailed(len(mu) - 1, D)
 
     # each x_i is standard or a leading monomial, so no row is unreadable
-    C = _nf_rows(quotient, [Monomial.variable(n, i) for i in range(n - 1)])
+    C = _nf_rows(quotient, np.eye(n, dtype=np.int64)[:n - 1])
     h = parametrizations(S, _mul_arrays(C, K.a[:, :D], p), mu, fld)
     return UnivariateRep(fld, n, h.tolist() + [mu]), stats
 

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over a prime field.
 
-Matrices hold canonical residues in C-contiguous int64 numpy arrays.  Every
-product goes through one exact kernel, ``_mul_arrays``, built on float64
-BLAS for the whole range 2 < p < 2^31.  With inner dimension k it takes one
-of two cases:
+Matrices hold canonical residues in int64 numpy arrays, C-contiguous except
+where a builder returns the transpose view of rows it wrote, so that the
+Krylov steps read the transpose without a copy.  Every product goes through
+one exact kernel, ``_mul_arrays``, built on float64 BLAS for the whole
+range 2 < p < 2^31.  With inner dimension k it takes one of two cases:
 
 * while ``k * (p-1)^2 < 2^53`` a single float64 GEMM is exact, because every
   product and partial sum is an integer below 2^53;
@@ -41,8 +42,9 @@ Reductions avoid numpy's ``%``, which runs an integer division per element.
 through a multiply and a shift; on a 170 x 512 product that is 0.12-0.15
 against 0.31-0.33 ms.  A difference of canonical residues lies in (-p, p),
 so ``_sub_mod`` reduces it by adding p where the sign bit is set, about nine
-times cheaper than ``(x - y) % p`` on 256 x 512.  Both give exactly ``%``'s
-residues.
+times cheaper than ``(x - y) % p`` on 256 x 512; a sum of two lies in
+[0, 2p), and ``_add_mod`` subtracts p once where it is reached, on int64 or
+float64 alike.  All give exactly ``%``'s residues.
 """
 
 from __future__ import annotations
@@ -103,6 +105,15 @@ def _sub_mod(x, y, p: int) -> np.ndarray:
     """(x - y) mod p for canonical int64 residues (either may be a scalar)."""
     r = np.subtract(x, y, dtype=np.int64)
     r += p & (r >> 63)
+    return r
+
+
+def _add_mod(x, y, p: int) -> np.ndarray:
+    """(x + y) mod p for canonical residues, int64 or float64: the sum is
+    below 2p, so p is subtracted once where it is reached."""
+    r = np.add(x, y)
+    p = r.dtype.type(p)  # a Python int would slow the float comparison threefold
+    r -= p * (r >= p)
     return r
 
 
@@ -390,50 +401,75 @@ def binary_power_table(t: Matrix, k: int) -> list[Matrix]:
     return table
 
 
-def _unit_ut_inverse(t: np.ndarray, p: int) -> np.ndarray:
-    """T^(-1) for unit upper-triangular T, from matrix products only.
+def _unit_ut_inverse(nil: np.ndarray, p: int) -> np.ndarray:
+    """(I - N)^(-1) for strictly upper-triangular N, ``nil`` (canonical
+    residues), from matrix products only.
 
-    Above ``_INVERSE_LEAF`` rows the inverse is blocked as
-    [[A, B], [0, C]]^(-1) = [[A^(-1), -A^(-1) B C^(-1)], [0, C^(-1)]].  At
-    the leaf M = I - T is strictly upper triangular, so M^s = 0 and
-    T^(-1) = sum_{j<s} M^j = prod_{i<ceil(log2 s)} (I + M^(2^i)); the
-    product stops at the first M^(2^i) that is zero.
+    Above ``_INVERSE_LEAF`` rows the inverse is blocked: I - N is
+    [[A, -N12], [0, C]], whose inverse is [[A^(-1), A^(-1) N12 C^(-1)],
+    [0, C^(-1)]].  At the leaf N^s = 0, so (I - N)^(-1) = sum_{j<s} N^j =
+    prod_{i<ceil(log2 s)} (I + N^(2^i)); the product stops at the first
+    N^(2^i) that is zero.
     """
-    s = t.shape[0]
+    s = nil.shape[0]
     if s <= _INVERSE_LEAF:
-        m = np.triu(_sub_mod(0, t, p), 1)
+        m = nil
         inv = m + np.eye(s, dtype=np.int64)
         for _ in range(1, (s - 1).bit_length()):
             m = _mul_arrays(m, m, p)
             if not m.any():
                 break
-            inv = (inv + _mul_arrays(inv, m, p)) % p
+            inv = _add_mod(inv, _mul_arrays(inv, m, p), p)
         return inv
     h = s // 2
-    a_inv = _unit_ut_inverse(t[:h, :h], p)
-    c_inv = _unit_ut_inverse(t[h:, h:], p)
+    a_inv = _unit_ut_inverse(nil[:h, :h], p)
+    c_inv = _unit_ut_inverse(nil[h:, h:], p)
     inv = np.zeros((s, s), dtype=np.int64)
     inv[:h, :h] = a_inv
     inv[h:, h:] = c_inv
-    inv[:h, h:] = _sub_mod(0, _mul_arrays(a_inv, _mul_arrays(t[:h, h:], c_inv, p), p), p)
+    inv[:h, h:] = _mul_arrays(a_inv, _mul_arrays(nil[:h, h:], c_inv, p), p)
     return inv
 
 
-def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """Solve T X = R for unit upper-triangular T (canonical residues).
+def _unit_ut_solve_in_place(x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                            vals: np.ndarray, p: int) -> None:
+    """Solve (I - N) X = R in place: ``x`` holds R and receives X.
 
-    Only the unknowns that other rows use, those whose column of T has an
-    off-diagonal nonzero, need an inverse: they solve the closed system
-    T[used, used] X[used] = R[used] as one product with its product-built
-    inverse.  Every other unknown is then R[rest] - T[rest, used] X[used],
-    one more product.
+    N is strictly upper triangular and given by its nonzero entries,
+    N[rows, cols] = vals, as canonical residues; ``x`` may be int64 or
+    float64.  Only the unknowns that other rows use, ``cols``, need an
+    inverse: they solve the closed system (I - N[u, u]) X[u] = R[u] as one
+    product with its product-built inverse, the block formed on those
+    columns alone.  Every other row with an entry then adds N[row, u] X[u],
+    one more product; a row without entries keeps its R.
     """
-    used = np.count_nonzero(t, axis=0) > 1  # the unit diagonal counts once
+    used = np.zeros(x.shape[0], dtype=bool)
+    used[cols] = True
     u = np.flatnonzero(used)
-    rest = np.flatnonzero(~used)
-    x = np.empty(rhs.shape, dtype=np.int64)
-    x[u] = xu = _mul_arrays(_unit_ut_inverse(t[np.ix_(u, u)], p), rhs[u], p)
-    x[rest] = _sub_mod(rhs[rest], _mul_arrays(t[np.ix_(rest, u)], xu, p), p)
+    if not u.size:
+        return
+    at = np.cumsum(used) - 1  # position among the used unknowns
+    inner = used[rows]
+    block = np.zeros((u.size, u.size), dtype=np.int64)
+    block[at[rows[inner]], at[cols[inner]]] = vals[inner]
+    x[u] = xu = _mul_arrays(_unit_ut_inverse(block, p), x[u], p)
+    outer = ~inner
+    if outer.any():
+        dep = np.zeros(x.shape[0], dtype=bool)
+        dep[rows[outer]] = True
+        nd = np.zeros((np.count_nonzero(dep), u.size), dtype=np.int64)
+        nd[(np.cumsum(dep) - 1)[rows[outer]], at[cols[outer]]] = vals[outer]
+        d = np.flatnonzero(dep)
+        x[d] = _add_mod(x[d], _mul_arrays(nd, xu, p), p)
+
+
+def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
+    """Solve T X = R for unit upper-triangular T (canonical int64 residues):
+    ``_unit_ut_solve_in_place`` with N the negated entries above T's
+    diagonal."""
+    rows, cols = np.nonzero(np.triu(t, 1))
+    x = rhs.astype(np.int64)
+    _unit_ut_solve_in_place(x, rows, cols, _sub_mod(0, t[rows, cols], p), p)
     return x
 
 

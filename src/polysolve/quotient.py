@@ -8,20 +8,24 @@ steps copy.  ``compute_frontier`` describes the frontier {x_i * eps : eps in
 B} \\ B by integer tables only: ``targets`` locates every product
 x_k * eps_l in B or in the frontier, ``gen_row`` marks the leading monomials
 by their row of ``tails``, and ``witness_var``/``witness_row`` give every
-other member as x_k times a member one degree down.  Both computing
-builders read those tables; the multiplication matrices are built three
-ways:
+other member as x_k times a member one degree down.  It forms all n D
+products as one exponent array and locates them by integer codes that rank
+monomials in the working order (``_codes``), as the free read does.  Both
+computing builders read those tables; the multiplication matrices are built
+three ways:
 
 * ``build_matrices_fglm``     — one normal form at a time, in increasing
   order, each product-type frontier monomial costing one matrix-vector
   product against the partially built matrix (the classical approach);
-* ``build_matrices_echelon``  — degree by degree (``normal_form_table``):
-  each degree is one contiguous slice of the frontier; the members of one
-  witness variable k take their witnesses' normal forms through
-  ``targets[k]``, so the earlier degrees enter by one product per k whose
-  inner size is at most D, and the slice's own relations form a
-  unit-triangular system solved by products (``linalg._unit_ut_solve``);
-  each matrix is one gather from that table through ``targets``;
+* ``build_matrices_echelon``  — degree by degree (``normal_form_table``, a
+  float64 table): each degree is one contiguous slice of the frontier; the
+  members of one witness variable k take their witnesses' normal forms
+  through ``targets[k]``, so the earlier degrees enter by one product per k
+  whose inner size is at most D, and the slice's own relations form a
+  unit-triangular system, solved in place over the slice's rows by products
+  with an inverse built on its used columns only
+  (``linalg._unit_ut_solve_in_place``); each matrix is one gather from that
+  table through ``targets``, made as the rows of its transpose;
 * ``try_read_Tn``             — the free path: succeeds only when every
   column of the last variable's matrix is a unit vector or a row of
   ``tails``, and performs zero field operations.
@@ -45,16 +49,20 @@ import numpy as np
 from .errors import ClassificationFailure, NotReadable, NotZeroDimensional
 from .field import PrimeField
 from .gb import GroebnerBasis, _candidates, is_zero_dimensional
-from .linalg import Matrix, OpCounter, _mul_arrays, _unit_ut_solve
+from .linalg import Matrix, OpCounter, _add_mod, _mul_arrays, _unit_ut_solve_in_place
 from .poly import Monomial, Polynomial, TermOrder
 
 
 class QuotientStructure:
     """The standard-monomial basis B, sorted increasingly, with index map;
     row ``lead_row[lm]`` of the |G| x D array ``tails`` is psi(NF(lm)), the
-    negated tail of the generator led by lm."""
+    negated tail of the generator led by lm.  ``exps`` and ``lead_exps``
+    hold the exponents of B and of the leading monomials, one row each, in
+    the same orders, for the array code that locates monomials
+    (``_codes``)."""
 
-    __slots__ = ("field", "n", "order", "basis", "index", "tails", "lead_row")
+    __slots__ = ("field", "n", "order", "basis", "index", "tails", "lead_row", "exps",
+                 "lead_exps")
 
     def __init__(self, field: PrimeField, n: int, order: TermOrder, basis: list[Monomial],
                  tails: np.ndarray, lead_row: dict[Monomial, int]):
@@ -65,6 +73,8 @@ class QuotientStructure:
         self.index = {m: i for i, m in enumerate(basis)}
         self.tails = tails
         self.lead_row = lead_row
+        self.exps = np.array([m.exps for m in basis], dtype=np.int64).reshape(-1, n)
+        self.lead_exps = np.array([m.exps for m in lead_row], dtype=np.int64).reshape(-1, n)
 
     @property
     def dimension(self) -> int:
@@ -156,44 +166,84 @@ class Frontier:
         return int(np.count_nonzero(self.witness_var[tgt[tgt >= dim] - dim] >= 0))
 
 
+def _codes(exps: np.ndarray, order: TermOrder) -> np.ndarray:
+    """Dense ranks of the exponent rows under ``order``: equal monomials get
+    equal codes, and a smaller monomial a smaller code.
+
+    The order's key columns (the degree, then the negated exponents from
+    x_n down, under DRL; the exponents under LEX) are packed into one int64
+    word, most significant first, each in the radix of its own range.
+    Before a column would take the word past 2^62 the word is replaced by
+    its dense rank, which is below the row count, so exponents up to
+    ``MAX_EXPONENT`` in any number of variables pack without overflow.
+    """
+    et = np.ascontiguousarray(exps.T)
+    keys = [et.sum(axis=0), *-et[::-1]] if order.kind == "drl" else list(et)
+    code = np.zeros(exps.shape[0], dtype=np.int64)
+    span = 1
+    for key in keys:
+        key = key - key.min()
+        radix = int(key.max()) + 1
+        if span * radix >= 1 << 62:
+            code = np.unique(code, return_inverse=True)[1]
+            span = int(code.max()) + 1
+        code = code * radix + key
+        span *= radix
+    return np.unique(code, return_inverse=True)[1]
+
+
 def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier:
     """Classify the frontier and locate every product x_k * eps_l.
 
     This is the one place that decides where a product lands and how each
-    member's normal form is obtained.
+    member's normal form is obtained.  All n D products are formed at once
+    as exponent rows and coded together with B and the leading monomials
+    (``_codes``), so every lookup is an array index: a product whose code
+    is a basis code lands in B, the other codes, ascending, are the
+    frontier in order.  A member t = x_i eps_l that leads no generator
+    takes the first variable k for which t / x_k is a member.  For k = i
+    that is eps_l, standard; for any other k in t's support it is
+    x_i (eps_l / x_k), and eps_l / x_k is standard, so ``targets`` itself
+    locates it.
     """
     n = quotient.n
     dim = quotient.dimension
-    targets = [[0] * dim for _ in range(n)]
-    cells: dict[Monomial, list[tuple[int, int]]] = {}
-    for l, eps in enumerate(quotient.basis):
-        for i in range(n):
-            t = eps.mul_var(i)
-            j = quotient.index.get(t)
-            if j is None:
-                cells.setdefault(t, []).append((i, l))
-            else:
-                targets[i][l] = j
-    monomials = sorted(cells, key=quotient.order.key)
-    row = {t: f for f, t in enumerate(monomials)}
-    gen_row = [-1] * len(monomials)
-    witness_var = [-1] * len(monomials)
-    witness_row = [-1] * len(monomials)
-    for f, t in enumerate(monomials):
-        for i, l in cells[t]:
-            targets[i][l] = dim + f
-        if t in quotient.lead_row:
-            gen_row[f] = quotient.lead_row[t]
-            continue
-        for k in t.support():
-            w = row.get(t.div_var(k))
-            if w is not None:
-                witness_var[f], witness_row[f] = k, w
-                break
-        else:
-            raise ClassificationFailure(f"{t} is neither a leading monomial nor a shifted frontier monomial")
-    return Frontier(monomials, *(np.array(a, dtype=np.int64)
-                                 for a in (targets, gen_row, witness_var, witness_row)))
+    prods = (quotient.exps + np.eye(n, dtype=np.int64)[:, None, :]).reshape(-1, n)
+    codes = _codes(np.vstack([quotient.exps, prods, quotient.lead_exps]), quotient.order)
+    basis_code, prod_code, lead_code = np.split(codes, [dim, dim + prods.shape[0]])
+    prod_code = prod_code.reshape(n, dim)
+    where = np.full(codes.size, -1, dtype=np.int64)
+    where[basis_code] = np.arange(dim)
+    targets = where[prod_code]
+    front = targets < 0
+    member = np.zeros(codes.size, dtype=bool)
+    member[prod_code[front]] = True
+    total = int(np.count_nonzero(member))
+    targets[front] = dim + (np.cumsum(member) - 1)[prod_code[front]]
+    # each member as one of its products x_i eps_l
+    ks, ls = np.nonzero(front)
+    f = targets[ks, ls] - dim
+    var, base = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
+    var[f], base[f] = ks, ls
+    where[:] = -1
+    where[lead_code] = np.arange(lead_code.size)
+    gen_row = where[np.flatnonzero(member)]
+    # down[k, j] = l where eps_j / x_k = eps_l, else -1
+    down = np.full((n, dim), -1, dtype=np.int64)
+    ks, ls = np.nonzero(~front)
+    down[ks, targets[ks, ls]] = ls
+    below = down[:, base]
+    below = np.where(below >= 0, targets[var, below], -1)   # t / x_k, or -1
+    found = (below >= dim) & (gen_row < 0)
+    witness_var = np.where(found.any(axis=0), found.argmax(axis=0), -1)
+    witness_row = np.where(witness_var >= 0, below[witness_var, np.arange(total)] - dim, -1)
+    exps = quotient.exps[base]
+    exps[np.arange(total), var] += 1
+    lost = np.flatnonzero((gen_row < 0) & (witness_var < 0))
+    if lost.size:
+        raise ClassificationFailure(f"{Monomial(exps[lost[0]].tolist())} is neither a leading "
+                                    "monomial nor a shifted frontier monomial")
+    return Frontier(list(map(Monomial, exps.tolist())), targets, gen_row, witness_var, witness_row)
 
 
 @dataclass
@@ -245,22 +295,26 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
 
 def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.ndarray:
     """The normal forms of every frontier member, degree by degree: row f
-    is psi(NF(frontier member f)), in frontier order, int64.
+    is psi(NF(frontier member f)), in frontier order, as float64 residues,
+    so that every product reads the rows it gathers from the table without
+    converting them.
 
     Under DRL the frontier is sorted by degree first, so each frontier
-    degree d is one contiguous slice [lo, hi), and its normal forms solve
-    one unit-triangular system over the slice.  A generator member's right
-    side is its row of ``tails``.  A product member m = x_k t' with
-    w = NF(t') satisfies m = sum_l w_l x_k eps_l, where eps_l ranges over the
-    basis monomials of degree < d, so ``targets[k, :L_d]`` sorts its terms:
-    a basis target is scattered into the right side, an earlier frontier
-    target f contributes w_l NF(f), and a target inside the slice becomes an
-    entry of the pivot block.  All members of one witness variable k share
-    those targets, so the earlier-frontier part is one product
-    W[:, early] . NF[early targets] per k, whose inner size is at most D
-    (the FGLM relation NF(x_k t') = T_k NF(t')).  Taken in descending
-    order the slice's block is unit upper triangular, and ``_unit_ut_solve``
-    gives the slice's normal forms.
+    degree d is one contiguous slice [lo, hi) of rows, and its normal forms
+    solve one unit-triangular system over the slice.  The slice's right
+    sides are written into its rows, and its solution over them.  A
+    generator member's right side is its row of ``tails``.  A product
+    member m = x_k t' with w = NF(t') satisfies m = sum_l w_l x_k eps_l,
+    where eps_l ranges over the basis monomials of degree < d, so
+    ``targets[k, :L_d]`` sorts its terms: a basis target adds w_l to the
+    right side, an earlier frontier target f contributes w_l NF(f), and a
+    target inside the slice is an entry of the slice's system.  All members
+    of one witness variable k share those targets, so the earlier-frontier
+    part is one product W[:, early] . NF[early targets] per k, whose inner
+    size is at most D (the FGLM relation NF(x_k t') = T_k NF(t')).  Taken
+    in descending order the slice's system is unit upper triangular; it is
+    kept as its nonzero entries, and ``linalg._unit_ut_solve_in_place``
+    inverts it on its used columns only.
 
     Column l of T_k is the unit vector of ``targets[k, l]`` when that is
     below D, else row ``targets[k, l] - D`` of this table.
@@ -273,51 +327,58 @@ def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.nda
     total = len(frontier)
     targets = frontier.targets
     gen_row, witness_var, witness_row = frontier.gen_row, frontier.witness_var, frontier.witness_row
-    basis_deg = np.array([eps.deg for eps in quotient.basis], dtype=np.int64)
+    basis_deg = quotient.exps.sum(axis=1)
     # a member is one degree above each basis monomial it extends
     deg = np.zeros(total, dtype=np.int64)
     front = targets >= dim
     deg[targets[front] - dim] = np.broadcast_to(basis_deg + 1, targets.shape)[front]
     cuts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
 
-    nf = np.zeros((total, dim), dtype=np.int64)
+    nf = np.zeros((total, dim))
     for lo, hi in zip([0] + cuts, cuts + [total]):
         s = hi - lo
         low = int(np.searchsorted(basis_deg, deg[lo]))
-        # member lo + r is rhs[r] plus a combination of earlier members of
-        # the slice; t holds that relation in descending member order
-        rhs = np.zeros((s, dim), dtype=np.int64)
-        t = np.eye(s, dtype=np.int64)
+        out = nf[lo:hi]
+        flat = out.reshape(-1)
         rg = np.flatnonzero(gen_row[lo:hi] >= 0)
-        rhs[rg] = quotient.tails[gen_row[lo + rg]]
+        out[rg] = quotient.tails[gen_row[lo + rg]]
+        # member r of the slice is its right side plus sum vals * member
+        # cols, over the (r, cols, vals) entries with cols < r
+        rows, cols, vals = [], [], []
         for k in range(n):
             rk = np.flatnonzero(witness_var[lo:hi] == k)
             if not rk.size:
                 continue
             w = nf[witness_row[lo + rk], :low]
             tgt = targets[k, :low]
-            basis = tgt < dim
-            inside = tgt >= dim + lo
-            early = ~(basis | inside)
-            part = np.zeros((rk.size, dim), dtype=np.int64)
-            part[:, tgt[basis]] = w[:, basis]
-            if early.any():
-                part = (part + _mul_arrays(w[:, early], nf[tgt[early] - dim], p)) % p
-            rhs[rk] = part
-            t[s - 1 - rk[:, None], dim + hi - 1 - tgt[inside]] = -w[:, inside] % p
-        nf[lo:hi] = _unit_ut_solve(t, rhs[::-1], p)[::-1]
+            basis = np.flatnonzero(tgt < dim)
+            inside = np.flatnonzero(tgt >= dim + lo)
+            early = np.flatnonzero((tgt >= dim) & (tgt < dim + lo))
+            if early.size:
+                out[rk] = _mul_arrays(w[:, early], nf[tgt[early] - dim], p)
+            cell = (rk[:, None] * dim + tgt[basis]).ravel()
+            flat[cell] = _add_mod(flat.take(cell), w[:, basis].ravel(), p)
+            w = w[:, inside]
+            r, c = np.nonzero(w)
+            rows.append(rk[r])
+            cols.append(tgt[inside[c]] - dim - lo)
+            vals.append(w[r, c])
+        if rows:
+            _unit_ut_solve_in_place(out[::-1], s - 1 - np.concatenate(rows),
+                                    s - 1 - np.concatenate(cols), np.concatenate(vals), p)
     return nf
 
 
 def _gather(table: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """One multiplication matrix from the normal-form table: column l is
-    the unit vector of ``tgt[l]`` or row ``tgt[l] - D`` of ``table``."""
+    """The transpose of one multiplication matrix from the normal-form
+    table, as int64 rows: row l is the unit vector of ``tgt[l]`` or row
+    ``tgt[l] - D`` of ``table``."""
     dim = tgt.size
     unit = tgt < dim
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    mat[tgt[unit], np.flatnonzero(unit)] = 1
-    mat[:, ~unit] = table[tgt[~unit] - dim].T
-    return mat
+    out = np.zeros((dim, dim), dtype=np.int64)
+    out[np.flatnonzero(unit), tgt[unit]] = 1
+    out[~unit] = table[tgt[~unit] - dim]
+    return out
 
 
 def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
@@ -333,22 +394,31 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
     if frontier is None:
         frontier = compute_frontier(quotient, gb)
     table = normal_form_table(quotient, frontier)
-    return [MulMatrix(i, Matrix(quotient.field, _gather(table, frontier.targets[i])))
+    # each matrix is the transpose of its gathered rows, so that the Krylov
+    # steps, which run on T^T, read those rows without a copy
+    return [MulMatrix(i, Matrix(quotient.field, _gather(table, frontier.targets[i]).T))
             for i in (range(quotient.n) if variables is None else variables)], frontier
 
 
-def _nf_rows(quotient: QuotientStructure, monomials: list[Monomial]) -> np.ndarray:
-    """psi(NF(m)) for each monomial, by copies only: a unit row when m is
-    standard, its ``tails`` row when m leads a generator; any other monomial
-    raises NotReadable carrying it."""
-    out = np.zeros((len(monomials), quotient.dimension), dtype=np.int64)
-    for r, m in enumerate(monomials):
-        if m in quotient.index:
-            out[r, quotient.index[m]] = 1
-        elif m in quotient.lead_row:
-            out[r] = quotient.tails[quotient.lead_row[m]]
-        else:
-            raise NotReadable(m)
+def _nf_rows(quotient: QuotientStructure, exps: np.ndarray) -> np.ndarray:
+    """psi(NF(m)) for the monomial m of each exponent row, by copies only:
+    a unit row when m is standard, its ``tails`` row when m leads a
+    generator; the first other monomial raises NotReadable carrying it."""
+    dim = quotient.dimension
+    leads = quotient.lead_exps.shape[0]
+    codes = _codes(np.vstack([quotient.exps, quotient.lead_exps, exps]), quotient.order)
+    col = np.full(codes.size, -1, dtype=np.int64)
+    row = col.copy()
+    col[codes[:dim]] = np.arange(dim)
+    row[codes[dim:dim + leads]] = np.arange(leads)
+    col, row = col[codes[dim + leads:]], row[codes[dim + leads:]]
+    lost = np.flatnonzero((col < 0) & (row < 0))
+    if lost.size:
+        raise NotReadable(Monomial(exps[lost[0]].tolist()))
+    out = np.zeros((exps.shape[0], dim), dtype=np.int64)
+    unit = col >= 0
+    out[np.flatnonzero(unit), col[unit]] = 1
+    out[~unit] = quotient.tails[row[~unit]]
     return out
 
 
@@ -358,10 +428,13 @@ def try_read_Tn(quotient: QuotientStructure, gb: GroebnerBasis,
 
     Every column x_n * eps_j must be either a standard monomial (unit
     column) or a leading monomial (its row of ``quotient.tails``); any
-    other monomial raises NotReadable carrying the offender.  ``counter``,
-    if given, receives the field multiplications/additions performed — by
-    construction it stays at zero, which is the point of this path.
+    other monomial raises NotReadable carrying the first offender in basis
+    order.  ``counter``, if given, receives the field
+    multiplications/additions performed — by construction it stays at
+    zero, which is the point of this path.  The columns are read as the
+    rows of T_n^T, and T_n is their transpose, as in
+    ``build_matrices_echelon``.
     """
     last = quotient.n - 1
-    cols = _nf_rows(quotient, [eps.mul_var(last) for eps in quotient.basis])
-    return MulMatrix(last, Matrix(quotient.field, np.ascontiguousarray(cols.T)))
+    cols = _nf_rows(quotient, quotient.exps + np.eye(quotient.n, dtype=np.int64)[last])
+    return MulMatrix(last, Matrix(quotient.field, cols.T))

@@ -8,10 +8,12 @@ import random
 
 import numpy as np
 
+from polysolve.errors import ClassificationFailure, NotReadable
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, is_zero_dimensional
-from polysolve.linalg import _unit_ut_solve
+from polysolve.linalg import _mul_arrays, _unit_ut_solve
 from polysolve.poly import Monomial, Polynomial, TermOrder
+from polysolve.quotient import Frontier
 from polysolve.change_order import UnivariateRep
 from polysolve.recur import hankel_matrix, is_squarefree
 
@@ -134,3 +136,100 @@ def eliminate_block_by_rows(w: np.ndarray, p: int):
     piv = a[new]
     red = _unit_ut_solve(piv[:, pcols], np.hstack([piv[:, :f], piv[:, ops]]), p)
     return new, dep, red[:, :f], pcols, red[:, f:]
+
+
+def frontier_by_monomials(quotient, gb) -> Frontier:
+    """Per-monomial oracle for ``quotient.compute_frontier``, same outputs:
+    every product x_i eps_l is looked up in dicts of ``Monomial``s, and a
+    member that leads no generator takes the first variable k of its
+    support for which t / x_k is a member."""
+    n = quotient.n
+    dim = quotient.dimension
+    targets = [[0] * dim for _ in range(n)]
+    cells: dict[Monomial, list[tuple[int, int]]] = {}
+    for l, eps in enumerate(quotient.basis):
+        for i in range(n):
+            t = eps.mul_var(i)
+            j = quotient.index.get(t)
+            if j is None:
+                cells.setdefault(t, []).append((i, l))
+            else:
+                targets[i][l] = j
+    monomials = sorted(cells, key=quotient.order.key)
+    row = {t: f for f, t in enumerate(monomials)}
+    gen_row = [-1] * len(monomials)
+    witness_var = [-1] * len(monomials)
+    witness_row = [-1] * len(monomials)
+    for f, t in enumerate(monomials):
+        for i, l in cells[t]:
+            targets[i][l] = dim + f
+        if t in quotient.lead_row:
+            gen_row[f] = quotient.lead_row[t]
+            continue
+        for k in t.support():
+            w = row.get(t.div_var(k))
+            if w is not None:
+                witness_var[f], witness_row[f] = k, w
+                break
+        else:
+            raise ClassificationFailure(f"{t} is neither a leading monomial nor a shifted frontier monomial")
+    return Frontier(monomials, *(np.array(a, dtype=np.int64)
+                                 for a in (targets, gen_row, witness_var, witness_row)))
+
+
+def normal_form_table_int64(quotient, frontier) -> np.ndarray:
+    """Dense int64 oracle for ``quotient.normal_form_table``, same residues:
+    each degree slice's right sides and its unit upper-triangular system
+    (an s x s identity plus the entries) are formed in full, and
+    ``_unit_ut_solve`` solves them."""
+    n = quotient.n
+    p = quotient.field.p
+    dim = quotient.dimension
+    total = len(frontier)
+    targets = frontier.targets
+    gen_row, witness_var, witness_row = frontier.gen_row, frontier.witness_var, frontier.witness_row
+    basis_deg = np.array([eps.deg for eps in quotient.basis], dtype=np.int64)
+    deg = np.zeros(total, dtype=np.int64)
+    front = targets >= dim
+    deg[targets[front] - dim] = np.broadcast_to(basis_deg + 1, targets.shape)[front]
+    cuts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
+    nf = np.zeros((total, dim), dtype=np.int64)
+    for lo, hi in zip([0] + cuts, cuts + [total]):
+        s = hi - lo
+        low = int(np.searchsorted(basis_deg, deg[lo]))
+        rhs = np.zeros((s, dim), dtype=np.int64)
+        t = np.eye(s, dtype=np.int64)
+        rg = np.flatnonzero(gen_row[lo:hi] >= 0)
+        rhs[rg] = quotient.tails[gen_row[lo + rg]]
+        for k in range(n):
+            rk = np.flatnonzero(witness_var[lo:hi] == k)
+            if not rk.size:
+                continue
+            w = nf[witness_row[lo + rk], :low]
+            tgt = targets[k, :low]
+            basis = tgt < dim
+            inside = tgt >= dim + lo
+            early = ~(basis | inside)
+            part = np.zeros((rk.size, dim), dtype=np.int64)
+            part[:, tgt[basis]] = w[:, basis]
+            if early.any():
+                part = (part + _mul_arrays(w[:, early], nf[tgt[early] - dim], p)) % p
+            rhs[rk] = part
+            t[s - 1 - rk[:, None], dim + hi - 1 - tgt[inside]] = -w[:, inside] % p
+        nf[lo:hi] = _unit_ut_solve(t, rhs[::-1], p)[::-1]
+    return nf
+
+
+def nf_rows_by_monomials(quotient, monomials: list[Monomial]) -> np.ndarray:
+    """Per-monomial oracle for ``quotient._nf_rows``: a unit row for a
+    standard monomial, its ``tails`` row for a leading monomial, and
+    NotReadable for the first other one."""
+    out = np.zeros((len(monomials), quotient.dimension), dtype=np.int64)
+    for r, m in enumerate(monomials):
+        if m in quotient.index:
+            out[r, quotient.index[m]] = 1
+        elif m in quotient.lead_row:
+            out[r] = quotient.tails[quotient.lead_row[m]]
+        else:
+            raise NotReadable(m)
+    return out

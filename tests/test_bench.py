@@ -100,6 +100,31 @@ def test_worstcase_script_runs_from_a_clean_checkout(tmp_path):
     assert [rec["D"] for r in rows for rec in r["records"]] == [2, 2, 4, 4]
 
 
+def test_worstcase_script_writes_the_bench_file(tmp_path):
+    # one fresh process per (n, pipeline, p), at both primes, and the
+    # machine facts the numbers depend on
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_worstcase.py"
+    out = tmp_path / "bench.json"
+    done = subprocess.run([sys.executable, str(script), "--min-n", "1", "--max-n", "2",
+                           "--out", str(out)], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    bench = json.loads(out.read_text())
+    assert set(bench["machine"]) == {"nproc", "python", "numpy", "blas", "git_head"}
+    records = bench["records"]
+    assert [(r["p"], r["n"], r["pipeline"]) for r in records] == [
+        (p, n, pipeline) for p in (65521, 2 ** 31 - 1) for n in (1, 2)
+        for pipeline in ("deterministic", "las_vegas")]
+    for r in records:
+        assert r["D"] == 2 ** r["n"] and r["peak_rss_mb"] > 0
+        assert r["retries"] >= 0 and r["restarts"] >= 0
+        assert r["total_time"] >= r["gb_time"] + r["matrix_time"] + r["chord_time"] - 1e-9
+    # the rows are run_bench's: the same seed gives the same counts
+    det = run_bench(2, field=PrimeField(2 ** 31 - 1), pipelines=["deterministic"])
+    assert [det[0][k] for k in ("nf_count", "density", "retries")] == \
+        [records[6][k] for k in ("nf_count", "density", "retries")]
+
+
 def _tracer_targets():
     """``TARGETS`` of perfbench/tracer.py, read from its source without running it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

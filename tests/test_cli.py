@@ -12,7 +12,7 @@ from polysolve.sysfile import parse_system
 WORKED = "p = 7\nvars = x, y\nx - y^2\ny^3 - 2\n"
 # the keys, in order, of the solve --json stats and of each bench --json row
 STATS_KEYS = ["n", "D", "pipeline", "gb_time", "matrix_time", "chord_time",
-              "nf_count", "density", "total_time"]
+              "nf_count", "density", "total_time", "retries", "restarts"]
 
 
 @pytest.fixture

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_zero_dim_system
+from helpers import (frontier_by_monomials, nf_rows_by_monomials, normal_form_table_int64,
+                     random_zero_dim_system)
 from polysolve import gb as gb_module
 from polysolve.bench import appendix_family
 from polysolve.errors import NotReadable, NotZeroDimensional
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger
 from polysolve.linalg import OpCounter
-from polysolve.poly import Monomial, Polynomial, TermOrder, normal_form
-from polysolve.quotient import (build_matrices_echelon, build_matrices_fglm,
-                                compute_basis, compute_frontier, try_read_Tn)
+from polysolve.poly import MAX_EXPONENT, Monomial, Polynomial, TermOrder, normal_form
+from polysolve.quotient import (_codes, build_matrices_echelon, build_matrices_fglm,
+                                compute_basis, compute_frontier, normal_form_table,
+                                try_read_Tn)
+from polysolve.solver import _transformed_gb
 
 
 def _xy(field):
@@ -196,6 +199,113 @@ def test_frontier_targets_locate_products():
                 else:
                     assert fr.monomials[v - dim] == t
             assert len(set(fr.targets[k].tolist())) == dim
+
+
+def _oracle_bases(p, kind):
+    """Reduced bases for the oracle comparisons at one prime, under DRL or
+    LEX: the appendix family (n = 2..8 under DRL, where it is already a
+    basis; n = 2, 3 under LEX), random dense systems, and n = 1."""
+    field = PrimeField(p)
+    rng = random.Random(p)
+    order = (lambda n: TermOrder(kind, n))
+    bases = [buchberger(appendix_family(n, field, seed=n), order(n))
+             for n in (range(2, 9) if kind == "drl" else (2, 3))]
+    # a LEX basis of (2, 3, 3) takes seconds; the pair loop computes it
+    for n, degs in ((2, (2, 3)), (3, (2, 2, 2)), (3, (1, 2, 3))) + (((3, (2, 3, 3)),)
+                                                                    if kind == "drl" else ()):
+        F, gb = random_zero_dim_system(field, n, degs, rng)
+        bases.append(gb if kind == "drl" else buchberger(F, order(n)))
+    x = Polynomial.variable(field, 1, 0)
+    bases.append(buchberger([x ** 7 - Polynomial.constant(field, 1, 3)], order(1)))
+    return bases
+
+
+def _assert_same_frontier(got, want):
+    assert got.monomials == want.monomials
+    for field in ("targets", "gen_row", "witness_var", "witness_row"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("kind", ["drl", "lex"])
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_frontier_matches_the_per_monomial_oracle(p, kind):
+    bases = _oracle_bases(p, kind)
+    assert len(bases) >= 6
+    for gb in bases:
+        q = compute_basis(gb)
+        _assert_same_frontier(compute_frontier(q, gb), frontier_by_monomials(q, gb))
+
+
+def test_frontier_at_the_largest_exponent():
+    # x^65535 = x^MAX_EXPONENT is a frontier member, and every y x^a above
+    # y is one by the witness chain y x^a = x (y x^(a-1))
+    field = PrimeField(65521)
+    x, y = (Polynomial.variable(field, 2, i) for i in range(2))
+    one = Polynomial.constant(field, 2, 1)
+    gb = buchberger([x ** MAX_EXPONENT - one, y - one], TermOrder.drl(2))
+    q = compute_basis(gb)
+    fr = compute_frontier(q, gb)
+    _assert_same_frontier(fr, frontier_by_monomials(q, gb))
+    assert fr.monomials[-1] == Monomial((MAX_EXPONENT, 0)) and fr.type2_nf == MAX_EXPONENT - 1
+
+
+@pytest.mark.parametrize("kind", ["drl", "lex"])
+def test_codes_rank_monomials_by_the_order(kind):
+    # exponents over the whole range, so that the packed key passes 2^62
+    # and is re-ranked, with repeated rows
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        order = TermOrder(kind, n)
+        exps = rng.integers(0, MAX_EXPONENT + 1, (60, n)) >> rng.integers(0, 17, (60, n))
+        exps = np.vstack([exps, exps[:20]])
+        ranked = sorted({tuple(e) for e in exps.tolist()}, key=lambda e: order.key(Monomial(e)))
+        rank = {e: r for r, e in enumerate(ranked)}
+        assert _codes(exps, order).tolist() == [rank[tuple(e)] for e in exps.tolist()]
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_normal_form_table_matches_the_int64_oracle(p):
+    for gb in _oracle_bases(p, "drl"):
+        q = compute_basis(gb)
+        fr = compute_frontier(q, gb)
+        table = normal_form_table(q, fr)
+        assert table.dtype == np.float64
+        assert np.array_equal(table.astype(np.int64), normal_form_table_int64(q, fr))
+        assert np.array_equal(table, normal_form_table_int64(q, fr))
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_free_read_matches_the_per_monomial_oracle(p):
+    # the original family is never readable, a transformed one mostly is:
+    # either both reads raise on the same first column monomial in basis
+    # order, or both give the same matrix
+    field = PrimeField(p)
+    rng = random.Random(p)
+    outcomes = set()
+    for n in range(2, 7):
+        gb0 = buchberger(appendix_family(n, field, seed=n), TermOrder.drl(n))
+        q0 = compute_basis(gb0)
+        fr = compute_frontier(q0, gb0)
+        table = normal_form_table(q0, fr)
+        bases = [gb0] + [_transformed_gb(table, fr.targets, field.random_nonsingular_matrix(n, rng),
+                                         field, n) for _ in range(3)]
+        for gb in bases:
+            q = compute_basis(gb)
+            column = [eps.mul_var(n - 1) for eps in q.basis]
+            counter = OpCounter()
+            try:
+                want = nf_rows_by_monomials(q, column)
+            except NotReadable as exc:
+                with pytest.raises(NotReadable) as err:
+                    try_read_Tn(q, gb, counter)
+                assert err.value.offending == exc.offending
+                outcomes.add("unreadable")
+            else:
+                assert np.array_equal(try_read_Tn(q, gb, counter).matrix.a, want.T)
+                outcomes.add("read")
+            assert counter.is_zero()
+    assert outcomes == {"read", "unreadable"}
 
 
 def test_echelon_rejects_non_drl_basis():
