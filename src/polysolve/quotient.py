@@ -178,18 +178,42 @@ def _codes(exps: np.ndarray, order: TermOrder) -> np.ndarray:
     ``MAX_EXPONENT`` in any number of variables pack without overflow.
     """
     et = np.ascontiguousarray(exps.T)
-    keys = [et.sum(axis=0), *-et[::-1]] if order.kind == "drl" else list(et)
+    keys = np.vstack([et.sum(axis=0), -et[::-1]]) if order.kind == "drl" else et
+    keys = keys - keys.min(axis=1, keepdims=True)
     code = np.zeros(exps.shape[0], dtype=np.int64)
     span = 1
-    for key in keys:
-        key = key - key.min()
-        radix = int(key.max()) + 1
+    for key, radix in zip(keys, (keys.max(axis=1) + 1).tolist()):
         if span * radix >= 1 << 62:
-            code = np.unique(code, return_inverse=True)[1]
+            code = _dense_rank(code)
             span = int(code.max()) + 1
         code = code * radix + key
         span *= radix
-    return np.unique(code, return_inverse=True)[1]
+    return _dense_rank(code)
+
+
+def _dense_rank(x: np.ndarray) -> np.ndarray:
+    """The rank of each entry among the distinct values of ``x``."""
+    order = np.argsort(x)
+    step = np.empty(x.size, dtype=np.int64)
+    step[:1] = 0
+    step[1:] = x[order[1:]] != x[order[:-1]]
+    rank = np.empty(x.size, dtype=np.int64)
+    rank[order] = np.cumsum(step)
+    return rank
+
+
+def _locate(quotient: QuotientStructure, exps: np.ndarray):
+    """Where the monomial of each exponent row lies: its index in B or -1,
+    its row of ``tails`` when it leads a generator or -1, and its code
+    (``_codes`` over B, the leading monomials and these rows)."""
+    dim = quotient.dimension
+    leads = quotient.lead_exps.shape[0]
+    codes = _codes(np.vstack([quotient.exps, quotient.lead_exps, exps]), quotient.order)
+    at = np.full((2, codes.size), -1, dtype=np.int64)
+    at[0, codes[:dim]] = np.arange(dim)
+    at[1, codes[dim:dim + leads]] = np.arange(leads)
+    code = codes[dim + leads:]
+    return at[0, code], at[1, code], code
 
 
 def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier:
@@ -209,28 +233,17 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
     n = quotient.n
     dim = quotient.dimension
     prods = (quotient.exps + np.eye(n, dtype=np.int64)[:, None, :]).reshape(-1, n)
-    codes = _codes(np.vstack([quotient.exps, prods, quotient.lead_exps]), quotient.order)
-    basis_code, prod_code, lead_code = np.split(codes, [dim, dim + prods.shape[0]])
-    prod_code = prod_code.reshape(n, dim)
-    where = np.full(codes.size, -1, dtype=np.int64)
-    where[basis_code] = np.arange(dim)
-    targets = where[prod_code]
-    front = targets < 0
-    member = np.zeros(codes.size, dtype=bool)
-    member[prod_code[front]] = True
-    total = int(np.count_nonzero(member))
-    targets[front] = dim + (np.cumsum(member) - 1)[prod_code[front]]
-    # each member as one of its products x_i eps_l
-    ks, ls = np.nonzero(front)
-    f = targets[ks, ls] - dim
-    var, base = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
-    var[f], base[f] = ks, ls
-    where[:] = -1
-    where[lead_code] = np.arange(lead_code.size)
-    gen_row = where[np.flatnonzero(member)]
+    targets, lead, code = (a.reshape(n, dim) for a in _locate(quotient, prods))
+    # the frontier is the products outside B, in the order of their codes
+    ks, ls = np.nonzero(targets < 0)
+    f = _dense_rank(code[ks, ls])
+    total = int(f.max(initial=-1)) + 1
+    targets[ks, ls] = dim + f
+    var, base, gen_row = (np.empty(total, dtype=np.int64) for _ in range(3))
+    var[f], base[f], gen_row[f] = ks, ls, lead[ks, ls]   # member f is x_var eps_base
     # down[k, j] = l where eps_j / x_k = eps_l, else -1
     down = np.full((n, dim), -1, dtype=np.int64)
-    ks, ls = np.nonzero(~front)
+    ks, ls = np.nonzero(targets < dim)
     down[ks, targets[ks, ls]] = ls
     below = down[:, base]
     below = np.where(below >= 0, targets[var, below], -1)   # t / x_k, or -1
@@ -404,18 +417,11 @@ def _nf_rows(quotient: QuotientStructure, exps: np.ndarray) -> np.ndarray:
     """psi(NF(m)) for the monomial m of each exponent row, by copies only:
     a unit row when m is standard, its ``tails`` row when m leads a
     generator; the first other monomial raises NotReadable carrying it."""
-    dim = quotient.dimension
-    leads = quotient.lead_exps.shape[0]
-    codes = _codes(np.vstack([quotient.exps, quotient.lead_exps, exps]), quotient.order)
-    col = np.full(codes.size, -1, dtype=np.int64)
-    row = col.copy()
-    col[codes[:dim]] = np.arange(dim)
-    row[codes[dim:dim + leads]] = np.arange(leads)
-    col, row = col[codes[dim + leads:]], row[codes[dim + leads:]]
+    col, row, _ = _locate(quotient, exps)
     lost = np.flatnonzero((col < 0) & (row < 0))
     if lost.size:
         raise NotReadable(Monomial(exps[lost[0]].tolist()))
-    out = np.zeros((exps.shape[0], dim), dtype=np.int64)
+    out = np.zeros((exps.shape[0], quotient.dimension), dtype=np.int64)
     unit = col >= 0
     out[np.flatnonzero(unit), col[unit]] = 1
     out[~unit] = quotient.tails[row[~unit]]
