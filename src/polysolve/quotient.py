@@ -171,23 +171,31 @@ def _codes(exps: np.ndarray, order: TermOrder) -> np.ndarray:
     equal codes, and a smaller monomial a smaller code.
 
     The order's key columns (the degree, then the negated exponents from
-    x_n down, under DRL; the exponents under LEX) are packed into one int64
-    word, most significant first, each in the radix of its own range.
-    Before a column would take the word past 2^62 the word is replaced by
-    its dense rank, which is below the row count, so exponents up to
+    x_n down, under DRL; the exponents under LEX) are packed into int64
+    words, most significant first, each column in the radix of its own
+    range, by one product with the radix weights.  A word ends before its
+    span would pass 2^62; the next word then starts from the dense rank of
+    the code so far, which is below the row count.  So exponents up to
     ``MAX_EXPONENT`` in any number of variables pack without overflow.
     """
-    et = np.ascontiguousarray(exps.T)
-    keys = np.vstack([et.sum(axis=0), -et[::-1]]) if order.kind == "drl" else et
+    rows = exps.shape[0]
+    keys = exps.T
+    if order.kind == "drl":
+        keys = np.vstack([keys.sum(axis=0), -keys[::-1]])
     keys = keys - keys.min(axis=1, keepdims=True)
-    code = np.zeros(exps.shape[0], dtype=np.int64)
-    span = 1
-    for key, radix in zip(keys, (keys.max(axis=1) + 1).tolist()):
-        if span * radix >= 1 << 62:
-            code = _dense_rank(code)
-            span = int(code.max()) + 1
-        code = code * radix + key
-        span *= radix
+    radix = (keys.max(axis=1) + 1).tolist()
+    code, lo = None, 0
+    while lo < len(radix):
+        hi, span = lo, 1 if code is None else rows
+        while hi < len(radix) and span * radix[hi] < 1 << 62:
+            span *= radix[hi]
+            hi += 1
+        weights = [1]
+        for r in radix[hi - 1:lo:-1]:
+            weights.append(weights[-1] * r)
+        word = np.array(weights[::-1]) @ keys[lo:hi]
+        code = word if code is None else _dense_rank(code) * (span // rows) + word
+        lo = hi
     return _dense_rank(code)
 
 
