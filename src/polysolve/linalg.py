@@ -463,16 +463,6 @@ def _unit_ut_solve_in_place(x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         x[d] = _add_mod(x[d], _mul_arrays(nd, xu, p), p)
 
 
-def _unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """Solve T X = R for unit upper-triangular T (canonical int64 residues):
-    ``_unit_ut_solve_in_place`` with N the negated entries above T's
-    diagonal."""
-    rows, cols = np.nonzero(np.triu(t, 1))
-    x = rhs.astype(np.int64)
-    _unit_ut_solve_in_place(x, rows, cols, _sub_mod(0, t[rows, cols], p), p)
-    return x
-
-
 def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(unit, src): whether each row of ``a`` is a unit row, whose only
     nonzero is a 1, and for a unit row the column of that 1."""

@@ -11,7 +11,7 @@ import numpy as np
 from polysolve.errors import ClassificationFailure, NotReadable
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, is_zero_dimensional
-from polysolve.linalg import _mul_arrays, _unit_ut_solve
+from polysolve.linalg import _mul_arrays, _sub_mod, _unit_ut_solve_in_place
 from polysolve.poly import Monomial, Polynomial, TermOrder
 from polysolve.quotient import Frontier
 from polysolve.change_order import UnivariateRep
@@ -107,6 +107,16 @@ def levinson_breakdown_sequence(field: PrimeField, dim: int, rng: random.Random)
             return seq
 
 
+def unit_ut_solve(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
+    """Solve T X = R for a dense unit upper-triangular T (canonical int64
+    residues): ``linalg._unit_ut_solve_in_place`` with N the negated entries
+    above T's diagonal."""
+    rows, cols = np.nonzero(np.triu(t, 1))
+    x = rhs.astype(np.int64)
+    _unit_ut_solve_in_place(x, rows, cols, _sub_mod(0, t[rows, cols], p), p)
+    return x
+
+
 def eliminate_block_by_rows(w: np.ndarray, p: int):
     """Row-by-row oracle for ``linalg._eliminate_block``, same outputs: each row
     is reduced by the pivot rows above it and, if anything is left, becomes
@@ -134,7 +144,7 @@ def eliminate_block_by_rows(w: np.ndarray, p: int):
     # each pivot row is zero at the pivot columns of the rows above it, so
     # at the pivot columns the pivot rows form a unit upper triangle
     piv = a[new]
-    red = _unit_ut_solve(piv[:, pcols], np.hstack([piv[:, :f], piv[:, ops]]), p)
+    red = unit_ut_solve(piv[:, pcols], np.hstack([piv[:, :f], piv[:, ops]]), p)
     return new, dep, red[:, :f], pcols, red[:, f:]
 
 
@@ -181,7 +191,7 @@ def normal_form_table_int64(quotient, frontier) -> np.ndarray:
     """Dense int64 oracle for ``quotient.normal_form_table``, same residues:
     each degree slice's right sides and its unit upper-triangular system
     (an s x s identity plus the entries) are formed in full, and
-    ``_unit_ut_solve`` solves them."""
+    ``unit_ut_solve`` solves them."""
     n = quotient.n
     p = quotient.field.p
     dim = quotient.dimension
@@ -216,7 +226,7 @@ def normal_form_table_int64(quotient, frontier) -> np.ndarray:
                 part = (part + _mul_arrays(w[:, early], nf[tgt[early] - dim], p)) % p
             rhs[rk] = part
             t[s - 1 - rk[:, None], dim + hi - 1 - tgt[inside]] = -w[:, inside] % p
-        nf[lo:hi] = _unit_ut_solve(t, rhs[::-1], p)[::-1]
+        nf[lo:hi] = unit_ut_solve(t, rhs[::-1], p)[::-1]
     return nf
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import unit_ut_solve
 from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
 from polysolve.linalg import (KrylovStats, Matrix, _krylov_steps, _reduce, _sub_mod,
-                              _unit_rows, _unit_ut_solve, binary_power_table, krylov_columns,
+                              _unit_rows, binary_power_table, krylov_columns,
                               mat_mul)
 
 
@@ -206,7 +207,7 @@ def test_unit_triangular_solve_matches_back_substitution(p, s):
     for t, w in itertools.product((dense, corner, identity, scattered), (0, 1, 7)):
         t = t + np.eye(s, dtype=np.int64)
         r = rng.integers(0, p, (s, w))
-        got = _unit_ut_solve(t, r, p)
+        got = unit_ut_solve(t, r, p)
         assert got.dtype == np.int64 and np.array_equal(got, _back_substitute(t, r, p))
 
 
