@@ -76,7 +76,7 @@ def run_bench(n: int, seed: int = 0, field: PrimeField | None = None,
     instance over ``field`` (default F_65521)."""
     F = appendix_family(n, field, seed=seed)
     return [record_from_report(solve(F, random.Random(seed + offset)))
-            for solve, offset in map(PIPELINES.get, pipelines)]
+            for solve, offset in (PIPELINES[name] for name in pipelines)]
 
 
 def format_table(records: list[dict]) -> str:
