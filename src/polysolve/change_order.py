@@ -52,28 +52,6 @@ class UnivariateRep:
     def degree(self) -> int:
         return len(self.coeffs[-1]) - 1
 
-    def polynomials(self) -> list[Polynomial]:
-        """The shape system {x_1 - h_1, ..., x_{n-1} - h_{n-1}, h_n}."""
-        last = self.n - 1
-        out = []
-        for i in range(last):
-            h = Polynomial.univariate(self.field, self.n, last, self.coeffs[i])
-            out.append(Polynomial.variable(self.field, self.n, i) - h)
-        out.append(Polynomial.univariate(self.field, self.n, last, self.coeffs[last]))
-        return out
-
-    def point_for_root(self, z: int) -> tuple[int, ...]:
-        """The solution (h_1(z), ..., h_{n-1}(z), z) attached to a root z of h_n."""
-        p = self.field.p
-        vals = []
-        for i in range(self.n - 1):
-            acc = 0
-            for c in reversed(self.coeffs[i]):
-                acc = (acc * z + c) % p
-            vals.append(acc)
-        vals.append(z % p)
-        return tuple(vals)
-
 
 def change_ordering(tn: MulMatrix, gb: GroebnerBasis, quotient: QuotientStructure,
                     rng) -> tuple[UnivariateRep, KrylovStats]:

@@ -294,17 +294,8 @@ class Matrix:
     def __getitem__(self, idx) -> int:
         return int(self.a[idx])
 
-    def row(self, i: int) -> np.ndarray:
-        return self.a[i].copy()
-
-    def column(self, j: int) -> np.ndarray:
-        return self.a[:, j].copy()
-
     def tolist(self):
         return self.a.tolist()
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.a.copy())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -312,33 +303,8 @@ class Matrix:
         if self.field.p != other.field.p:
             raise DimensionMismatch("matrices over different fields")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(self.field, (self.a + other.a) % self.field.p)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot subtract {self.shape} and {other.shape}")
-        return Matrix(self.field, (self.a - other.a) % self.field.p)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, (-self.a) % self.field.p)
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.field, self.a * (c % self.field.p) % self.field.p)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, np.ascontiguousarray(self.a.T))
-
-    def apply(self, v) -> np.ndarray:
-        """Matrix-vector product, returning a canonical int64 vector."""
-        vec = np.asarray(v, dtype=np.int64).reshape(-1, 1)
-        if vec.shape[0] != self.ncols:
-            raise DimensionMismatch(f"vector of length {vec.shape[0]} against {self.shape}")
-        return _mul_arrays(self.a, vec, self.field.p).ravel()
 
     def __eq__(self, other):
         return (
@@ -355,13 +321,6 @@ class Matrix:
         return f"Matrix(p={self.field.p}, {self.a.tolist()})"
 
     # -- elimination -------------------------------------------------------
-
-    def rref(self) -> "Matrix":
-        p = self.field.p
-        new, _dep, pcols, ech = _row_echelon(self.a % p, self.ncols, p)
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[:len(new)] = ech[np.argsort(pcols)]
-        return Matrix(self.field, out)
 
     def rank(self) -> int:
         p = self.field.p

@@ -188,12 +188,6 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((m.deg for m in self.terms), default=-1)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(mono, 0)
-
-    def constant_term(self) -> int:
-        return self.terms.get(Monomial.one(self.n), 0)
-
     def is_univariate_in(self, var: int) -> bool:
         return all(not s or s == [var] for s in (m.support() for m in self.terms))
 
@@ -303,18 +297,6 @@ class Polynomial:
             if base_needed and e:
                 base = base * base
         return result
-
-    def evaluate(self, point) -> int:
-        """Value at a point given as a length-n integer sequence."""
-        p = self.field.p
-        total = 0
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m.exps):
-                if e:
-                    v = v * pow(int(point[i]) % p, e, p) % p
-            total = (total + v) % p
-        return total
 
     def __eq__(self, other):
         return (

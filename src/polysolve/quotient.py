@@ -43,6 +43,7 @@ matrix; the deterministic one gathers T_n alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .errors import ClassificationFailure, NotReadable, NotZeroDimensional
 from .field import PrimeField
 from .gb import GroebnerBasis, _candidates, is_zero_dimensional
 from .linalg import Matrix, OpCounter, _add_mod, _mul_arrays, _unit_ut_solve_in_place
-from .poly import Monomial, Polynomial, TermOrder
+from .poly import Monomial, TermOrder
 
 
 class QuotientStructure:
@@ -82,13 +83,6 @@ class QuotientStructure:
 
     def psi(self, m: Monomial) -> int:
         return self.index[m]
-
-    def vector_of(self, poly: Polynomial) -> np.ndarray:
-        """Coordinate vector of a polynomial supported on B."""
-        v = np.zeros(len(self.basis), dtype=np.int64)
-        for m, c in poly.terms.items():
-            v[self.index[m]] = c
-        return v
 
     def __repr__(self):
         return f"QuotientStructure(D={self.dimension}, n={self.n})"
@@ -132,7 +126,9 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
 class Frontier:
     """The frontier {x_i eps} \\ B as tables, filled by ``compute_frontier``.
 
-    ``monomials[f]`` is member f, sorted increasingly in the working order.
+    ``exps[f]`` is the exponent row of member f, sorted increasingly in the
+    working order; ``monomials`` gives the members as ``Monomial``s, built
+    on first read, since no solve step needs them.
     ``targets[k, l]`` is j < D when x_k * eps_l is the basis monomial eps_j,
     and D + f when it is member f; for a fixed k the map is injective, so
     member f provides a column of the k-th matrix exactly when D + f occurs
@@ -143,14 +139,18 @@ class Frontier:
     for a leading monomial); its normal form is T_k NF(t').
     """
 
-    monomials: list[Monomial]
+    exps: np.ndarray
     targets: np.ndarray
     gen_row: np.ndarray
     witness_var: np.ndarray
     witness_row: np.ndarray
 
     def __len__(self):
-        return len(self.monomials)
+        return self.exps.shape[0]
+
+    @cached_property
+    def monomials(self) -> list[Monomial]:
+        return list(map(Monomial, self.exps.tolist()))
 
     @property
     def type2_nf(self) -> int:
@@ -264,7 +264,7 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
     if lost.size:
         raise ClassificationFailure(f"{Monomial(exps[lost[0]].tolist())} is neither a leading "
                                     "monomial nor a shifted frontier monomial")
-    return Frontier(list(map(Monomial, exps.tolist())), targets, gen_row, witness_var, witness_row)
+    return Frontier(exps, targets, gen_row, witness_var, witness_row)
 
 
 @dataclass

@@ -1,22 +1,20 @@
-"""End-to-end pipelines.
+"""End-to-end pipelines: one solve loop over draws of a change of
+variables g.
 
-Both pipelines share one prefix (reduced DRL basis, zero-dimensionality
-checks, quotient basis) and one retry loop around the change of ordering.
+The loop computes the reduced DRL basis, its quotient basis, the frontier
+and the normal-form table of the frontier (``quotient.normal_form_table``)
+once.  Each attempt then reads the last multiplication matrix T_n and runs
+the recurrence-based change of ordering, retried with fresh random vectors
+a few times.
 
-``solve_deterministic``: multiplication matrix of the last variable by the
-degree-by-degree builder, then the recurrence-based change of ordering
-(retried with fresh random vectors a few times before concluding the ideal
-is not in shape position for these coordinates).
-
-``solve_lasvegas``: compute the normal form of every frontier monomial of
-the original ideal once (``quotient.normal_form_table``), which locates
-every column of the n multiplication matrices without gathering them;
-then draw an invertible change of variables g, form the transformed
-multiplication matrices from that table and derive the transformed
-ideal's reduced basis from them (no second Groebner computation), and
-insist on reading the last multiplication matrix for free; restart with a
-new g whenever reading or the ordering change fails.
-Output is always correct when produced — failure is only ever reported as
+``solve_deterministic`` is the loop with the one draw g = identity: T_n is
+gathered from the table, and a failed change of ordering means the ideal is
+not in shape position for these coordinates.  ``solve_lasvegas`` draws an
+invertible g up to ``max_restarts`` times, each after the last attempt
+failed: the transformed multiplication matrices are formed from the table,
+the transformed ideal's reduced basis is derived from them (no second
+Groebner computation), and T_n must be read off it for free.  Output is
+always correct when produced — failure is only ever reported as
 ExhaustedRestarts with diagnostics.
 
 Also: the closed-form success-probability lower bound for a random g, and a
@@ -28,12 +26,14 @@ from __future__ import annotations
 import math
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from . import quotient
 from .change_order import (ROOT_SCAN_LIMIT, UnivariateRep, _eval_points, _root_points,
                            _scan_points, change_ordering)
 from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
@@ -42,8 +42,8 @@ from .field import PrimeField
 from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimensional
 from .linalg import Matrix, OpCounter, _mul_arrays
 from .poly import Polynomial, TermOrder, apply_change_of_variables
-from .quotient import (QuotientStructure, build_matrices_echelon, compute_basis,
-                       compute_frontier, normal_form_table, try_read_Tn)
+from .quotient import (MulMatrix, QuotientStructure, compute_basis, compute_frontier,
+                       normal_form_table, try_read_Tn)
 
 _BAND = 16
 _RETRIES = 4                       # fresh random vectors per ordering change
@@ -106,45 +106,6 @@ def _drl_prefix(F: list[Polynomial], fld: PrimeField,
     return gb, compute_basis(gb)
 
 
-def _change_ordering_retries(tn, gb: GroebnerBasis, Q: QuotientStructure, rng):
-    """Up to ``_RETRIES`` ordering changes with fresh random vectors.
-
-    Returns (rep or None, failed attempts, last failure)."""
-    last = None
-    for failures in range(_RETRIES):
-        try:
-            return change_ordering(tn, gb, Q, rng)[0], failures, None
-        except ChangeOrderingFailed as exc:
-            last = exc
-    return None, _RETRIES, last
-
-
-def solve_deterministic(F: list[Polynomial], rng=None) -> SolveReport:
-    """Shape-position representation without changing coordinates."""
-    rng = rng or random.Random(0)
-    fld, n = _require_system(F)
-    t0 = time.perf_counter()
-    gbd, Q = _drl_prefix(F, fld, n)
-    t1 = time.perf_counter()
-    frontier = compute_frontier(Q, gbd)
-    mats, _ = build_matrices_echelon(Q, gbd, frontier, variables=[n - 1])
-    tn = mats[0]
-    t2 = time.perf_counter()
-    rep, retries, last = _change_ordering_retries(tn, gbd, Q, rng)
-    if rep is None:
-        raise NotShapePosition(
-            f"minimal recurrence degree stayed at {last.degree} < {last.expected} "
-            f"after {_RETRIES} random vectors")
-    t3 = time.perf_counter()
-    stats = SolveStats(n=n, D=Q.dimension,
-                       nf_type2_tn=frontier.type2_for_var(n - 1),
-                       tn_density=tn.matrix.density(),
-                       read_ops=OpCounter(), retries=retries, restarts=0,
-                       gb_time=t1 - t0, matrix_time=t2 - t1, chord_time=t3 - t2,
-                       total_time=t3 - t0)
-    return SolveReport("deterministic", None, rep, stats, list(F))
-
-
 def _transformed_gb(table: np.ndarray, targets: np.ndarray, g: Matrix,
                     fld: PrimeField, n: int) -> GroebnerBasis:
     """Reduced basis of the ideal under X -> g X without a second
@@ -193,58 +154,91 @@ def _transformed_gb_from_matrices(gb0: GroebnerBasis, Q0: QuotientStructure,
     return _transformed_gb(table, dim + np.arange(n * dim).reshape(n, dim), g, gb0.field, n)
 
 
+@contextmanager
+def _stage(times: dict[str, float], name: str):
+    """Add the time spent in the block to ``times[name]``."""
+    t = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[name] += time.perf_counter() - t
+
+
+def _solve(F: list[Polynomial], rng, max_restarts: int | None) -> SolveReport:
+    """One attempt per draw of g: the one draw None (g = identity) when
+    ``max_restarts`` is None, else up to ``max_restarts`` random g, each
+    drawn only after the attempt before failed, since ``change_ordering``
+    draws from the same ``rng``.  The stages are ``gb`` (the prefix and the
+    rebuilds), ``matrix`` (frontier, table, T_n reads) and ``chord``."""
+    fld, n = _require_system(F)
+    times = dict.fromkeys(("gb", "matrix", "chord"), 0.0)
+    t0 = time.perf_counter()
+    with _stage(times, "gb"):
+        gb, Q = _drl_prefix(F, fld, n)
+    with _stage(times, "matrix"):
+        frontier = compute_frontier(Q, gb)
+        table = normal_form_table(Q, frontier)
+
+    read_failures = chord_failures = retries = 0
+    last = None
+    draws = ([None] if max_restarts is None else
+             (fld.random_nonsingular_matrix(n, rng) for _ in range(max_restarts)))
+    for attempt, g in enumerate(draws):
+        counter = OpCounter()
+        if g is None:
+            gbT, QT = gb, Q
+            with _stage(times, "matrix"):
+                rows = quotient._gather(table, frontier.targets[n - 1])
+                tn = MulMatrix(n - 1, Matrix(fld, rows.T))
+            table = None   # the one draw: free the table before the Krylov steps
+        else:
+            with _stage(times, "gb"):
+                gbT = _transformed_gb(table, frontier.targets, g, fld, n)
+                QT = compute_basis(gbT)
+            try:
+                with _stage(times, "matrix"):
+                    tn = try_read_Tn(QT, gbT, counter)
+            except NotReadable:
+                read_failures += 1
+                continue
+
+        rep = None
+        with _stage(times, "chord"):
+            for _ in range(_RETRIES):
+                try:
+                    rep = change_ordering(tn, gbT, QT, rng)[0]
+                    break
+                except ChangeOrderingFailed as exc:
+                    last, retries = exc, retries + 1
+        if rep is None:
+            chord_failures += 1
+            continue
+
+        stats = SolveStats(n=n, D=Q.dimension,
+                           nf_type2_tn=frontier.type2_for_var(n - 1) if g is None else 0,
+                           tn_density=tn.matrix.density(),
+                           read_ops=counter, retries=retries, restarts=attempt,
+                           gb_time=times["gb"], matrix_time=times["matrix"],
+                           chord_time=times["chord"], total_time=time.perf_counter() - t0)
+        return SolveReport("deterministic" if g is None else "las_vegas", g, rep, stats, list(F))
+    if max_restarts is None:
+        raise NotShapePosition(
+            f"minimal recurrence degree stayed at {last.degree} < {last.expected} "
+            f"after {_RETRIES} random vectors")
+    raise ExhaustedRestarts(max_restarts, read_failures, chord_failures)
+
+
+def solve_deterministic(F: list[Polynomial], rng=None) -> SolveReport:
+    """Shape-position representation without changing coordinates."""
+    return _solve(F, rng or random.Random(0), None)
+
+
 def solve_lasvegas(F: list[Polynomial], rng=None,
                    config: SolveConfig | None = None) -> SolveReport:
     """Random change of variables until the last multiplication matrix can
     be read for free; the returned representation describes the transformed
     system, with ``g`` attached (original solutions are {g v})."""
-    cfg = config or SolveConfig()
-    rng = rng or random.Random(0)
-    fld, n = _require_system(F)
-    t0 = time.perf_counter()
-    gb0, Q0 = _drl_prefix(F, fld, n)
-    t1 = time.perf_counter()
-    gb_time = t1 - t0
-    frontier = compute_frontier(Q0, gb0)
-    table = normal_form_table(Q0, frontier)
-    matrix_time = time.perf_counter() - t1
-    chord_time = 0.0
-
-    read_failures = 0
-    chord_failures = 0
-    retries = 0
-    for attempt in range(cfg.max_restarts):
-        g = fld.random_nonsingular_matrix(n, rng)
-        t1 = time.perf_counter()
-        gbT = _transformed_gb(table, frontier.targets, g, fld, n)
-        QT = compute_basis(gbT)
-        t2 = time.perf_counter()
-        gb_time += t2 - t1
-
-        counter = OpCounter()
-        try:
-            tn = try_read_Tn(QT, gbT, counter)
-        except NotReadable:
-            read_failures += 1
-            continue
-        finally:
-            matrix_time += time.perf_counter() - t2
-
-        t3 = time.perf_counter()
-        rep, failed, _ = _change_ordering_retries(tn, gbT, QT, rng)
-        retries += failed
-        chord_time += time.perf_counter() - t3
-        if rep is None:
-            chord_failures += 1
-            continue
-
-        stats = SolveStats(n=n, D=Q0.dimension, nf_type2_tn=0,
-                           tn_density=tn.matrix.density(),
-                           read_ops=counter, retries=retries, restarts=attempt,
-                           gb_time=gb_time, matrix_time=matrix_time, chord_time=chord_time,
-                           total_time=time.perf_counter() - t0)
-        return SolveReport("las_vegas", g, rep, stats, list(F))
-    raise ExhaustedRestarts(cfg.max_restarts, read_failures, chord_failures)
+    return _solve(F, rng or random.Random(0), (config or SolveConfig()).max_restarts)
 
 
 # -- solution recovery ------------------------------------------------------

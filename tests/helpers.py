@@ -88,12 +88,24 @@ def disguise(system: list[Polynomial], rng: random.Random) -> list[Polynomial]:
     return mixed
 
 
+def shape_system(rep: UnivariateRep) -> list[Polynomial]:
+    """The shape system {x_1 - h_1, ..., x_{n-1} - h_{n-1}, h_n} of a
+    representation."""
+    last = rep.n - 1
+    out = []
+    for i in range(last):
+        h = Polynomial.univariate(rep.field, rep.n, last, rep.coeffs[i])
+        out.append(Polynomial.variable(rep.field, rep.n, i) - h)
+    out.append(Polynomial.univariate(rep.field, rep.n, last, rep.coeffs[last]))
+    return out
+
+
 def shape_instance(field: PrimeField, n: int, D: int, rng: random.Random,
                    squarefree: bool = True):
     """(system, rep): a scrambled generating set together with the canonical
     representation its ideal must reproduce."""
     rep = random_shape_rep(field, n, D, rng, squarefree=squarefree)
-    return disguise(rep.polynomials(), rng), rep
+    return disguise(shape_system(rep), rng), rep
 
 
 def levinson_breakdown_sequence(field: PrimeField, dim: int, rng: random.Random) -> list[int]:
@@ -183,8 +195,9 @@ def frontier_by_monomials(quotient, gb) -> Frontier:
                 break
         else:
             raise ClassificationFailure(f"{t} is neither a leading monomial nor a shifted frontier monomial")
-    return Frontier(monomials, *(np.array(a, dtype=np.int64)
-                                 for a in (targets, gen_row, witness_var, witness_row)))
+    exps = np.array([t.exps for t in monomials], dtype=np.int64).reshape(-1, n)
+    return Frontier(exps, *(np.array(a, dtype=np.int64)
+                            for a in (targets, gen_row, witness_var, witness_row)))
 
 
 def normal_form_table_int64(quotient, frontier) -> np.ndarray:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import levinson_breakdown_sequence, random_zero_dim_system, shape_instance
+from helpers import (levinson_breakdown_sequence, random_zero_dim_system, shape_instance,
+                     shape_system)
 from polysolve import change_order, solver
 from polysolve.bench import appendix_family
-from polysolve.change_order import (UnivariateRep, change_ordering, verify_rep)
+from polysolve.change_order import UnivariateRep, _root_points, change_ordering, verify_rep
 from polysolve.errors import BudgetExceeded, ChangeOrderingFailed
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
@@ -35,11 +36,10 @@ def test_univariate_rep_basics(f7):
     assert rep.coeffs[0] == [0, 0, 1]  # trailing zeros trimmed
     assert rep.degree == 3
     x, y = _xy(f7)
-    assert rep.polynomials() == [x - y * y,
-                                 y ** 3 + Polynomial.constant(f7, 2, 5)]
-    # h_1(2) = 4, so the attached point is (4, 2)
-    assert rep.point_for_root(2) == (4, 2)
-    assert rep.point_for_root(-1) == (1, 6)
+    assert shape_system(rep) == [x - y * y, y ** 3 + Polynomial.constant(f7, 2, 5)]
+    # h_2 = (y - 2)(y - 6) and h_1 = y^2: the points are (4, 2) and (1, 6)
+    rep = UnivariateRep(f7, 2, [[0, 0, 1], [5, 6, 1]])
+    assert _root_points(rep, np.arange(7)).T.tolist() == [[4, 2], [1, 6]]
 
 
 def test_change_ordering_worked_example(f7):

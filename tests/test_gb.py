@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (eliminate_block_by_rows, monomials_up_to, random_polynomial,
-                     random_zero_dim_system, shape_instance)
+                     random_zero_dim_system, shape_instance, shape_system)
 from polysolve import gb as gb_module
 from polysolve.bench import appendix_family
 from polysolve.cli import main
@@ -470,5 +470,5 @@ def test_disguised_generators_reproduce_the_basis(seed):
     field = PrimeField(101)
     system, rep = shape_instance(field, 2, rng.randrange(2, 7), rng)
     gb = buchberger(system, TermOrder.drl(2))
-    gb2 = buchberger(rep.polynomials(), TermOrder.drl(2))
+    gb2 = buchberger(shape_system(rep), TermOrder.drl(2))
     assert gb.polys == gb2.polys

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import unit_ut_solve
 from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
-from polysolve.linalg import (KrylovStats, Matrix, _krylov_steps, _reduce, _sub_mod,
-                              _unit_rows, binary_power_table, krylov_columns,
+from polysolve.linalg import (KrylovStats, Matrix, _krylov_steps, _reduce, _row_echelon,
+                              _sub_mod, _unit_rows, binary_power_table, krylov_columns,
                               mat_mul)
 
 
@@ -26,26 +26,25 @@ def _naive_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_rows(a.field, out)
 
 
+def _rref(m: Matrix) -> list[list[int]]:
+    """The reduced row echelon form by ``_row_echelon``, zero rows last."""
+    p = m.field.p
+    new, _dep, pcols, ech = _row_echelon(m.a % p, m.ncols, p)
+    out = np.zeros(m.shape, dtype=np.int64)
+    out[:len(new)] = ech[np.argsort(pcols)]
+    return out.tolist()
+
+
 def test_matrix_construction_and_access(f7):
     m = Matrix.from_rows(f7, [[1, 9], [-1, 3]])
     assert m.tolist() == [[1, 2], [6, 3]]  # entries normalized mod 7
     assert m[1, 0] == 6
-    assert list(m.row(0)) == [1, 2]
-    assert list(m.column(1)) == [2, 3]
     assert m.shape == (2, 2)
     assert Matrix.identity(f7, 3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert Matrix.zeros(f7, 2, 3).tolist() == [[0, 0, 0], [0, 0, 0]]
-
-
-def test_matrix_ring_ops(f7):
     a = Matrix.from_rows(f7, [[1, 2], [3, 4]])
-    b = Matrix.from_rows(f7, [[5, 6], [0, 1]])
-    assert (a + b).tolist() == [[6, 1], [3, 5]]
-    assert (a - b).tolist() == [[3, 3], [3, 3]]
-    assert (-a).tolist() == [[6, 5], [4, 3]]
-    assert a.scale(3).tolist() == [[3, 6], [2, 5]]
     assert a.transpose().tolist() == [[1, 3], [2, 4]]
-    assert mat_mul(a, b).tolist() == [[5, 1], [1, 1]]
+    assert mat_mul(a, Matrix.from_rows(f7, [[5, 6], [0, 1]])).tolist() == [[5, 1], [1, 1]]
 
 
 def test_mat_mul_matches_naive_random():
@@ -82,18 +81,12 @@ def test_mat_mul_shape_check(f7):
         mat_mul(a, a)
 
 
-def test_apply(f7):
-    m = Matrix.from_rows(f7, [[1, 2], [3, 4]])
-    assert list(m.apply([1, 1])) == [3, 0]
-    assert list(m.apply(np.array([0, 2]))) == [4, 1]
-
-
 def test_rref_and_rank(f7):
     m = Matrix.from_rows(f7, [[2, 4, 6], [1, 2, 3], [0, 1, 1]])
-    r = m.rref()
-    assert r.tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
+    r = _rref(m)
+    assert r == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
     assert m.rank() == 2
-    assert r.rref() == r  # idempotent
+    assert _rref(Matrix.from_rows(f7, r)) == r  # idempotent
     assert Matrix.identity(f7, 4).rank() == 4
     assert Matrix.zeros(f7, 3, 3).rank() == 0
 
@@ -149,7 +142,7 @@ def test_rref_rank_inverse_match_gauss_jordan(p, r):
     for a in _oracle_matrices(r, p, rng):
         m = Matrix(field, a)
         want, pivots = _gauss_jordan_ints(a.tolist(), p)
-        assert m.rref().tolist() == want
+        assert _rref(m) == want
         assert m.rank() == len(pivots)
         if a.shape[0] != a.shape[1]:
             continue
@@ -299,5 +292,5 @@ def test_krylov_columns_are_iterated_images(dim, seed):
     r = field.random_vector(dim, rng)
     k = krylov_columns(t, r, dim)
     assert k.ncols == 2 * dim
-    for j in range(1, k.ncols):
-        assert list(k.column(j)) == list(t.apply(k.column(j - 1)))
+    # column j is T times column j - 1
+    assert np.array_equal(mat_mul(t, k).a[:, :-1], k.a[:, 1:])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from helpers import random_zero_dim_system, shape_instance
 from polysolve import quotient as quotient_module, solver
 from polysolve.bench import appendix_family
+from polysolve.change_order import _eval_points
 from polysolve.errors import (BudgetExceeded, DimensionMismatch, ExhaustedRestarts,
-                              PolysolveError, NotShapePosition, NotZeroDimensional)
+                              NotReadable, NotShapePosition, NotZeroDimensional,
+                              PolysolveError)
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, lex_oracle
 from polysolve.poly import Monomial, Polynomial, TermOrder
@@ -204,15 +207,116 @@ def test_lasvegas_rebuilds_once_per_transform(f101, monkeypatch):
     assert len(calls) == 3
 
 
+def _log_draws(monkeypatch) -> list[str]:
+    """The events of the solves that follow, in order: "draw" for each g
+    drawn, "chord" for each change of ordering, "unreadable" for each T_n
+    that cannot be read."""
+    events = []
+    real_draw, real_chord, real_read = (PrimeField.random_nonsingular_matrix,
+                                        solver.change_ordering, solver.try_read_Tn)
+
+    def draw(self, n, rng):
+        events.append("draw")
+        return real_draw(self, n, rng)
+
+    def chord(*args):
+        events.append("chord")
+        return real_chord(*args)
+
+    def read(*args):
+        try:
+            return real_read(*args)
+        except NotReadable:
+            events.append("unreadable")
+            raise
+
+    monkeypatch.setattr(PrimeField, "random_nonsingular_matrix", draw)
+    monkeypatch.setattr(solver, "change_ordering", chord)
+    monkeypatch.setattr(solver, "try_read_Tn", read)
+    return events
+
+
+def _assert_lazy_draws(events):
+    # change_ordering draws its random vectors from the same rng, so each g
+    # after the first must be drawn only once the attempt before it failed
+    draws = [i for i, e in enumerate(events) if e == "draw"]
+    assert draws[0] == 0
+    for a, b in zip(draws, draws[1:]):
+        assert {"chord", "unreadable"} & set(events[a + 1:b])
+
+
+def test_draw_order(f7, f101, monkeypatch):
+    events = _log_draws(monkeypatch)
+    x, y = _xy(f7)
+    solve_deterministic([x - y * y, y ** 3 - _c(f7, 2)], random.Random(0))
+    assert "draw" not in events and "chord" in events
+    events.clear()
+    report = solve_lasvegas([x * x - y, y * y - _c(f7, 1)], random.Random(0))
+    assert report.stats.restarts == 1
+    assert events.count("draw") == report.stats.restarts + 1
+    _assert_lazy_draws(events)
+    events.clear()
+    x, y = _xy(f101)
+    with pytest.raises(ExhaustedRestarts):
+        solve_lasvegas([x * x, y * y], random.Random(0), config=SolveConfig(max_restarts=3))
+    assert events.count("draw") == 3
+    _assert_lazy_draws(events)
+
+
+# the solver's calls each stage time must hold
+_STAGE_CALLS = {"gb": ("buchberger", "_transformed_gb", "compute_basis"),
+                "matrix": ("compute_frontier", "normal_form_table", "try_read_Tn"),
+                "chord": ("change_ordering",)}
+
+
+def _time_stage_calls(monkeypatch) -> dict[str, float]:
+    spent = dict.fromkeys(_STAGE_CALLS, 0.0)
+
+    def timed(real, stage):
+        def call(*args, **kwargs):
+            t = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                spent[stage] += time.perf_counter() - t
+        return call
+
+    for stage, names in _STAGE_CALLS.items():
+        for name in names:
+            monkeypatch.setattr(solver, name, timed(getattr(solver, name), stage))
+    monkeypatch.setattr(quotient_module, "_gather", timed(quotient_module._gather, "matrix"))
+    return spent
+
+
+@pytest.mark.parametrize("case", ["det", "lv", "lv-restart"])
+def test_stage_times_hold_their_calls(case, monkeypatch):
+    f7 = PrimeField(7)
+    x, y = _xy(f7)
+    system = ([x * x - y, y * y - _c(f7, 1)] if case == "lv-restart"
+              else [x - y * y, y ** 3 - _c(f7, 2)])
+    gb = buchberger(system, TermOrder.drl(2))
+    type2 = compute_frontier(compute_basis(gb), gb).type2_for_var(1)
+    spent = _time_stage_calls(monkeypatch)
+    solve = solve_deterministic if case == "det" else solve_lasvegas
+    st = solve(system, random.Random(0)).stats
+    assert st.restarts == (case == "lv-restart")
+    assert st.nf_type2_tn == (type2 if case == "det" else 0)
+    times = {"gb": st.gb_time, "matrix": st.matrix_time, "chord": st.chord_time}
+    for stage, t in times.items():
+        assert spent[stage] > 0
+        assert t >= spent[stage] - 1e-9, stage
+    assert sum(times.values()) <= st.total_time
+
+
 def test_solution_recovery_applies_the_transform(f101):
     rng = random.Random(13)
     system, _ = shape_instance(f101, 3, 5, rng)
     report = solve_lasvegas(system, random.Random(3))
     sols = rational_solutions(report)
     assert sols == enumerate_rational_solutions(system)
-    for v in sols:
-        for f in system:
-            assert f.evaluate(list(v)) == 0
+    points = np.array(sols, dtype=np.int64).reshape(-1, 3).T
+    for f in system:
+        assert not _eval_points(f, points, 101).any()
 
 
 def test_rational_solutions_budget(f7):
