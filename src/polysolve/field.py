@@ -53,34 +53,10 @@ class PrimeField:
             raise NonPrimeModulus(f"modulus must be an odd prime in (2, 2^31), got {p}")
         self.p = p
 
-    # -- scalar arithmetic on canonical residues ---------------------------
-
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a: int, b: int) -> int:
-        d = a - b
-        return d + self.p if d < 0 else d
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
         return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
 
     # -- randomness ----------------------------------------------------------
 

@@ -126,19 +126,27 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+def _needs_split(k: int, p: int) -> bool:
+    """Whether an exact product mod p with inner dimension k needs the
+    16-bit halves: one float64 GEMM is exact while k (p-1)^2 < 2^53, and
+    the halves while k < 2^21; beyond that raises DimensionMismatch."""
+    if k * (p - 1) * (p - 1) < _FLOAT_EXACT:
+        return False
+    if k >= _SPLIT_MAX_K:
+        raise DimensionMismatch(f"inner dimension {k} is too large for an exact product mod {p}")
+    return True
+
+
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p as int64, for canonical int64 or float64 inputs.
 
     A square (``b is a``) converts its operand to float64, or splits it
     into halves, once.
     """
-    k = a.shape[1]
-    if k * (p - 1) * (p - 1) < _FLOAT_EXACT:
+    if not _needs_split(a.shape[1], p):
         af = a.astype(np.float64, copy=False)
         prod = af @ (af if b is a else b.astype(np.float64, copy=False))
         return _reduce(prod.astype(np.int64), p)
-    if k >= _SPLIT_MAX_K:
-        raise DimensionMismatch(f"inner dimension {k} is too large for an exact product mod {p}")
     a1, a0 = _halves(a)
     b1, b0 = (a1, a0) if b is a else _halves(b)
     # ((A1 B1 2^16 + A1 B0 + A0 B1) 2^16 + A0 B0) mod p, reduced after each
@@ -437,19 +445,17 @@ def _krylov_steps(a: np.ndarray, r: np.ndarray, total: int, p: int,
     ``unit`` and ``src`` are ``_unit_rows(a)``; ``r`` is canonical.  Row i
     of A x is x[src[i]] on a unit row, so those rows are one gather, and
     only the dense rows take a product.  The dense block is converted to
-    float64 once while ``dim (p-1)^2 < 2^53``; above that it is split into
-    16-bit halves once, as ``_mul_arrays`` splits, and each step is one
-    product of the stacked halves [B1; B0] by [x1 | x0].  The columns are
-    built as the rows of the transpose and transposed once at the end.
+    float64 once, or split into 16-bit halves once where ``_needs_split``
+    says so, as ``_mul_arrays`` splits, and each step is then one product
+    of the stacked halves [B1; B0] by [x1 | x0].  The columns are built as
+    the rows of the transpose and transposed once at the end.
     """
     dim = a.shape[0]
     dense = np.flatnonzero(~unit)
     units = np.flatnonzero(unit)
     src = src[units]
     d = dense.size
-    split = dim * (p - 1) * (p - 1) >= _FLOAT_EXACT
-    if split and dim >= _SPLIT_MAX_K:
-        raise DimensionMismatch(f"dimension {dim} is too large for an exact product mod {p}")
+    split = _needs_split(dim, p)
     block = np.vstack(_halves(a[dense])) if split else a[dense].astype(np.float64)
     kt = np.empty((total, dim), dtype=np.int64)
     kt[0] = r
@@ -513,6 +519,8 @@ def krylov_columns(t: Matrix, r, width: int, *,
         raise DimensionMismatch("need a positive number of columns")
     p = t.field.p
     r = np.asarray(r, dtype=np.int64) % p
+    if r.shape != (dim,):
+        raise DimensionMismatch(f"start vector of shape {r.shape} for a {dim} x {dim} matrix")
     if dim >= _STEP_MIN_DIM:
         unit, src = _unit_rows(t.a)
         if 2 * np.count_nonzero(unit) >= dim:

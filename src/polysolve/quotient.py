@@ -9,9 +9,10 @@ B} \\ B by integer tables only: ``targets`` locates every product
 x_k * eps_l in B or in the frontier, ``gen_row`` marks the leading monomials
 by their row of ``tails``, and ``witness_var``/``witness_row`` give every
 other member as x_k times a member one degree down.  It forms all n D
-products as one exponent array and locates them by integer codes that rank
-monomials in the working order (``_codes``), as the free read does.  Both
-computing builders read those tables; the multiplication matrices are built
+products as one exponent array and ranks them, with B and the leading
+monomials, in the working order by one sort (``_codes``), so that every
+product is located by an array index, as in the free read.  Both computing
+builders read those tables; the multiplication matrices are built
 three ways:
 
 * ``build_matrices_fglm``     — one normal form at a time, in increasing
@@ -59,8 +60,8 @@ class QuotientStructure:
     row ``lead_row[lm]`` of the |G| x D array ``tails`` is psi(NF(lm)), the
     negated tail of the generator led by lm.  ``exps`` and ``lead_exps``
     hold the exponents of B and of the leading monomials, one row each, in
-    the same orders, for the array code that locates monomials
-    (``_codes``)."""
+    the same orders, so that ``_codes`` ranks them in one sort with the
+    exponent rows it locates."""
 
     __slots__ = ("field", "n", "order", "basis", "index", "tails", "lead_row", "exps",
                  "lead_exps")
@@ -170,44 +171,21 @@ def _codes(exps: np.ndarray, order: TermOrder) -> np.ndarray:
     """Dense ranks of the exponent rows under ``order``: equal monomials get
     equal codes, and a smaller monomial a smaller code.
 
-    The order's key columns (the degree, then the negated exponents from
-    x_n down, under DRL; the exponents under LEX) are packed into int64
-    words, most significant first, each column in the radix of its own
-    range, by one product with the radix weights.  A word ends before its
-    span would pass 2^62; the next word then starts from the dense rank of
-    the code so far, which is below the row count.  So exponents up to
-    ``MAX_EXPONENT`` in any number of variables pack without overflow.
+    One ``np.lexsort`` sorts the rows by the order's key columns (the
+    degree, then the negated exponents from x_n down, under DRL; the
+    exponents under LEX); the rank steps wherever a key column changes
+    between neighbours in that sort.
     """
-    rows = exps.shape[0]
     keys = exps.T
     if order.kind == "drl":
         keys = np.vstack([keys.sum(axis=0), -keys[::-1]])
-    keys = keys - keys.min(axis=1, keepdims=True)
-    radix = (keys.max(axis=1) + 1).tolist()
-    code, lo = None, 0
-    while lo < len(radix):
-        hi, span = lo, 1 if code is None else rows
-        while hi < len(radix) and span * radix[hi] < 1 << 62:
-            span *= radix[hi]
-            hi += 1
-        weights = [1]
-        for r in radix[hi - 1:lo:-1]:
-            weights.append(weights[-1] * r)
-        word = np.array(weights[::-1]) @ keys[lo:hi]
-        code = word if code is None else _dense_rank(code) * (span // rows) + word
-        lo = hi
-    return _dense_rank(code)
-
-
-def _dense_rank(x: np.ndarray) -> np.ndarray:
-    """The rank of each entry among the distinct values of ``x``."""
-    order = np.argsort(x)
-    step = np.empty(x.size, dtype=np.int64)
-    step[:1] = 0
-    step[1:] = x[order[1:]] != x[order[:-1]]
-    rank = np.empty(x.size, dtype=np.int64)
-    rank[order] = np.cumsum(step)
-    return rank
+    perm = np.lexsort(keys[::-1])   # lexsort's last key is its first
+    ranked = keys[:, perm]
+    step = np.zeros(perm.size, dtype=np.int64)
+    step[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    code = np.empty(perm.size, dtype=np.int64)
+    code[perm] = np.cumsum(step)
+    return code
 
 
 def _locate(quotient: QuotientStructure, exps: np.ndarray):
@@ -229,14 +207,14 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
 
     This is the one place that decides where a product lands and how each
     member's normal form is obtained.  All n D products are formed at once
-    as exponent rows and coded together with B and the leading monomials
-    (``_codes``), so every lookup is an array index: a product whose code
-    is a basis code lands in B, the other codes, ascending, are the
-    frontier in order.  A member t = x_i eps_l that leads no generator
-    takes the first variable k for which t / x_k is a member.  For k = i
-    that is eps_l, standard; for any other k in t's support it is
-    x_i (eps_l / x_k), and eps_l / x_k is standard, so ``targets`` itself
-    locates it.
+    as exponent rows and ranked together with B and the leading monomials
+    by one sort (``_codes``), so every lookup is an array index: a product
+    whose rank is a basis rank lands in B, and the other ranks, renumbered
+    densely in ascending order, are the frontier in order.  A member
+    t = x_i eps_l that leads no generator takes the first variable k for
+    which t / x_k is a member.  For k = i that is eps_l, standard; for any
+    other k in t's support it is x_i (eps_l / x_k), and eps_l / x_k is
+    standard, so ``targets`` itself locates it.
     """
     n = quotient.n
     dim = quotient.dimension
@@ -244,8 +222,8 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
     targets, lead, code = (a.reshape(n, dim) for a in _locate(quotient, prods))
     # the frontier is the products outside B, in the order of their codes
     ks, ls = np.nonzero(targets < 0)
-    f = _dense_rank(code[ks, ls])
-    total = int(f.max(initial=-1)) + 1
+    members, f = np.unique(code[ks, ls], return_inverse=True)
+    total = members.size
     targets[ks, ls] = dim + f
     var, base, gen_row = (np.empty(total, dtype=np.int64) for _ in range(3))
     var[f], base[f], gen_row[f] = ks, ls, lead[ks, ls]   # member f is x_var eps_base
@@ -349,10 +327,7 @@ def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.nda
     targets = frontier.targets
     gen_row, witness_var, witness_row = frontier.gen_row, frontier.witness_var, frontier.witness_row
     basis_deg = quotient.exps.sum(axis=1)
-    # a member is one degree above each basis monomial it extends
-    deg = np.zeros(total, dtype=np.int64)
-    front = targets >= dim
-    deg[targets[front] - dim] = np.broadcast_to(basis_deg + 1, targets.shape)[front]
+    deg = frontier.exps.sum(axis=1)
     cuts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
 
     nf = np.zeros((total, dim))

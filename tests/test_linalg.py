@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import unit_ut_solve
 from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
-from polysolve.linalg import (KrylovStats, Matrix, _krylov_steps, _reduce, _row_echelon,
-                              _sub_mod, _unit_rows, binary_power_table, krylov_columns,
-                              mat_mul)
+from polysolve.linalg import (KrylovStats, Matrix, _krylov_steps, _mul_arrays, _reduce,
+                              _row_echelon, _sub_mod, _unit_rows, binary_power_table,
+                              krylov_columns, mat_mul)
 
 
 def _random_matrix(field, r, c, rng):
@@ -281,6 +281,17 @@ def test_krylov_steps_match_naive_iteration(p, kind):
 def test_krylov_rejects_non_square(f7):
     with pytest.raises(DimensionMismatch):
         krylov_columns(Matrix.zeros(f7, 2, 3), [1, 1], 2)
+    # a start vector of the wrong length, on the doubling and the step route
+    with pytest.raises(DimensionMismatch):
+        krylov_columns(Matrix.identity(f7, 3), [1, 1], 2)
+    with pytest.raises(DimensionMismatch):
+        krylov_columns(Matrix.identity(f7, 300), [1] * 299, 2)
+
+
+def test_mul_arrays_rejects_an_inner_dimension_past_the_split():
+    k = 1 << 21
+    with pytest.raises(DimensionMismatch):
+        _mul_arrays(np.ones((1, k), dtype=np.int64), np.ones((k, 1), dtype=np.int64), 2 ** 31 - 1)
 
 
 @settings(max_examples=25, deadline=None)

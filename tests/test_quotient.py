@@ -251,12 +251,20 @@ def test_frontier_at_the_largest_exponent():
 
 @pytest.mark.parametrize("kind", ["drl", "lex"])
 def test_codes_rank_monomials_by_the_order(kind):
-    # exponents over the whole range, so that the packed key passes 2^62
-    # and is re-ranked, with repeated rows
+    # exponents over the whole range at n <= 8, small exponents in many
+    # variables, and rows at MAX_EXPONENT among small ones at n = 12, each
+    # with repeated rows; at n = 40 and at MAX_EXPONENT the key columns
+    # span more than 2^62 together, so no int64 word could hold the key
     rng = np.random.default_rng(7)
-    for n in range(1, 9):
-        order = TermOrder(kind, n)
-        exps = rng.integers(0, MAX_EXPONENT + 1, (60, n)) >> rng.integers(0, 17, (60, n))
+    cases = [rng.integers(0, MAX_EXPONENT + 1, (60, n)) >> rng.integers(0, 17, (60, n))
+             for n in range(1, 9)]
+    cases += [rng.integers(0, 3, (60, n)) for n in (12, 20, 40)]
+    top = rng.integers(0, 3, (60, 12))
+    top[np.arange(6), 2 * np.arange(6)] = MAX_EXPONENT
+    top[6] = MAX_EXPONENT
+    cases.append(top)
+    for exps in cases:
+        order = TermOrder(kind, exps.shape[1])
         exps = np.vstack([exps, exps[:20]])
         ranked = sorted({tuple(e) for e in exps.tolist()}, key=lambda e: order.key(Monomial(e)))
         rank = {e: r for r, e in enumerate(ranked)}
