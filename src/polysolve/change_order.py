@@ -26,7 +26,7 @@ from .errors import BudgetExceeded, ChangeOrderingFailed
 from .field import PrimeField
 from .gb import GroebnerBasis
 from .linalg import KrylovStats, _mul_arrays, krylov_columns
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 from .quotient import MulMatrix, QuotientStructure, _nf_rows
 from .recur import _trim_coeffs, berlekamp_massey, parametrizations
 
@@ -69,10 +69,10 @@ def change_ordering(tn: MulMatrix, gb: GroebnerBasis, quotient: QuotientStructur
     D = quotient.dimension
     stats = KrylovStats()
     r = fld.random_vector(D, rng)
-    # Row psi(m) of K is the sequence r(x_n^j m), so row psi(1) is S and
-    # c K is the sequence of the element with normal-form coordinates c.
+    # Row psi(m) of K is the sequence r(x_n^j m), so row 0 (eps_0 = 1) is S
+    # and c K is the sequence of the element with normal-form coordinates c.
     K = krylov_columns(tn.matrix.transpose(), r, D, stats=stats)
-    S = [int(v) for v in K.a[quotient.psi(Monomial.one(n))]]
+    S = [int(v) for v in K.a[0]]
     mu = berlekamp_massey(S, fld)
     if len(mu) - 1 < D:
         raise ChangeOrderingFailed(len(mu) - 1, D)

@@ -322,9 +322,6 @@ class Matrix:
             and bool(np.array_equal(self.a, other.a))
         )
 
-    def __hash__(self):
-        return hash((self.field.p, self.a.tobytes()))
-
     def __repr__(self):
         return f"Matrix(p={self.field.p}, {self.a.tolist()})"
 

@@ -4,16 +4,19 @@ multiplication matrices.
 Given a reduced degree-reverse-lexicographic basis, this module computes the
 monomial basis B of the quotient (standard monomials, sorted increasingly)
 and ``tails``, the row psi(NF(lm)) of every leading monomial lm, which later
-steps copy.  ``compute_frontier`` describes the frontier {x_i * eps : eps in
-B} \\ B by integer tables only: ``targets`` locates every product
-x_k * eps_l in B or in the frontier, ``gen_row`` marks the leading monomials
-by their row of ``tails``, and ``witness_var``/``witness_row`` give every
-other member as x_k times a member one degree down.  It forms all n D
-products as one exponent array and ranks them, with B and the leading
-monomials, in the working order by one sort (``_codes``), so that every
-product is located by an array index, as in the free read.  Both computing
-builders read those tables; the multiplication matrices are built
-three ways:
+steps copy.  One row code says where a monomial lies, over a store of
+D-wide rows: c < D is the basis monomial eps_c, c >= D is row c - D of the
+store, -1 is neither.  ``_locate`` codes monomials over ``tails``, and
+``Frontier.targets`` codes the products x_k eps_l over the normal-form
+table; ``_rows`` alone decodes codes into unit or stored rows.
+
+``compute_frontier`` describes the frontier {x_i * eps : eps in B} \\ B by
+integer tables only: ``targets``, ``gen_row`` marking the leading
+monomials by their row of ``tails``, and ``witness_var``/``witness_row``
+giving every other member as x_k times a member one degree down.  It forms
+all n D products as one exponent array and locates them, with B and the
+leading monomials, by one sort (``_codes``).  Both computing builders read
+those tables; the multiplication matrices are built three ways:
 
 * ``build_matrices_fglm``     — one normal form at a time, in increasing
   order, each product-type frontier monomial costing one matrix-vector
@@ -36,9 +39,9 @@ used with the matrices; its ``type2_nf`` counts the normal forms they
 compute.  The free path, when it succeeds, agrees with both.
 
 The normal-form table and ``targets`` together describe all n matrices:
-column l of T_k is the unit vector of ``targets[k, l]`` or a row of the
-table.  The Las Vegas solver keeps only those two and never gathers a
-matrix; the deterministic one gathers T_n alone.
+column l of T_k is ``_rows`` of ``targets[k, l]`` over the table.  The
+Las Vegas solver keeps only those two and never gathers a matrix; the
+deterministic one gathers T_n alone.
 """
 
 from __future__ import annotations
@@ -56,34 +59,28 @@ from .poly import Monomial, TermOrder
 
 
 class QuotientStructure:
-    """The standard-monomial basis B, sorted increasingly, with index map;
-    row ``lead_row[lm]`` of the |G| x D array ``tails`` is psi(NF(lm)), the
-    negated tail of the generator led by lm.  ``exps`` and ``lead_exps``
-    hold the exponents of B and of the leading monomials, one row each, in
-    the same orders, so that ``_codes`` ranks them in one sort with the
-    exponent rows it locates."""
+    """The standard-monomial basis B, sorted increasingly, so that eps_0 is
+    1; row r of the |G| x D array ``tails`` is psi(NF(lm)), the negated
+    tail of the generator led by the r-th leading monomial lm.  ``exps``
+    and ``lead_exps`` hold the exponents of B and of the leading monomials,
+    one row each, in the same orders; ``_locate`` finds a monomial among
+    them, as a row code over ``tails``."""
 
-    __slots__ = ("field", "n", "order", "basis", "index", "tails", "lead_row", "exps",
-                 "lead_exps")
+    __slots__ = ("field", "n", "order", "basis", "tails", "exps", "lead_exps")
 
     def __init__(self, field: PrimeField, n: int, order: TermOrder, basis: list[Monomial],
-                 tails: np.ndarray, lead_row: dict[Monomial, int]):
+                 tails: np.ndarray, leads: list[Monomial]):
         self.field = field
         self.n = n
         self.order = order
         self.basis = basis
-        self.index = {m: i for i, m in enumerate(basis)}
         self.tails = tails
-        self.lead_row = lead_row
         self.exps = np.array([m.exps for m in basis], dtype=np.int64).reshape(-1, n)
-        self.lead_exps = np.array([m.exps for m in lead_row], dtype=np.int64).reshape(-1, n)
+        self.lead_exps = np.array([m.exps for m in leads], dtype=np.int64).reshape(-1, n)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def psi(self, m: Monomial) -> int:
-        return self.index[m]
 
     def __repr__(self):
         return f"QuotientStructure(D={self.dimension}, n={self.n})"
@@ -104,23 +101,24 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
         raise NotZeroDimensional("quotient is not finite-dimensional over the field")
     order = gb.order
     n = gb.n
-    lead_row = {m: r for r, m in enumerate(gb.leading_monomials)}
+    leads = gb.leading_monomials
     if gb.tails is not None:
-        return QuotientStructure(gb.field, n, order, gb.standard, gb.tails, lead_row)
+        return QuotientStructure(gb.field, n, order, gb.standard, gb.tails, leads)
+    lead_set = set(leads)
     basis: list[Monomial] = []
     level = [Monomial.one(n)]
     while level:
         basis += level
-        level = [m for m in _candidates(level, order) if m not in lead_row]
+        level = [m for m in _candidates(level, order) if m not in lead_set]
     if order.kind != "drl":   # degree by degree is increasing only under DRL
         basis.sort(key=order.key)
-    q = QuotientStructure(gb.field, n, order, basis,
-                          np.zeros((len(gb), len(basis)), dtype=np.int64), lead_row)
+    index = {m: i for i, m in enumerate(basis)}
+    tails = np.zeros((len(gb), len(basis)), dtype=np.int64)
     p = gb.field.p
-    for row, g, lm in zip(q.tails, gb.polys, gb.leading_monomials):
+    for row, g, lm in zip(tails, gb.polys, leads):
         tail = {m: c for m, c in g.terms.items() if m != lm}
-        row[[q.index[m] for m in tail]] = [p - c for c in tail.values()]
-    return q
+        row[[index[m] for m in tail]] = [p - c for c in tail.values()]
+    return QuotientStructure(gb.field, n, order, basis, tails, leads)
 
 
 @dataclass(eq=False)
@@ -130,10 +128,10 @@ class Frontier:
     ``exps[f]`` is the exponent row of member f, sorted increasingly in the
     working order; ``monomials`` gives the members as ``Monomial``s, built
     on first read, since no solve step needs them.
-    ``targets[k, l]`` is j < D when x_k * eps_l is the basis monomial eps_j,
-    and D + f when it is member f; for a fixed k the map is injective, so
-    member f provides a column of the k-th matrix exactly when D + f occurs
-    in ``targets[k]``.  ``gen_row[f]`` is the member's row of
+    ``targets[k, l]`` is the row code of x_k * eps_l over the normal-form
+    table: j < D for eps_j, D + f for member f.  For a fixed k the map is
+    injective, so member f provides a column of the k-th matrix exactly
+    when D + f occurs in ``targets[k]``.  ``gen_row[f]`` is the member's row of
     ``QuotientStructure.tails`` when it is a leading monomial, else -1.
     Every other member is x_k * t' for the member t' one degree down with
     ``witness_var[f]`` = k and ``witness_row[f]`` = the index of t' (both -1
@@ -188,18 +186,17 @@ def _codes(exps: np.ndarray, order: TermOrder) -> np.ndarray:
     return code
 
 
-def _locate(quotient: QuotientStructure, exps: np.ndarray):
-    """Where the monomial of each exponent row lies: its index in B or -1,
-    its row of ``tails`` when it leads a generator or -1, and its code
-    (``_codes`` over B, the leading monomials and these rows)."""
-    dim = quotient.dimension
-    leads = quotient.lead_exps.shape[0]
-    codes = _codes(np.vstack([quotient.exps, quotient.lead_exps, exps]), quotient.order)
-    at = np.full((2, codes.size), -1, dtype=np.int64)
-    at[0, codes[:dim]] = np.arange(dim)
-    at[1, codes[dim:dim + leads]] = np.arange(leads)
-    code = codes[dim + leads:]
-    return at[0, code], at[1, code], code
+def _locate(quotient: QuotientStructure, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row code over ``tails`` of the monomial of each exponent row, and
+    its rank (``_codes`` over B, the leading monomials and these rows).  B
+    and the leading monomials are stacked in that order, so the position of
+    each in the stack is its code."""
+    known = quotient.dimension + quotient.lead_exps.shape[0]
+    rank = _codes(np.vstack([quotient.exps, quotient.lead_exps, exps]), quotient.order)
+    at = np.full(rank.size, -1, dtype=np.int64)
+    at[rank[:known]] = np.arange(known)
+    rank = rank[known:]
+    return at[rank], rank
 
 
 def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier:
@@ -207,26 +204,28 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
 
     This is the one place that decides where a product lands and how each
     member's normal form is obtained.  All n D products are formed at once
-    as exponent rows and ranked together with B and the leading monomials
-    by one sort (``_codes``), so every lookup is an array index: a product
-    whose rank is a basis rank lands in B, and the other ranks, renumbered
-    densely in ascending order, are the frontier in order.  A member
-    t = x_i eps_l that leads no generator takes the first variable k for
-    which t / x_k is a member.  For k = i that is eps_l, standard; for any
-    other k in t's support it is x_i (eps_l / x_k), and eps_l / x_k is
-    standard, so ``targets`` itself locates it.
+    as exponent rows and coded together with B and the leading monomials
+    by one sort (``_locate``), so every lookup is an array index: a product
+    coded below D lands in B, a product coded D + r leads the generator of
+    ``tails`` row r (its ``gen_row``), and the ranks of the products not in
+    B, renumbered densely in ascending order, are the frontier in order.
+    A member t = x_i eps_l that leads no generator takes the first
+    variable k for which t / x_k is a member.  For k = i that is eps_l,
+    standard; for any other k in t's support it is x_i (eps_l / x_k), and
+    eps_l / x_k is standard, so ``targets`` itself locates it.
     """
     n = quotient.n
     dim = quotient.dimension
     prods = (quotient.exps + np.eye(n, dtype=np.int64)[:, None, :]).reshape(-1, n)
-    targets, lead, code = (a.reshape(n, dim) for a in _locate(quotient, prods))
-    # the frontier is the products outside B, in the order of their codes
-    ks, ls = np.nonzero(targets < 0)
-    members, f = np.unique(code[ks, ls], return_inverse=True)
+    targets, rank = (a.reshape(n, dim) for a in _locate(quotient, prods))
+    # the frontier is the products outside B, in the order of their ranks
+    ks, ls = np.nonzero((targets < 0) | (targets >= dim))
+    members, f = np.unique(rank[ks, ls], return_inverse=True)
     total = members.size
-    targets[ks, ls] = dim + f
     var, base, gen_row = (np.empty(total, dtype=np.int64) for _ in range(3))
-    var[f], base[f], gen_row[f] = ks, ls, lead[ks, ls]   # member f is x_var eps_base
+    # member f is x_var eps_base; it leads the generator of code - D, if any
+    var[f], base[f], gen_row[f] = ks, ls, np.maximum(targets[ks, ls] - dim, -1)
+    targets[ks, ls] = dim + f
     # down[k, j] = l where eps_j / x_k = eps_l, else -1
     down = np.full((n, dim), -1, dtype=np.int64)
     ks, ls = np.nonzero(targets < dim)
@@ -315,8 +314,7 @@ def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.nda
     kept as its nonzero entries, and ``linalg._unit_ut_solve_in_place``
     inverts it on its used columns only.
 
-    Column l of T_k is the unit vector of ``targets[k, l]`` when that is
-    below D, else row ``targets[k, l] - D`` of this table.
+    Column l of T_k is ``_rows`` of ``targets[k, l]`` over this table.
     """
     if quotient.order.kind != "drl":
         raise ValueError("the degree-by-degree builder needs the DRL order")
@@ -365,16 +363,21 @@ def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.nda
     return nf
 
 
+def _rows(source: np.ndarray, codes: np.ndarray, dim: int, dtype=np.int64) -> np.ndarray:
+    """The rows of row codes of any shape, none of them -1: the unit vector
+    eps_c for c < D, else row c - D of ``source``, as an array of shape
+    ``codes.shape + (dim,)``."""
+    out = np.zeros(codes.shape + (dim,), dtype=dtype)
+    unit = codes < dim
+    out[unit, codes[unit]] = 1
+    out[~unit] = source[codes[~unit] - dim]
+    return out
+
+
 def _gather(table: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """The transpose of one multiplication matrix from the normal-form
-    table, as int64 rows: row l is the unit vector of ``tgt[l]`` or row
-    ``tgt[l] - D`` of ``table``."""
-    dim = tgt.size
-    unit = tgt < dim
-    out = np.zeros((dim, dim), dtype=np.int64)
-    out[np.flatnonzero(unit), tgt[unit]] = 1
-    out[~unit] = table[tgt[~unit] - dim]
-    return out
+    table, as int64 rows: row l decodes ``tgt[l]`` (``_rows``)."""
+    return _rows(table, tgt, tgt.size)
 
 
 def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
@@ -398,17 +401,14 @@ def build_matrices_echelon(quotient: QuotientStructure, gb: GroebnerBasis,
 
 def _nf_rows(quotient: QuotientStructure, exps: np.ndarray) -> np.ndarray:
     """psi(NF(m)) for the monomial m of each exponent row, by copies only:
-    a unit row when m is standard, its ``tails`` row when m leads a
-    generator; the first other monomial raises NotReadable carrying it."""
-    col, row, _ = _locate(quotient, exps)
-    lost = np.flatnonzero((col < 0) & (row < 0))
+    ``_rows`` of its code from ``_locate``, a unit row when m is standard
+    and its ``tails`` row when m leads a generator; the first monomial
+    coded -1 raises NotReadable carrying it."""
+    code, _ = _locate(quotient, exps)
+    lost = np.flatnonzero(code < 0)
     if lost.size:
         raise NotReadable(Monomial(exps[lost[0]].tolist()))
-    out = np.zeros((exps.shape[0], quotient.dimension), dtype=np.int64)
-    unit = col >= 0
-    out[np.flatnonzero(unit), col[unit]] = 1
-    out[~unit] = quotient.tails[row[~unit]]
-    return out
+    return _rows(quotient.tails, code, quotient.dimension)
 
 
 def try_read_Tn(quotient: QuotientStructure, gb: GroebnerBasis,
@@ -416,11 +416,11 @@ def try_read_Tn(quotient: QuotientStructure, gb: GroebnerBasis,
     """Last variable's multiplication matrix, copies only.
 
     Every column x_n * eps_j must be either a standard monomial (unit
-    column) or a leading monomial (its row of ``quotient.tails``); any
-    other monomial raises NotReadable carrying the first offender in basis
-    order.  ``counter``, if given, receives the field
-    multiplications/additions performed — by construction it stays at
-    zero, which is the point of this path.  The columns are read as the
+    column) or a leading monomial (its row of ``quotient.tails``), as
+    ``_nf_rows`` decodes them; any other monomial raises NotReadable
+    carrying the first offender in basis order.  ``counter``, if given,
+    receives the field multiplications/additions performed — by
+    construction it stays at zero, which is the point of this path.  The columns are read as the
     rows of T_n^T, and T_n is their transpose, as in
     ``build_matrices_echelon``.
     """

@@ -115,12 +115,12 @@ def _transformed_gb(table: np.ndarray, targets: np.ndarray, g: Matrix,
     transformed side acts on the original coordinates as
     M_j = sum_k (g^-1)[j,k] T_k; enumerating monomials against the M_j
     reproduces the transformed ideal's reduced basis exactly
-    (``groebner_from_matrices``).  Row l of T_k^T, column l of T_k, is the
-    unit vector of ``targets[k, l]`` when that is below D, else row
-    ``targets[k, l] - D`` of ``table``.  So the M_j^T are formed from the
-    table directly, in bands of ``_BAND`` rows l: one gather of table rows
-    and unit entries for all k, and one exact product by g^-1.  The M_j^T
-    are written once, contiguous, as one float64 stack, which the rebuild
+    (``groebner_from_matrices``).  Row l of T_k^T, column l of T_k, is
+    ``quotient._rows`` of the row code ``targets[k, l]`` over ``table``.  So
+    the M_j^T are formed from the table directly, in bands of ``_BAND``
+    rows l: one decode of the band's codes for all k, in float64, which the
+    kernel reads unconverted, and one exact product by g^-1.  The M_j^T are
+    written once, contiguous, as one float64 stack, which the rebuild
     multiplies by without a copy.
     """
     p = fld.p
@@ -128,11 +128,7 @@ def _transformed_gb(table: np.ndarray, targets: np.ndarray, g: Matrix,
     ginv = g.inverse().a
     mt = np.empty((n, dim, dim))
     for r in range(0, dim, _BAND):
-        tgt = targets[:, r:r + _BAND]
-        unit = tgt < dim
-        band = np.zeros(tgt.shape + (dim,))   # float64: the kernel reads it unconverted
-        band[unit, tgt[unit]] = 1
-        band[~unit] = table[tgt[~unit] - dim]
+        band = quotient._rows(table, targets[:, r:r + _BAND], dim, np.float64)
         mt[:, r:r + _BAND] = _mul_arrays(ginv, band.reshape(n, -1), p).reshape(n, -1, dim)
     return groebner_from_matrices(mt.transpose(0, 2, 1), fld, n)
 
@@ -237,8 +233,12 @@ def solve_lasvegas(F: list[Polynomial], rng=None,
                    config: SolveConfig | None = None) -> SolveReport:
     """Random change of variables until the last multiplication matrix can
     be read for free; the returned representation describes the transformed
-    system, with ``g`` attached (original solutions are {g v})."""
-    return _solve(F, rng or random.Random(0), (config or SolveConfig()).max_restarts)
+    system, with ``g`` attached (original solutions are {g v}).  Raises
+    ValueError, before any basis is computed, when ``max_restarts`` < 1."""
+    max_restarts = (config or SolveConfig()).max_restarts
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be at least 1, got {max_restarts}")
+    return _solve(F, rng or random.Random(0), max_restarts)
 
 
 # -- solution recovery ------------------------------------------------------

@@ -30,11 +30,6 @@ class ParsedSystem:
     varnames: list[str]
     polys: list[Polynomial]
 
-    def __iter__(self):
-        # allows  field, polys = parse_system(text)
-        yield self.field
-        yield self.polys
-
     @property
     def n(self) -> int:
         return len(self.varnames)

@@ -167,12 +167,14 @@ def frontier_by_monomials(quotient, gb) -> Frontier:
     support for which t / x_k is a member."""
     n = quotient.n
     dim = quotient.dimension
+    index = {m: j for j, m in enumerate(quotient.basis)}
+    lead_row = {m: r for r, m in enumerate(gb.leading_monomials)}
     targets = [[0] * dim for _ in range(n)]
     cells: dict[Monomial, list[tuple[int, int]]] = {}
     for l, eps in enumerate(quotient.basis):
         for i in range(n):
             t = eps.mul_var(i)
-            j = quotient.index.get(t)
+            j = index.get(t)
             if j is None:
                 cells.setdefault(t, []).append((i, l))
             else:
@@ -185,8 +187,8 @@ def frontier_by_monomials(quotient, gb) -> Frontier:
     for f, t in enumerate(monomials):
         for i, l in cells[t]:
             targets[i][l] = dim + f
-        if t in quotient.lead_row:
-            gen_row[f] = quotient.lead_row[t]
+        if t in lead_row:
+            gen_row[f] = lead_row[t]
             continue
         for k in t.support():
             w = row.get(t.div_var(k))
@@ -247,12 +249,14 @@ def nf_rows_by_monomials(quotient, monomials: list[Monomial]) -> np.ndarray:
     """Per-monomial oracle for ``quotient._nf_rows``: a unit row for a
     standard monomial, its ``tails`` row for a leading monomial, and
     NotReadable for the first other one."""
+    index = {m: j for j, m in enumerate(quotient.basis)}
+    lead_row = {Monomial(e): r for r, e in enumerate(quotient.lead_exps.tolist())}
     out = np.zeros((len(monomials), quotient.dimension), dtype=np.int64)
     for r, m in enumerate(monomials):
-        if m in quotient.index:
-            out[r, quotient.index[m]] = 1
-        elif m in quotient.lead_row:
-            out[r] = quotient.tails[quotient.lead_row[m]]
+        if m in index:
+            out[r, index[m]] = 1
+        elif m in lead_row:
+            out[r] = quotient.tails[lead_row[m]]
         else:
             raise NotReadable(m)
     return out

@@ -184,7 +184,7 @@ def test_levinson_breakdown_input_matches_lex_oracle(f101):
     gb, q, mats = _pipeline_inputs(f101, polys)
     r = [0] * dim
     for j in range(dim):
-        r[q.psi(Monomial((0, j)))] = seq[j]
+        r[q.basis.index(Monomial((0, j)))] = seq[j]
     rep, _ = change_ordering(mats[1], gb, q, _Feed(r))
     assert rep.coeffs == lex_oracle(polys, 2).coeffs
 
@@ -230,7 +230,7 @@ def test_change_ordering_mixed_targets_one_hankel_solve(p, n, monkeypatch):
     polys, gb = random_zero_dim_system(field, n, (1,) + (2,) * (n - 1), rng)
     q = compute_basis(gb)
     assert Monomial.variable(n, 0) in gb.leading_monomials
-    assert all(Monomial.variable(n, i) in q.index for i in range(1, n - 1))
+    assert all(Monomial.variable(n, i) in q.basis for i in range(1, n - 1))
     mats, _ = build_matrices_fglm(q, gb)
     calls = []
     real = change_order.parametrizations

@@ -14,9 +14,9 @@ from polysolve.field import PrimeField
 from polysolve.gb import buchberger
 from polysolve.linalg import OpCounter
 from polysolve.poly import MAX_EXPONENT, Monomial, Polynomial, TermOrder, normal_form
-from polysolve.quotient import (_codes, build_matrices_echelon, build_matrices_fglm,
-                                compute_basis, compute_frontier, normal_form_table,
-                                try_read_Tn)
+from polysolve.quotient import (_codes, _locate, _rows, build_matrices_echelon,
+                                build_matrices_fglm, compute_basis, compute_frontier,
+                                normal_form_table, try_read_Tn)
 from polysolve.solver import _transformed_gb
 
 
@@ -31,7 +31,7 @@ def test_basis_worked_example(f7):
     q = compute_basis(gb)
     assert q.basis == [Monomial((0, 0)), Monomial((0, 1)), Monomial((1, 0))]
     assert q.dimension == 3
-    assert q.psi(Monomial((1, 0))) == 2
+    assert q.basis.index(Monomial((1, 0))) == 2
     # the normal form of x^2 is -5y = 2y, supported on B
     assert normal_form(x * x, gb.polys, gb.order).terms == {q.basis[1]: 2}
 
@@ -82,7 +82,9 @@ def test_basis_is_the_whole_staircase(f7):
         for n, degs in ((2, (2, 3)), (3, (2, 2, 2)), (4, (2, 2, 1, 2))):
             F, gb = random_zero_dim_system(field, n, degs, rng)
             for basis in (gb, buchberger(F, TermOrder.lex(n))):
-                assert compute_basis(basis).basis == _brute_staircase(basis)
+                q = compute_basis(basis)
+                assert q.basis == _brute_staircase(basis)
+                assert q.basis[0] == Monomial.one(n)   # change_ordering reads S at row 0
     for n in range(2, 7):
         gb = buchberger(appendix_family(n, seed=n), TermOrder.drl(n))
         assert compute_basis(gb).basis == _brute_staircase(gb)
@@ -269,6 +271,36 @@ def test_codes_rank_monomials_by_the_order(kind):
         ranked = sorted({tuple(e) for e in exps.tolist()}, key=lambda e: order.key(Monomial(e)))
         rank = {e: r for r, e in enumerate(ranked)}
         assert _codes(exps, order).tolist() == [rank[tuple(e)] for e in exps.tolist()]
+
+
+@pytest.mark.parametrize("kind", ["drl", "lex"])
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_row_codes_decode_to_unit_and_stored_rows(p, kind):
+    # _locate codes B, the leading monomials and every product x_k eps_l as
+    # dicts of Monomials would, and _rows decodes a code array of T_n's
+    # shape and of a rebuild band's, in int64 and float64, as a loop would
+    rng = np.random.default_rng(p)
+    for gb in _oracle_bases(p, kind):
+        q = compute_basis(gb)
+        n, dim = q.n, q.dimension
+        where = {m: c for c, m in enumerate(q.basis)}
+        where.update((m, dim + r) for r, m in enumerate(gb.leading_monomials))
+        monos = q.basis + gb.leading_monomials
+        monos += [eps.mul_var(k) for k in range(n) for eps in q.basis]
+        code, _ = _locate(q, np.array([m.exps for m in monos], dtype=np.int64))
+        assert code.tolist() == [where.get(m, -1) for m in monos]
+        source = rng.integers(0, p, (5, dim)).astype(np.float64)
+        for codes in (rng.integers(0, dim + 5, dim), rng.integers(0, dim + 5, (n, 16))):
+            for dtype in (np.int64, np.float64):
+                got = _rows(source, codes, dim, dtype)
+                want = np.zeros(codes.shape + (dim,), dtype=dtype)
+                for at in np.ndindex(codes.shape):
+                    c = int(codes[at])
+                    if c < dim:
+                        want[at + (c,)] = 1
+                    else:
+                        want[at] = source[c - dim]
+                assert got.dtype == dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])

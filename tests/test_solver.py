@@ -133,6 +133,20 @@ def test_exhausted_restarts_on_never_cyclic_ideal(f101):
     assert err.value.read_failures + err.value.chord_failures == 3
 
 
+def test_lasvegas_rejects_max_restarts_below_one(f101, monkeypatch):
+    # a loop of no transforms could only give up, so it is refused before
+    # the basis of the input system is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger ran")
+
+    monkeypatch.setattr(solver, "buchberger", refuse)
+    x, y = _xy(f101)
+    for restarts in (0, -3):
+        with pytest.raises(ValueError, match=f"at least 1, got {restarts}"):
+            solve_lasvegas([x * x - y, y * y - x], random.Random(0),
+                           config=SolveConfig(max_restarts=restarts))
+
+
 def _d1_system():
     f101 = PrimeField(101)
     x, y = _xy(f101)

@@ -27,8 +27,6 @@ def test_parse_worked_example():
     y = Polynomial.variable(parsed.field, 2, 1)
     assert parsed.polys == [x - y * y,
                             y ** 3 - Polynomial.constant(parsed.field, 2, 2)]
-    field, polys = parsed   # unpacks for the solver entry points
-    assert field.p == 7 and len(polys) == 2
 
 
 def test_operator_precedence_and_parens():
