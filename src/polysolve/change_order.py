@@ -7,6 +7,7 @@ polynomial h_n of x_n; when deg h_n = D the ideal is in shape position and
 every other variable satisfies x_i = h_i(x_n).  Each h_i comes from the
 numerators of two generating functions: with N_0 from S and N_i from the
 sequence r(x_i x_n^j), h_i = N_i N_0^-1 mod h_n (``recur.parametrizations``).
+One extended Euclid on S gives both h_n and that inverse (``recur._minpoly``).
 
 S and every sequence r(x_i x_n^j) are read off a single Krylov matrix of
 T_n^T, the latter by one product with the normal-form coordinates of the
@@ -28,7 +29,7 @@ from .gb import GroebnerBasis
 from .linalg import KrylovStats, _mul_arrays, krylov_columns
 from .poly import Polynomial
 from .quotient import MulMatrix, QuotientStructure, _nf_rows
-from .recur import _trim_coeffs, berlekamp_massey, parametrizations
+from .recur import _minpoly, _trim_coeffs, parametrizations
 
 
 @dataclass
@@ -72,15 +73,14 @@ def change_ordering(tn: MulMatrix, gb: GroebnerBasis, quotient: QuotientStructur
     # Row psi(m) of K is the sequence r(x_n^j m), so row 0 (eps_0 = 1) is S
     # and c K is the sequence of the element with normal-form coordinates c.
     K = krylov_columns(tn.matrix.transpose(), r, D, stats=stats)
-    S = [int(v) for v in K.a[0]]
-    mu = berlekamp_massey(S, fld)
-    if len(mu) - 1 < D:
-        raise ChangeOrderingFailed(len(mu) - 1, D)
+    mu, cofactor = _minpoly(K.a[0], p)
+    if mu.shape[0] - 1 < D:
+        raise ChangeOrderingFailed(mu.shape[0] - 1, D)
 
     # each x_i is standard or a leading monomial, so no row is unreadable
     C = _nf_rows(quotient, np.eye(n, dtype=np.int64)[:n - 1])
-    h = parametrizations(S, _mul_arrays(C, K.a[:, :D], p), mu, fld)
-    return UnivariateRep(fld, n, h.tolist() + [mu]), stats
+    h = parametrizations(K.a[0], _mul_arrays(C, K.a[:, :D], p), mu, cofactor, fld)
+    return UnivariateRep(fld, n, h.tolist() + [mu.tolist()]), stats
 
 
 # -- verification against the original system ------------------------------

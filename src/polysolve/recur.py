@@ -6,51 +6,53 @@ The minimal polynomial is returned in the monic "characteristic" convention:
 for every window, so that when the sequence comes from a multiplication
 matrix and has full degree, ``mu`` IS the univariate eliminant.
 
-The univariate core works on ascending int64 coefficient arrays: products
-by Kronecker substitution into Python ints (which CPython multiplies by
-Karatsuba), an extended Euclid on preallocated arrays, and reduction modulo
-a monic polynomial through the Newton inverse of its reversal.  Every
-quadratic step is that one Euclid.  ``berlekamp_massey`` runs it halfway on
-x^N and the reversed sequence: the cofactor at the first remainder of lower
-degree than its cofactor is mu.  ``parametrizations`` runs it to the end to
-invert the sequence's numerator modulo mu, and so solves the Hankel systems
-H c = b, H[i][j] = seq[i+j], of the change of ordering: no Hankel matrix is
-formed, and there is no fallback, because the numerator is invertible
-modulo mu exactly when H is nonsingular.  ``is_squarefree`` runs it on a
-polynomial and its derivative.
+The univariate core works on ascending int64 coefficient arrays: blocked
+products through the exact matrix kernel, an extended Euclid on
+preallocated arrays, and reduction modulo a monic polynomial through the
+Newton inverse of its reversal.  Every quadratic step is that one Euclid,
+and a change of ordering runs it once: ``_minpoly`` stops it halfway on
+x^N and the reversed sequence S, at r_k = s_k x^N + t_k S, and t_k made
+monic is mu.  There s_k is a scalar times N(S), the numerator of the
+sequence's generating function, and s_k t_{k-1} - s_{k-1} t_k = +-1, so
+N(S) t_{k-1} is a nonzero constant modulo mu: up to that constant, the
+previous cofactor t_{k-1} is the inverse with which ``parametrizations``
+solves the Hankel systems H c = b, H[i][j] = seq[i+j].  No Hankel matrix
+is formed, and there is no fallback, because N(S) is invertible modulo mu
+exactly when H is nonsingular.  ``is_squarefree`` runs the Euclid to the
+end on a polynomial and its derivative.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroInverse
 from .field import PrimeField
-from .linalg import Matrix, _sub_mod
+from .linalg import Matrix, _mul_arrays, _reduce, _sub_mod
 
 
-def berlekamp_massey(seq, field: PrimeField) -> list[int]:
-    """Minimal polynomial of a scalar sequence, ascending coefficients.
+def _minpoly(s: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal polynomial mu of a sequence of canonical residues,
+    ascending and monic, and the previous cofactor t_{k-1}.
 
-    Returns [c_0, ..., c_{L-1}, 1]; the zero and the empty sequence give
-    [1].  A monic mu of degree L annihilates every window of s_0..s_{N-1}
+    A monic mu of degree L annihilates every window of s_0..s_{N-1}
     exactly when mu S mod x^N has degree below L, for S = sum_j s_j
     x^(N-1-j).  So the extended Euclid on (x^N, S), stopped at the first
     remainder of lower degree than its cofactor, yields mu as that
     cofactor made monic (Dornstetter 1987).
-
-    mu is unique when 2L <= N, as in the change of ordering, where
-    L <= D and N = 2D.  On a shorter sequence several monic annihilators
-    of the minimal degree L can exist; one of them is returned.
     """
-    p = field.p
-    s = np.asarray(list(seq), dtype=np.int64) % p
     xn = np.zeros(s.shape[0] + 1, dtype=np.int64)
     xn[-1] = 1
-    _, t = _euclid(xn, s[::-1], p, half=True)
-    return (t * pow(int(t[-1]), -1, p) % p).tolist()
+    _, t, prev = _euclid(xn, s[::-1], p, half=True)
+    return t * pow(int(t[-1]), -1, p) % p, prev
+
+
+def berlekamp_massey(seq, field: PrimeField) -> list[int]:
+    """Minimal polynomial [c_0, ..., c_{L-1}, 1] of a scalar sequence; the
+    zero and the empty sequence give [1].  mu is unique when 2L <= N, as in
+    the change of ordering, where L <= D and N = 2D; on a shorter sequence
+    one of several monic annihilators of the minimal degree is returned."""
+    return _minpoly(np.asarray(list(seq), dtype=np.int64) % field.p, field.p)[0].tolist()
 
 
 def hankel_matrix(seq, dim: int, field: PrimeField) -> Matrix:
@@ -76,44 +78,46 @@ def _trim_coeffs(c: list[int]) -> list[int]:
     return out
 
 
-def _pack(a: np.ndarray, slot: int) -> int:
-    """Kronecker substitution: sum_k a[k] 256^(slot k), for residues below
-    both 2^31 and 256^slot."""
-    buf = np.zeros((a.shape[0], slot), dtype=np.uint8)
-    w = min(slot, 4)
-    buf[:, :w] = a.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :w]
-    return int.from_bytes(buf.tobytes(), "little")
+# columns of a chunk in ``_poly_mul``: ``parametrizations`` on the appendix
+# family (2 cores, OpenBLAS; min of 30 calls, 8 at D = 1024, in 3 processes)
+# took 1.9-2.1, 1.3-1.5, 1.2-1.4 ms with chunks of 32, 64, 128 at D = 512 and
+# 7.1-7.4, 3.9-4.5, 2.9-3.2 ms at D = 1024 (p = 65521); 4.8-5.3, 3.6-4.0, 4.0
+# ms at D = 512 and 0.76-0.87, 0.78-0.89, 0.86-1.0 ms at D = 128 (p = 2^31-1)
+_MUL_BLOCK = 64
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, p: int, size: int | None = None) -> np.ndarray:
     """a b mod p for canonical residues, truncated to its first ``size``
-    coefficients.
+    coefficients; ``a`` is one polynomial or a 2-D batch of rows.
 
-    Both operands are packed into Python ints, one slot per coefficient,
-    and multiplied once.  A coefficient of the product is a sum of at most
-    min(len a, len b) terms below (p-1)^2, so slots of that many bytes keep
-    the coefficients apart.
-    """
-    full = a.shape[0] + b.shape[0] - 1
-    size = full if size is None else min(size, full)
-    if size <= 0:
-        return np.zeros(0, dtype=np.int64)
-    slot = ((min(a.shape[0], b.shape[0]) * (p - 1) ** 2).bit_length() + 7) // 8
-    z = _pack(a, slot) * _pack(b, slot)
-    nbytes = size * slot
-    if size < full:
-        z &= (1 << 8 * nbytes) - 1
-    raw = np.frombuffer(z.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return raw.reshape(size, slot).astype(np.int64) @ _byte_weights(slot, p) % p
-
-
-@functools.lru_cache(maxsize=64)
-def _byte_weights(slot: int, p: int) -> np.ndarray:
-    """256^k mod p for k < slot, read-only: weighting a slot's bytes by them
-    gives terms below 2^39 and sums below 2^43."""
-    w = np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
-    w.flags.writeable = False
-    return w
+    Every chunk of w = min(len a, ``_MUL_BLOCK``) columns of a times b is a
+    row of one exact product, of inner dimension w, with the w x (layers w)
+    Toeplitz block of b.  Chunk j's product is added in from column j w,
+    one layer of w columns at a time, and the sums are reduced once."""
+    a, b = a[..., :size], b[:size]   # later coefficients cannot reach the first size
+    k, L = a.shape[-1], b.shape[0]
+    size = k + L - 1 if size is None else min(size, k + L - 1)
+    if size <= 0 or not k or not L:
+        return np.zeros(a.shape[:-1] + (max(size, 0),), dtype=np.int64)
+    w = min(k, _MUL_BLOCK)
+    chunks, layers = -(-k // w), -(-(w + L - 1) // w)
+    m, width = a.size // k, chunks * w
+    rows = np.zeros((m, width), dtype=np.int64)
+    rows[:, :k] = a.reshape(m, k)
+    padded = np.zeros(w - 1 + layers * w, dtype=np.int64)
+    padded[w - 1:w - 1 + L] = b
+    # [i, c] = b[c - i]: row i is a view of padded from i entries before b
+    toeplitz = np.ndarray((w, layers * w), np.int64, padded, (w - 1) * 8, (-8, 8))
+    prod = _mul_arrays(rows.reshape(-1, w), toeplitz, p).reshape(m, chunks, layers * w)
+    if chunks == 1:
+        out = prod[:, 0]
+    else:
+        out = np.zeros((m, (chunks + layers - 1) * w), dtype=np.int64)
+        for j in range(layers):
+            out[:, j * w:j * w + width] += prod[:, :, j * w:(j + 1) * w].reshape(m, width)
+        if layers > 1:
+            out = _reduce(out, p)
+    return out[:, :size].reshape(a.shape[:-1] + (size,))
 
 
 def _inverse_series(f: np.ndarray, m: int, p: int) -> np.ndarray:
@@ -130,16 +134,15 @@ def _inverse_series(f: np.ndarray, m: int, p: int) -> np.ndarray:
 
 
 def _rem(a: np.ndarray, mu: np.ndarray, rinv: np.ndarray, p: int) -> np.ndarray:
-    """a mod mu, for mu monic of degree D and rinv = rev(mu)^-1 mod T^(len a - D).
-
-    The quotient's reversal is rev(a) rev(mu)^-1 mod T^(len a - D).
-    """
+    """a mod mu for a polynomial or a batch of rows a, mu monic of degree
+    D and rinv = rev(mu)^-1 mod T^(len a - D): the quotient's reversal is
+    rev(a) rinv mod T^(len a - D)."""
     dim = mu.shape[0] - 1
-    m = a.shape[0] - dim
+    m = a.shape[-1] - dim
     if m <= 0:
         return a
-    q = _poly_mul(a[::-1][:m], rinv[:m], p, m)[::-1]
-    return _sub_mod(a[:dim], _poly_mul(q, mu, p, dim), p)
+    q = _poly_mul(a[..., ::-1][..., :m], rinv[:m], p, m)[..., ::-1]
+    return _sub_mod(a[..., :dim], _poly_mul(q, mu, p, dim), p)
 
 
 def _degree(a: np.ndarray, d: int) -> int:
@@ -149,14 +152,13 @@ def _degree(a: np.ndarray, d: int) -> int:
     return d
 
 
-def _euclid(a: np.ndarray, b: np.ndarray, p: int,
-            half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _euclid(a: np.ndarray, b: np.ndarray, p: int, half: bool = False):
     """Extended Euclid for a of degree len(a) - 1 > deg b: the last nonzero
     remainder g (not made monic) and the cofactor t with t b = g mod a.
 
     With ``half`` it stops earlier, at the first remainder r of lower
-    degree than its cofactor t, and returns (r, t): the minimal polynomial
-    step of ``berlekamp_massey``.  Remainders and cofactors live in four
+    degree than its cofactor t, and returns (r, t, the previous cofactor):
+    the step of ``_minpoly``.  Remainders and cofactors live in four
     preallocated arrays that trade places each step; degrees are tracked
     as ints, and entries above a remainder's degree are stale, never read.
     """
@@ -186,42 +188,40 @@ def _euclid(a: np.ndarray, b: np.ndarray, p: int,
         r0, r1, t0, t1 = r1, r0, t1, t0
         d0, d1, e0, e1 = d1, _degree(r1, d1 - 1), e1, e1 + d0 - d1
     if half:
-        return r1[:d1 + 1].copy(), t1[:e1 + 1].copy()
+        return r1[:d1 + 1].copy(), t1[:e1 + 1].copy(), t0[:e0 + 1].copy()
     return r0[:d0 + 1].copy(), t0[:e0 + 1].copy()
 
 
-def parametrizations(seq, rows, mu, field: PrimeField) -> np.ndarray:
+def parametrizations(seq, rows, mu, cofactor, field: PrimeField) -> np.ndarray:
     """Solve the Hankel systems sum_k h[i, k] seq[j + k] = rows[i, j], j < D,
     without forming the Hankel matrix.
 
-    ``mu`` is the minimal polynomial of ``seq`` as ``berlekamp_massey``
-    returns it, of degree D; any D terms start a sequence s of that
-    recurrence.  Let N(s) be the reversal of rev(mu) sum_{j<D} s_j T^j
-    mod T^D, the numerator of its generating function.  Row i of the
-    result is h_i = N(rows[i]) N(seq)^-1 mod mu, as an m x D int64 array of
-    ascending coefficients.  N(seq) is invertible mod mu exactly when the
-    D x D Hankel matrix of ``seq`` is nonsingular; otherwise ZeroInverse
-    is raised.
-    """
+    ``mu`` is the minimal polynomial of ``seq``, of degree D, and
+    ``cofactor`` the one ``_minpoly`` returns with it.  N(s), the reversal
+    of rev(mu) sum_{j<D} s_j T^j mod T^D, is the numerator of the sequence
+    of that recurrence that s starts.  Row i of the m x D result (``rows``
+    is m x D, or one row) is h_i = N(rows[i]) N(seq)^-1 mod mu, ascending.
+    The inverse is certified: N(seq) cofactor mod mu must be a nonzero
+    constant c, and then it is cofactor / c; otherwise, as when the Hankel
+    matrix of ``seq`` is singular, ZeroInverse is raised."""
     p = field.p
     mu = np.asarray(mu, dtype=np.int64) % p
     dim = mu.shape[0] - 1
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim) % p
+    block = np.atleast_2d(np.asarray(rows, dtype=np.int64) % p)
+    if block.ndim != 2 or block.shape[1] != dim or len(seq) < dim:
+        raise DimensionMismatch(f"rows {block.shape} and {len(seq)} terms for degree {dim}")
+    # row 0 is seq's own numerator, which the certificate reads
+    block = np.concatenate([np.asarray(seq[:dim], dtype=np.int64)[None] % p, block])
     rev = mu[::-1].copy()
-
-    def numerator(s: np.ndarray) -> np.ndarray:
-        return _poly_mul(rev, s, p, dim)[::-1]
-
-    g, inv = _euclid(mu, numerator(np.asarray(seq[:dim], dtype=np.int64) % p), p)
-    if g.shape[0] != 1:
+    num = _poly_mul(block, rev, p, dim)[:, ::-1]
+    prod = _poly_mul(num, np.asarray(cofactor, dtype=np.int64) % p, p)
+    rem = _rem(prod, mu, _inverse_series(rev, prod.shape[1] - dim, p), p)
+    h = np.zeros(block.shape, dtype=np.int64)
+    h[:, :rem.shape[1]] = rem
+    c = int(h[0, 0])
+    if not c or h[0, 1:].any():
         raise ZeroInverse(f"the Hankel matrix of size {dim} is singular")
-    inv = inv * pow(int(g[0]), -1, p) % p
-    rinv = _inverse_series(rev, dim - 1, p)
-    out = np.zeros(rows.shape, dtype=np.int64)
-    for i, row in enumerate(rows):
-        h = _rem(_poly_mul(numerator(row), inv, p), mu, rinv, p)
-        out[i, :h.shape[0]] = h
-    return out
+    return h[1:] * pow(c, -1, p) % p
 
 
 def univariate_derivative(coeffs, field: PrimeField) -> list[int]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (levinson_breakdown_sequence, random_zero_dim_system, shape_instance,
                      shape_system)
-from polysolve import change_order, solver
+from polysolve import change_order, recur, solver
 from polysolve.bench import appendix_family
 from polysolve.change_order import UnivariateRep, _root_points, change_ordering, verify_rep
 from polysolve.errors import BudgetExceeded, ChangeOrderingFailed
@@ -99,6 +99,29 @@ def test_change_ordering_reports_its_krylov_route():
     krylov_columns(Matrix(field, rng.integers(1, field.p, (256, 256))),
                    rng.integers(0, field.p, 256), 256, stats=stats)
     assert (stats.steps, stats.square_mults, stats.rect_mults) == (0, 9, 9)
+
+
+@pytest.mark.parametrize("n, pipeline, steps", [(4, "deterministic", False), (8, "lasvegas", True)])
+def test_change_ordering_runs_one_euclid(n, pipeline, steps, monkeypatch):
+    # Berlekamp-Massey's half Euclid also yields the Hankel solves' inverse,
+    # on the doubling route (n = 4) and on the step route (n = 8)
+    euclids, seen = [], []
+    real_euclid = recur._euclid
+
+    def euclid(*args, **kwargs):
+        euclids.append(1)
+        return real_euclid(*args, **kwargs)
+
+    def spy(*args):
+        before = len(euclids)
+        rep, stats = change_ordering(*args)
+        seen.append((len(euclids) - before, stats.steps > 0))
+        return rep, stats
+
+    monkeypatch.setattr(recur, "_euclid", euclid)
+    monkeypatch.setattr(solver, "change_ordering", spy)
+    getattr(solver, "solve_" + pipeline)(appendix_family(n, PrimeField(65521)), random.Random(1))
+    assert seen and all(s == (1, steps) for s in seen)
 
 
 def test_change_ordering_is_canonical_across_vectors(f7):

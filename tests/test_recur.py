@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import levinson_breakdown_sequence
-from polysolve.errors import ZeroInverse
+from polysolve.errors import DimensionMismatch, ZeroInverse
 from polysolve.field import PrimeField
-from polysolve.recur import (_euclid, _inverse_series, _poly_mul, _rem, berlekamp_massey,
-                             hankel_matrix, is_squarefree, parametrizations,
-                             univariate_derivative)
+from polysolve.recur import (_MUL_BLOCK, _euclid, _inverse_series, _minpoly, _poly_mul, _rem,
+                             berlekamp_massey, hankel_matrix, is_squarefree,
+                             parametrizations, univariate_derivative)
 
 
 def _recurrent_sequence(field, order, length, rng):
@@ -60,9 +60,9 @@ def test_hankel_matrix_layout(f7):
 def test_hankel_solve_frozen(f7):
     # [[1,2],[2,5]] x = [1,0]  ->  x = (5,5): 5+2*5=15=1, 2*5+5*5=35=0
     seq = [1, 2, 5, 0]
-    mu = berlekamp_massey(seq, f7)
+    mu, cofactor = _minpoly(np.array(seq), 7)
     assert len(mu) == 3
-    assert parametrizations(seq, [[1, 0]], mu, f7).tolist() == [[5, 5]]
+    assert parametrizations(seq, [[1, 0]], mu, cofactor, f7).tolist() == [[5, 5]]
 
 
 def _nonsingular_hankel_sequence(field, dim, rng):
@@ -157,12 +157,12 @@ def test_parametrizations_match_hankel_inverse(p):
         seq = levinson_breakdown_sequence(field, 6, random.Random(5))
         cases.append((seq + [0], 6))
     for seq, dim in cases:
-        mu = berlekamp_massey(seq, field)
+        mu, cofactor = _minpoly(np.array(seq, dtype=np.int64), p)
         assert len(mu) == dim + 1
         m = rng.randrange(4)
         block = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(m)],
                          dtype=np.int64).reshape(m, dim)
-        got = parametrizations(seq, block, mu, field)
+        got = parametrizations(seq, block, mu, cofactor, field)
         assert got.dtype == np.int64 and got.shape == (m, dim)
         assert np.array_equal(got, _hankel_inverse_solve(seq, block, field)), dim
 
@@ -173,13 +173,14 @@ def test_hankel_block_solve_matches_columns(p):
     rng = random.Random(p % 1000)
     for dim in (1, 3, 64, 80):
         seq = _nonsingular_hankel_sequence(field, dim, rng)
-        mu = berlekamp_massey(seq, field)
+        mu, cofactor = _minpoly(np.array(seq, dtype=np.int64), p)
         for m in (0, 1, 3):
             block = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(m)],
                              dtype=np.int64).reshape(m, dim)
-            got = parametrizations(seq, block, mu, field)
+            got = parametrizations(seq, block, mu, cofactor, field)
             for j in range(m):
-                assert np.array_equal(got[j], parametrizations(seq, block[j], mu, field)[0])
+                one = parametrizations(seq, block[j], mu, cofactor, field)
+                assert np.array_equal(got[j], one[0])
 
 
 def test_hankel_block_singular_raises(f101):
@@ -187,11 +188,43 @@ def test_hankel_block_singular_raises(f101):
     # Hankel matrix has rank 3 and N_0 shares a factor with the modulus
     rng = random.Random(8)
     seq = _recurrent_sequence(f101, 3, 2 * 5, rng)
-    mu = berlekamp_massey(seq, f101)
+    mu, cofactor = _minpoly(np.array(seq, dtype=np.int64), 101)
     assert len(mu) == 4
     mu5 = _schoolbook(mu, [3, 0, 1], 101)
     with pytest.raises(ZeroInverse):
-        parametrizations(seq, np.ones((2, 5), dtype=np.int64), mu5, f101)
+        parametrizations(seq, np.ones((2, 5), dtype=np.int64), mu5, cofactor, f101)
+
+
+def test_parametrizations_reject_a_block_of_another_width(f101):
+    # a 3 x 4 block against a degree-6 mu; one row of D entries is accepted
+    rng = random.Random(9)
+    seq = _nonsingular_hankel_sequence(f101, 6, rng)
+    mu, cofactor = _minpoly(np.array(seq, dtype=np.int64), 101)
+    assert len(mu) == 7
+    with pytest.raises(DimensionMismatch):
+        parametrizations(seq, np.ones((3, 4), dtype=np.int64), mu, cofactor, f101)
+    with pytest.raises(DimensionMismatch):
+        parametrizations(seq, np.ones(5, dtype=np.int64), mu, cofactor, f101)
+    with pytest.raises(DimensionMismatch):
+        parametrizations(seq[:5], np.ones((1, 6), dtype=np.int64), mu, cofactor, f101)
+    assert parametrizations(seq, np.ones(6, dtype=np.int64), mu, cofactor, f101).shape == (1, 6)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+def test_minpoly_cofactor_inverts_the_numerator(p):
+    # N(seq) t_{k-1} mod mu is a nonzero constant when the Hankel matrix of
+    # seq is nonsingular: the inverse that parametrizations certifies
+    field = PrimeField(p)
+    rng = random.Random(p % 977)
+    for dim in range(1, 65):
+        seq = _nonsingular_hankel_sequence(field, dim, rng)
+        mu, cofactor = _minpoly(np.array(seq, dtype=np.int64), p)
+        assert mu.tolist() == berlekamp_massey(seq, field) and len(mu) == dim + 1
+        assert 1 <= len(cofactor) <= dim
+        num = _schoolbook(mu.tolist()[::-1], seq[:dim], p)[:dim][::-1]
+        _, r = _divmod_schoolbook(_schoolbook(num, cofactor, p), mu.tolist(), p)
+        r += [0] * (dim - len(r))
+        assert r[0] != 0 and not any(r[1:]), dim
 
 
 def test_hankel_rank_equals_minimal_polynomial_degree(f101):
@@ -228,29 +261,29 @@ def _divmod_schoolbook(a, m, p):
     return q, [c % p for c in r[:dm]]
 
 
-def _slot(k, p):
-    return ((k * (p - 1) ** 2).bit_length() + 7) // 8
-
-
 @pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
 def test_poly_mul_matches_schoolbook(p):
+    # a's columns go in chunks of B: one short chunk (k < B), exactly one
+    # (k = B) and several with a short last one, against b of length 1 (one
+    # layer), shorter and longer than a; as a batch of rows and one by one
     rng = random.Random(p % 991)
-    # the shorter length k sets the slot: take the k on both sides of every
-    # change of slot width below 600
-    edges = [k for k in range(2, 600) if _slot(k, p) != _slot(k - 1, p)]
-    assert edges
-    lengths = sorted({1, 2, 3} | {k + d for k in edges for d in (-1, 0)})
-    for k in lengths:
-        for other in (k, k + 1 + rng.randrange(40)):
-            for a, b in (([p - 1] * k, [p - 1] * other),
-                         ([rng.randrange(p) for _ in range(k)],
-                          [rng.randrange(p) for _ in range(other)])):
-                want = _schoolbook(a, b, p)
+    B = _MUL_BLOCK
+    for k in (1, 2, B - 1, B, B + 1, 2 * B, 3 * B + 5):
+        for L in (1, 2, k, k + 1 + rng.randrange(2 * B), 4 * B + 3):
+            for top in (p - 1, None):
+                a = [[top if top else rng.randrange(p) for _ in range(k)] for _ in range(3)]
+                b = [top if top else rng.randrange(p) for _ in range(L)]
+                want = [_schoolbook(row, b, p) for row in a]
                 xa, xb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-                assert _poly_mul(xa, xb, p).tolist() == want, (k, other)
-                assert _poly_mul(xb, xa, p).tolist() == want
-                cut = rng.randrange(1, len(want) + 1)
-                assert _poly_mul(xa, xb, p, cut).tolist() == want[:cut]
+                assert _poly_mul(xa, xb, p).tolist() == want, (k, L)
+                assert _poly_mul(xa[1], xb, p).tolist() == want[1]
+                assert _poly_mul(xb, xa[2], p).tolist() == want[2]
+                full = k + L - 1
+                for size in (1, B - 1, B, rng.randrange(1, full + 1), full, full + 7, 0, -2):
+                    got = _poly_mul(xa, xb, p, size)
+                    assert got.shape == (3, max(min(size, full), 0))
+                    assert got.tolist() == [w[:max(size, 0)] for w in want], (k, L, size)
+                assert _poly_mul(xa[:0], xb, p).shape == (0, full)
 
 
 @pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
