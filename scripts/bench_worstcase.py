@@ -9,8 +9,9 @@ arithmetic).
 
 With ``--out FILE`` every (n, pipeline, p) solve runs in a fresh process,
 at p = 65521 and at p = 2^31 - 1, and FILE receives one JSON object: the
-machine facts (``machine``: nproc, Python, numpy, BLAS, git HEAD) and one
-record per solve (``records``): the ``bench --json`` row plus ``p`` and
+machine facts (``machine``: nproc, Python, numpy, BLAS, git HEAD and
+``git_changes``, the files under ``src/`` or ``scripts/`` that differ from it)
+and one record per solve (``records``): the ``bench --json`` row plus ``p`` and
 ``peak_rss_mb``, the peak resident memory of that process.
 
 Example:
@@ -50,14 +51,17 @@ def _machine() -> dict:
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    git = ["git", "-C", ROOT]
     try:
-        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
+        head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True,
+                              check=True).stdout.strip()
+        changed = subprocess.run([*git, "status", "--porcelain", "src", "scripts"],
+                                 capture_output=True, text=True, check=True).stdout.splitlines()
     except (OSError, subprocess.CalledProcessError):
-        head = None
+        head = changed = None
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "git_head": head}
+            "git_head": head, "git_changes": changed}
 
 
 def write_bench_file(path: str, ns, seed: int) -> None:

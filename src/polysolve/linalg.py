@@ -3,20 +3,16 @@
 Matrices hold canonical residues in int64 numpy arrays, C-contiguous except
 where a builder returns the transpose view of rows it wrote, so that the
 Krylov steps read the transpose without a copy.  Every product goes through
-one exact kernel, ``_mul_arrays``, built on float64 BLAS for the whole
-range 2 < p < 2^31.  With inner dimension k it takes one of two cases:
-
-* while ``k * (p-1)^2 < 2^53`` a single float64 GEMM is exact, because every
-  product and partial sum is an integer below 2^53;
-* otherwise each operand is split into 16-bit halves, A = A1 2^16 + A0, and
-  the four half products are separate float64 GEMMs.  Every partial product
-  of two halves is below 2^32, so each GEMM (and the sum of the two middle
-  ones) is exact while k < 2^21; the parts are recombined modulo p in int64.
-  A product that needs the split with k >= 2^21 raises DimensionMismatch.
-
-This is the splitting approach of FFLAS-FFPACK (Dumas, Giorgi and Pernet,
-ACM TOMS 2008).  A product modulo p is unique, so both cases return the same
-residues as exact integer arithmetic.
+one exact kernel, ``_mul_arrays``, for the whole range 2 < p < 2^31, under
+one exactness rule, ``_digits``.  With inner dimension k, the operand with
+fewer entries is cut into nd digits base 2^w, w the largest width with
+``k (p-1) (2^w - 1) < 2^53``, for one float64 BLAS GEMM against the other
+operand: every product and partial sum is an integer below 2^53.  Horner's
+rule mod p in int64 recombines the digit products; while ``k (p-1)^2 <
+2^53``, nd = 1 and the kernel is one GEMM.  This is the error-free slicing
+of Ozaki, Ogita, Oishi and Rump (Numer. Algorithms 2012), with the
+exactness bound of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008);
+a product mod p is unique, so every digit count gives the same residues.
 
 Every general elimination is one routine too, ``_row_echelon``, the
 halving rank-profile elimination of Jeannerod, Pernet and Storjohann (J.
@@ -57,8 +53,6 @@ from .errors import DimensionMismatch, SingularMatrix
 from .field import PrimeField
 
 _FLOAT_EXACT = 1 << 53
-_HALF = 1 << 16
-_SPLIT_MAX_K = 1 << 21
 _INVERSE_LEAF = 32  # family-det: 16 and 64 rows run about as fast, 128 slower
 # the smallest T that may take Krylov steps: at D = 128 neither route is faster
 _STEP_MIN_DIM = 256
@@ -117,49 +111,59 @@ def _add_mod(x, y, p: int) -> np.ndarray:
     return r
 
 
-def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X1, X0) in float64 with X = X1 2^16 + X0 and 0 <= X0 < 2^16."""
-    x = x.astype(np.float64, copy=False)
-    hi = np.floor(x * (1.0 / _HALF))  # scaling by a power of two is exact
-    lo = hi * -_HALF
-    lo += x
-    return hi, lo
-
-
-def _needs_split(k: int, p: int) -> bool:
-    """Whether an exact product mod p with inner dimension k needs the
-    16-bit halves: one float64 GEMM is exact while k (p-1)^2 < 2^53, and
-    the halves while k < 2^21; beyond that raises DimensionMismatch."""
-    if k * (p - 1) * (p - 1) < _FLOAT_EXACT:
-        return False
-    if k >= _SPLIT_MAX_K:
+def _digits(k: int, p: int) -> tuple[int, int]:
+    """(w, nd): an exact product mod p with inner dimension k cuts one
+    operand into the nd base-2^w digits of p - 1, w the largest width with
+    k (p-1) (2^w - 1) < 2^53.  While k (p-1)^2 < 2^53 a residue is its own
+    digit (nd = 1, w the bit length of p - 1); where k (p-1) >= 2^53 no
+    digit is exact, and DimensionMismatch is raised."""
+    m = p - 1
+    if k * m * m < _FLOAT_EXACT:
+        return m.bit_length(), 1
+    if k * m >= _FLOAT_EXACT:
         raise DimensionMismatch(f"inner dimension {k} is too large for an exact product mod {p}")
-    return True
+    w = ((_FLOAT_EXACT - 1) // (k * m) + 1).bit_length() - 1
+    return w, -(-m.bit_length() // w)
+
+
+def _slices(x: np.ndarray, w: int, nd: int, axis: int) -> np.ndarray:
+    """The nd base-2^w digits of canonical residues ``x`` (int64 or
+    float64) as float64, most significant first, along a new ``axis``."""
+    x = x[(slice(None),) * axis + (None,)]
+    if nd > 1:
+        shifts = np.arange(w * (nd - 1), -1, -w).reshape((nd,) + (1,) * (x.ndim - axis - 1))
+        x = (x.astype(np.int64, copy=False) >> shifts) & ((1 << w) - 1)
+    return x.astype(np.float64, copy=False)
+
+
+def _horner(v: np.ndarray, w: int, p: int) -> np.ndarray:
+    """(sum_i v[i] 2^(w (nd-1-i))) mod p as int64 for the nd digit products
+    ``v``; w <= 30 where nd > 1, so acc 2^w + v[i] < 2^61 + 2^53."""
+    acc = _reduce(v[0].astype(np.int64), p)
+    for i in range(1, len(v)):
+        acc <<= w
+        acc += v[i].astype(np.int64)
+        acc = _reduce(acc, p)
+    return acc
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p as int64, for canonical int64 or float64 inputs.
 
-    A square (``b is a``) converts its operand to float64, or splits it
-    into halves, once.
+    The operand with fewer entries (``a`` on a tie) is cut into digits,
+    stacked as row blocks of ``a`` or column blocks of ``b``, for one GEMM
+    against the other operand, read once as float64 and never cut.  A
+    square (``b is a``) converts its operand to float64 once.
     """
-    if not _needs_split(a.shape[1], p):
-        af = a.astype(np.float64, copy=False)
-        prod = af @ (af if b is a else b.astype(np.float64, copy=False))
-        return _reduce(prod.astype(np.int64), p)
-    a1, a0 = _halves(a)
-    b1, b0 = (a1, a0) if b is a else _halves(b)
-    # ((A1 B1 2^16 + A1 B0 + A0 B1) 2^16 + A0 B0) mod p, reduced after each
-    # step so int64 never sees more than 2^47 + 2^53; halves are dropped
-    # as soon as their last product is taken
-    acc = _reduce((a1 @ b1).astype(np.int64), p)
-    mid = a1 @ b0
-    del a1
-    mid += a0 @ b1
-    del b1
-    acc = _reduce(acc * _HALF + mid.astype(np.int64), p)
-    del mid
-    return _reduce(acc * _HALF + (a0 @ b0).astype(np.int64), p)
+    (r, k), c = a.shape, b.shape[1]
+    w, nd = _digits(k, p)
+    if a.size > b.size:
+        prod = a.astype(np.float64, copy=False) @ _slices(b, w, nd, 1).reshape(k, nd * c)
+        return _horner(prod.reshape(r, nd, c).transpose(1, 0, 2), w, p)
+    da = _slices(a, w, nd, 0).reshape(nd * r, k)
+    prod = da @ (da if b is a and nd == 1 else b.astype(np.float64, copy=False))
+    del da  # the recombination needs only the digit products
+    return _horner(prod.reshape(nd, r, c), w, p)
 
 
 # rows of a leaf of the halving elimination: on the whole-degree blocks of
@@ -442,31 +446,23 @@ def _krylov_steps(a: np.ndarray, r: np.ndarray, total: int, p: int,
     ``unit`` and ``src`` are ``_unit_rows(a)``; ``r`` is canonical.  Row i
     of A x is x[src[i]] on a unit row, so those rows are one gather, and
     only the dense rows take a product.  The dense block is converted to
-    float64 once, or split into 16-bit halves once where ``_needs_split``
-    says so, as ``_mul_arrays`` splits, and each step is then one product
-    of the stacked halves [B1; B0] by [x1 | x0].  The columns are built as
-    the rows of the transpose and transposed once at the end.
+    float64 once, and each step is the kernel's product in transposed form:
+    x's (nd x D) ``_digits`` times the transposed block, then ``_horner``.
+    The columns are built as the rows of the transpose and transposed once
+    at the end.
     """
     dim = a.shape[0]
     dense = np.flatnonzero(~unit)
     units = np.flatnonzero(unit)
     src = src[units]
-    d = dense.size
-    split = _needs_split(dim, p)
-    block = np.vstack(_halves(a[dense])) if split else a[dense].astype(np.float64)
+    w, nd = _digits(dim, p)
+    block = a[dense].astype(np.float64).T
     kt = np.empty((total, dim), dtype=np.int64)
     kt[0] = r
     for j in range(1, total):
         x, y = kt[j - 1], kt[j]
         y[units] = x[src]
-        if split:
-            # rows [:d] are B1 x1, B1 x0 and rows [d:] are B0 x1, B0 x0;
-            # each is below dim 2^32 < 2^53, recombined as in _mul_arrays
-            v = (block @ np.stack(_halves(x), axis=1)).astype(np.int64)
-            acc = _reduce(_reduce(v[:d, 0], p) * _HALF + v[:d, 1] + v[d:, 0], p)
-            y[dense] = _reduce(acc * _HALF + v[d:, 1], p)
-        else:
-            y[dense] = _reduce((block @ x.astype(np.float64)).astype(np.int64), p)
+        y[dense] = _horner(_slices(x, w, nd, 0) @ block, w, p)
     return np.ascontiguousarray(kt.T)
 
 

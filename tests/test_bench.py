@@ -110,7 +110,10 @@ def test_worstcase_script_writes_the_bench_file(tmp_path):
                           timeout=300)
     assert done.returncode == 0, done.stderr
     bench = json.loads(out.read_text())
-    assert set(bench["machine"]) == {"nproc", "python", "numpy", "blas", "git_head"}
+    assert set(bench["machine"]) == {"nproc", "python", "numpy", "blas", "git_head", "git_changes"}
+    # the files under src/ or scripts/ that differ from git_head, in a checkout
+    changes = bench["machine"]["git_changes"]
+    assert changes is None or all(line[3:].startswith(("src/", "scripts/")) for line in changes)
     records = bench["records"]
     assert [(r["p"], r["n"], r["pipeline"]) for r in records] == [
         (p, n, pipeline) for p in (65521, 2 ** 31 - 1) for n in (1, 2)

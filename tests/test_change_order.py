@@ -246,8 +246,8 @@ def test_verify_rep_refuses_fields_past_the_scan_limit():
 @pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
 def test_change_ordering_mixed_targets_one_hankel_solve(p, n, monkeypatch):
     # x_0 leads the linear generator and x_1 .. x_{n-2} are standard: every
-    # sequence comes from one product with the Krylov matrix (on the split
-    # path at p = 2^31 - 1) and one call of the univariate core solves all
+    # sequence comes from one product with the Krylov matrix (on digits
+    # at p = 2^31 - 1) and one call of the univariate core solves all
     field = PrimeField(p)
     rng = random.Random(11)
     polys, gb = random_zero_dim_system(field, n, (1,) + (2,) * (n - 1), rng)

@@ -293,7 +293,7 @@ def _assert_same_basis(rebuilt, reference):
 
 
 # p = 65521 keeps every product on the single float64 GEMM; at 2^31 - 1 the
-# products take the 16-bit split kernel and the matrix combination reduces
+# products cut one operand into digits and the matrix combination reduces
 # after every two terms
 @pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import unit_ut_solve
 from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
-from polysolve.linalg import (KrylovStats, Matrix, _krylov_steps, _mul_arrays, _reduce,
-                              _row_echelon, _sub_mod, _unit_rows, binary_power_table,
+from polysolve.linalg import (KrylovStats, Matrix, _digits, _krylov_steps, _mul_arrays,
+                              _reduce, _row_echelon, _sub_mod, _unit_rows, binary_power_table,
                               krylov_columns, mat_mul)
 
 
@@ -57,7 +58,7 @@ def test_mat_mul_matches_naive_random():
             b = _random_matrix(field, k, c, rng)
             assert mat_mul(a, b) == _naive_mul(a, b)
     # every entry p - 1 at inner dimensions on both sides of the float64
-    # bound k (p-1)^2 < 2^53; past it the 16-bit split kernel runs
+    # bound k (p-1)^2 < 2^53; past it the kernel cuts one operand into digits
     def float_k(p):
         return ((1 << 53) - 1) // (p - 1) ** 2
 
@@ -69,10 +70,9 @@ def test_mat_mul_matches_naive_random():
         a = Matrix(field, np.full((1, k), p - 1, dtype=np.int64))
         assert mat_mul(a, a.transpose()) == _naive_mul(a, a.transpose())
     # for p <= 2^16 + 1 one step past the float64 bound is already k >= 2^21,
-    # where the split parts are no longer exact: refused, not rounded
+    # where the 16-bit halves were no longer exact; two digits are
     row = Matrix(PrimeField(65521), np.full((1, float_k(65521) + 1), 65520, dtype=np.int64))
-    with pytest.raises(DimensionMismatch):
-        mat_mul(row, row.transpose())
+    assert mat_mul(row, row.transpose()) == _naive_mul(row, row.transpose())
 
 
 def test_mat_mul_shape_check(f7):
@@ -265,7 +265,7 @@ def _krylov_step_input(kind: str, dim: int, p: int, rng) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["dense", "some-unit", "permutation", "zero-dense"])
 def test_krylov_steps_match_naive_iteration(p, kind):
     # the step route is called directly, below the size krylov_columns
-    # routes to it; at 2^31 - 1 every step takes the split product
+    # routes to it; at 2^31 - 1 every step cuts x into digits
     rng = np.random.default_rng(p)
     field = PrimeField(p)
     for dim in range(1, 65):
@@ -276,6 +276,43 @@ def test_krylov_steps_match_naive_iteration(p, kind):
         got = _krylov_steps(a, r, 2 * dim, p, unit, src)
         assert got.flags.c_contiguous
         assert np.array_equal(got, _naive_krylov(Matrix(field, a), r, dim).a)
+
+
+def _int64_krylov(a: np.ndarray, r: np.ndarray, total: int, p: int) -> np.ndarray:
+    """[r | Ar | ... | A^(total-1) r] by integer products in int64 on the
+    16-bit halves of A, exact for p < 2^31 and D < 2^16."""
+    hi, lo = a >> 16, a & 0xFFFF
+    cols = [r % p]
+    for _ in range(total - 1):
+        x = cols[-1]
+        cols.append(((hi @ x) % p * (1 << 16) + (lo @ x) % p) % p)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("kind, dim", [("some-unit", 256), ("some-unit", 300), ("dense", 256),
+                                       ("worst", 256)])
+def test_krylov_steps_at_large_p_match_naive_iteration(kind, dim):
+    # at D >= 256 krylov_columns takes the step route, and at p = 2^31 - 1
+    # each step cuts x into three digits (four from D = 2050); "worst" has
+    # dense entries p - 2 and starts from p - 1, whose middle digit is
+    # 2^w - 1, so the first step's odd sums reach 2^53 if w is one too wide
+    p = 2 ** 31 - 1
+    assert _digits(dim, p)[1] == 3
+    rng = np.random.default_rng(dim)
+    a = _krylov_step_input("some-unit" if kind == "worst" else kind, dim, p, rng)
+    r = rng.integers(0, p, dim)
+    if kind == "worst":
+        a[~_unit_rows(a)[0]] = p - 2
+        r[:] = p - 1
+    want = _int64_krylov(a, r, 2 * dim, p)
+    if kind == "dense":
+        unit, src = _unit_rows(a)
+        assert np.array_equal(_krylov_steps(a, r, 2 * dim, p, unit, src), want)
+        return
+    stats = KrylovStats()
+    got = krylov_columns(Matrix(PrimeField(p), a), r, dim, stats=stats)
+    assert stats.steps == 2 * dim - 1
+    assert np.array_equal(got.a, want)
 
 
 def test_krylov_rejects_non_square(f7):
@@ -289,9 +326,108 @@ def test_krylov_rejects_non_square(f7):
 
 
 def test_mul_arrays_rejects_an_inner_dimension_past_the_split():
-    k = 1 << 21
-    with pytest.raises(DimensionMismatch):
-        _mul_arrays(np.ones((1, k), dtype=np.int64), np.ones((k, 1), dtype=np.int64), 2 ** 31 - 1)
+    # k (p-1) >= 2^53 first at k = 2^22 + 1 for p = 2^31 - 1, where not even
+    # one-bit digits are exact; refused before any digit is allocated
+    p, k = 2 ** 31 - 1, (1 << 22) + 1
+    a, b = np.ones((1, k), dtype=np.int64), np.ones((k, 1), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch):
+            _mul_arrays(a, b, p)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+# (p, k, (w, nd)): the largest k of each digit count and the first k past it
+DIGIT_TABLE = [
+    (65521, 2098176, (16, 1)), (65521, 2098177, (15, 2)),
+    (2 ** 26 - 5, 2, (26, 1)), (2 ** 26 - 5, 3, (25, 2)),
+    (2 ** 26 - 5, 16386, (13, 2)), (2 ** 26 - 5, 16387, (12, 3)),
+    (2 ** 31 - 1, 0, (31, 1)), (2 ** 31 - 1, 1, (22, 2)),
+    (2 ** 31 - 1, 64, (16, 2)), (2 ** 31 - 1, 65, (15, 3)),
+    (2 ** 31 - 1, 2049, (11, 3)), (2 ** 31 - 1, 2050, (10, 4)),
+    (2 ** 31 - 1, 16448, (8, 4)), (2 ** 31 - 1, 16449, (7, 5)),
+    (2 ** 31 - 1, 1 << 22, (1, 31)),
+]
+
+
+def test_digits_at_the_boundaries():
+    for p, k, expect in DIGIT_TABLE:
+        w, nd = _digits(k, p)
+        assert (w, nd) == expect, (p, k)
+        m = p - 1
+        if nd == 1:
+            assert k * m * m < 2 ** 53
+        else:
+            # w is the widest exact digit, and nd digits of w bits cover p - 1
+            assert k * m * (2 ** w - 1) < 2 ** 53 <= k * m * (2 ** (w + 1) - 1)
+            assert w * (nd - 1) < m.bit_length() <= w * nd
+    for p in (65521, 2 ** 31 - 1):
+        with pytest.raises(DimensionMismatch):
+            _digits(-(-2 ** 53 // (p - 1)), p)
+
+
+def _exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    return ((a.astype(np.int64).astype(object) @ b.astype(np.int64).astype(object)) % p
+            ).astype(np.int64)
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p, k, _ in DIGIT_TABLE if 0 < k < 1 << 15])
+def test_mul_arrays_exact_at_each_digit_count(p, k):
+    # every entry p - 1, and random entries, with the cut operand on either
+    # side (a has fewer entries, then b), from int64 and from float64
+    rng = np.random.default_rng(k)
+    for r, c in ((2, 3), (3, 2)):
+        for a, b in ((np.full((r, k), p - 1), np.full((k, c), p - 1)),
+                     (rng.integers(0, p, (r, k)), rng.integers(0, p, (k, c)))):
+            want = _exact(a, b, p)
+            for dtype in (np.int64, np.float64):
+                got = _mul_arrays(a.astype(dtype), b.astype(dtype), p)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _logged_product(a: np.ndarray, b: np.ndarray, p: int):
+    """``_mul_arrays(a, b, p)`` and, for each operand, the dtypes its memory
+    was converted to."""
+    logs = ([], [])
+
+    class Operand(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            for src, log in zip((a, b), logs):
+                if np.may_share_memory(self, src):
+                    log.append(np.dtype(dtype))
+            return super().astype(dtype, *args, **kwargs)
+
+    oa = a.view(Operand)
+    return _mul_arrays(oa, oa if b is a else b.view(Operand), p), logs
+
+
+@pytest.mark.parametrize("p, k", [(65521, 40), (2 ** 31 - 1, 40), (2 ** 31 - 1, 70)])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_mul_arrays_converts_each_operand_once(p, k, dtype):
+    # the operand with fewer entries is cut into digits from int64 (or is
+    # its own digit), the other is read once as float64; a square converts
+    # its operand to float64 once
+    f64, i64 = np.dtype(np.float64), np.dtype(np.int64)
+    cut = [i64] if _digits(k, p)[1] > 1 else [f64]
+    rng = np.random.default_rng(k)
+    a, b = rng.integers(0, p, (k, k)).astype(dtype), rng.integers(0, p, (k, 3)).astype(dtype)
+    for x, y, logs in ((b.T, a, (cut, [f64])), (a, b, ([f64], cut)),
+                       (a, a, ([i64, f64] if cut == [i64] else [f64],) * 2)):
+        got, seen = _logged_product(x, y, p)
+        assert np.array_equal(got, _exact(x, y, p))
+        assert seen == logs
+
+
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("r, k, c", [(0, 5, 3), (3, 0, 4), (3, 5, 0), (0, 70, 3), (3, 70, 0),
+                                     (0, 0, 0)])
+def test_mul_arrays_empty_operands(p, r, k, c):
+    for a, b in ((np.ones((r, k), dtype=np.int64), np.ones((k, c), dtype=np.int64)),
+                 (np.ones((r, k)), np.ones((k, c)))):
+        got = _mul_arrays(a, b, p)
+        assert got.shape == (r, c) and got.dtype == np.int64 and not got.any()
 
 
 @settings(max_examples=25, deadline=None)

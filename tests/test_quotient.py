@@ -395,8 +395,8 @@ def test_matrix_columns_are_normal_forms():
 def test_builders_agree():
     rng = random.Random(31)
     # (3, (2, 3, 3)) and (3, (1, 2, 3)) mix generator rows with product rows
-    # of two witness variables in one degree; p = 2^31 - 1 sends the block
-    # products down the split path
+    # of two witness variables in one degree; p = 2^31 - 1 cuts an operand
+    # of every block product into digits
     for p in (101, 65521, 2**31 - 1):
         field = PrimeField(p)
         for n, degs in ((2, (2, 3)), (3, (2, 2, 2)), (3, (2, 3, 3)), (3, (1, 2, 3))):
