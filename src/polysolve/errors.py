@@ -34,8 +34,9 @@ class SingularMatrix(PolysolveError):
 # --- quotient structure ----------------------------------------------------
 
 class NotZeroDimensional(PolysolveError):
-    """The ideal is not zero-dimensional (some variable has no pure power
-    among the leading terms), so the quotient is infinite-dimensional."""
+    """The ideal is not zero-dimensional: it contains 1, or some variable
+    has no pure power among the leading terms, so the quotient is
+    infinite-dimensional.  The message names which."""
 
 
 class ClassificationFailure(PolysolveError):

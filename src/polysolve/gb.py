@@ -399,14 +399,20 @@ def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> Groe
     return GroebnerBasis(field, n, order, basis)
 
 
+def zero_dimensional_cause(gb: GroebnerBasis) -> str | None:
+    """Why the ideal is not zero-dimensional, or None when it is: it
+    contains 1, or the first variable without a pure power among the
+    leading monomials has none."""
+    if gb.contains_one():
+        return "the ideal contains 1; the system has no solutions"
+    pure = {m.support()[0] for m in gb.leading_monomials if len(m.support()) == 1}
+    lost = [i for i in range(gb.n) if i not in pure]
+    return f"x{lost[0] + 1} has no pure-power leading term" if lost else None
+
+
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True iff every variable has a pure power among the leading monomials."""
-    if gb.contains_one():
-        return False
-    for i in range(gb.n):
-        if not any(m.exps[i] and m.support() == [i] for m in gb.leading_monomials):
-            return False
-    return True
+    return zero_dimensional_cause(gb) is None
 
 
 def lex_oracle(polys, n: int, field: PrimeField | None = None):
@@ -424,8 +430,9 @@ def shape_rep_from_lex(gb: GroebnerBasis):
 
     n = gb.n
     last = n - 1
-    if not is_zero_dimensional(gb):
-        raise NotZeroDimensional("shape inspection needs a zero-dimensional ideal")
+    cause = zero_dimensional_cause(gb)
+    if cause:
+        raise NotZeroDimensional(cause)
     if len(gb.polys) != n:
         raise NotShapePosition(f"LEX basis has {len(gb.polys)} elements, expected {n}")
     # ascending LEX order puts the univariate h_n first, then x_{n-1}, ... x_1

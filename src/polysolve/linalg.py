@@ -1,37 +1,42 @@
 """Dense exact linear algebra over a prime field.
 
 Matrices hold canonical residues in int64 numpy arrays, C-contiguous except
-where a builder returns the transpose view of rows it wrote, so that the
-Krylov steps read the transpose without a copy.  Every product goes through
-one exact kernel, ``_mul_arrays``, for the whole range 2 < p < 2^31, under
-one exactness rule, ``_digits``.  With inner dimension k, the operand with
-fewer entries is cut into nd digits base 2^w, w the largest width with
-``k (p-1) (2^w - 1) < 2^53``, for one float64 BLAS GEMM against the other
-operand: every product and partial sum is an integer below 2^53.  Horner's
-rule mod p in int64 recombines the digit products; while ``k (p-1)^2 <
-2^53``, nd = 1 and the kernel is one GEMM.  This is the error-free slicing
-of Ozaki, Ogita, Oishi and Rump (Numer. Algorithms 2012), with the
-exactness bound of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008);
-a product mod p is unique, so every digit count gives the same residues.
+where a builder returns the transpose view of rows it wrote: T_n, whose
+transpose the Krylov steps read without a copy, and the steps' Krylov
+matrix K, stored as K^T.  Every product goes through one exact kernel,
+``_mul_arrays``, for the whole range 2 < p < 2^31, under one exactness
+rule, ``_digits``; it is the only code that cuts an operand into digits.
+With inner dimension k, the operand with fewer entries is cut into nd
+digits base 2^w, w the largest width with ``k (p-1) (2^w - 1) < 2^53``,
+for one float64 BLAS GEMM against the other operand: every product and
+partial sum is an integer below 2^53.  Horner's rule mod p in int64
+recombines the digit products; while ``k (p-1)^2 < 2^53``, nd = 1 and the
+kernel is one GEMM.  This is the error-free slicing of Ozaki, Ogita, Oishi
+and Rump (Numer. Algorithms 2012), with the exactness bound of FFLAS-FFPACK
+(Dumas, Giorgi and Pernet, ACM TOMS 2008); a product mod p is unique, so
+every digit count gives the same residues.
 
 Every general elimination is one routine too, ``_row_echelon``, the
 halving rank-profile elimination of Jeannerod, Pernet and Storjohann (J.
 Symb. Comp. 2013), whose row operations are ``_mul_arrays`` products.  It
-backs ``Matrix.rref``, ``rank`` and ``inverse``, and in ``gb`` the F4 steps
-and the rebuild.
+backs ``Matrix.rank``, ``_eliminate_block`` (the transform of an
+elimination, which ``Matrix.inverse`` reads) and in ``gb`` the F4 steps and
+the rebuild.
 
 The Krylov matrix [r | Tr | ... | T^(2w-1) r] of the change of ordering,
 ``krylov_columns``, has two routes that give the same residues.  The
 doubling (Keller-Gehrig 1985) squares T ceil(log2 2w) times and multiplies
 the columns built so far by each power.  The step route builds one column
-per matrix-vector step: a unit row of T, whose only nonzero is a 1, makes
-its entry a gather, and only the dense rows take a product (the sparse-FGLM
-observation of Faugere and Mou, ISSAC 2011).  Steps run when T has at least
-256 rows and at least half of them are unit rows.  Measured on 2 cores, on
-the appendix family's transposed T_n the steps are 1.4-2.2x faster at
-D = 256 and 1.8-4.5x at D = 512; at D = 128 the two routes are within 10%
-of each other.  On a dense T the steps are slower from D = 512 at
-p = 2^31 - 1 and at D = 2048 for p = 65521 (13.2 against 5.2 s).
+per matrix-vector step, as a row of K^T: a unit row of T, whose only
+nonzero is a 1, makes its entry a gather, and only the dense rows take a
+product, ``_mul_arrays`` with a one-row left operand (the sparse-FGLM
+observation of Faugere and Mou, ISSAC 2011); K is the transpose view of
+K^T.  Steps run when T has at least 256 rows and at least half of them are
+unit rows.  Measured on 2 cores, on the appendix family's transposed T_n
+the steps are 1.4-2.2x faster at D = 256 and 1.8-4.5x at D = 512; at
+D = 128 the two routes are within 10% of each other.  On a dense T the
+steps are slower from D = 512 at p = 2^31 - 1 and at D = 2048 for
+p = 65521 (13.2 against 5.2 s).
 
 Reductions avoid numpy's ``%``, which runs an integer division per element.
 ``_reduce`` takes x - (x // p) p instead, as numpy divides by a scalar
@@ -336,15 +341,12 @@ class Matrix:
         return len(_row_echelon(self.a % p, self.ncols, p)[0])
 
     def inverse(self) -> "Matrix":
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        p = self.field.p
-        _new, dep, pcols, ech = _row_echelon(
-            np.hstack([self.a % p, np.eye(n, dtype=np.int64)]), n, p)
+        _new, dep, _ech, pcols, gmat = _eliminate_block(self.a % self.field.p, self.field.p)
         if dep:
             raise SingularMatrix("matrix is singular")
-        return Matrix(self.field, np.ascontiguousarray(ech[np.argsort(pcols), n:]))
+        return Matrix(self.field, gmat[np.argsort(pcols)])
 
     def density(self) -> float:
         """Fraction of nonzero entries."""
@@ -445,25 +447,21 @@ def _krylov_steps(a: np.ndarray, r: np.ndarray, total: int, p: int,
 
     ``unit`` and ``src`` are ``_unit_rows(a)``; ``r`` is canonical.  Row i
     of A x is x[src[i]] on a unit row, so those rows are one gather, and
-    only the dense rows take a product.  The dense block is converted to
-    float64 once, and each step is the kernel's product in transposed form:
-    x's (nd x D) ``_digits`` times the transposed block, then ``_horner``.
-    The columns are built as the rows of the transpose and transposed once
-    at the end.
+    only the dense rows take a product: the kernel's one-row product of x
+    by the transposed dense block, converted to float64 once.  The columns
+    are written as the rows of the transpose, which is returned as a view.
     """
-    dim = a.shape[0]
     dense = np.flatnonzero(~unit)
     units = np.flatnonzero(unit)
     src = src[units]
-    w, nd = _digits(dim, p)
     block = a[dense].astype(np.float64).T
-    kt = np.empty((total, dim), dtype=np.int64)
+    kt = np.empty((total, a.shape[0]), dtype=np.int64)
     kt[0] = r
     for j in range(1, total):
         x, y = kt[j - 1], kt[j]
         y[units] = x[src]
-        y[dense] = _horner(_slices(x, w, nd, 0) @ block, w, p)
-    return np.ascontiguousarray(kt.T)
+        y[dense] = _mul_arrays(x[None], block, p)[0]
+    return kt.T
 
 
 def _krylov_doubling(t: Matrix, r: np.ndarray, total: int,

@@ -46,16 +46,6 @@ class Monomial:
             raise OverflowError(f"exponent above {MAX_EXPONENT}")
         return Monomial(exps)
 
-    def mul_var(self, i: int) -> "Monomial":
-        e = self.exps
-        if e[i] >= MAX_EXPONENT:
-            raise OverflowError(f"exponent above {MAX_EXPONENT}")
-        return Monomial(e[:i] + (e[i] + 1,) + e[i + 1:])
-
-    def div_var(self, i: int) -> "Monomial":
-        e = self.exps
-        return Monomial(e[:i] + (e[i] - 1,) + e[i + 1:])
-
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
@@ -240,16 +230,7 @@ class Polynomial:
         return Polynomial(self.field, self.n, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        p = self.field.p
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (terms.get(m, 0) - c) % p
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.field, self.n, terms)
+        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
@@ -311,7 +292,7 @@ class Polynomial:
         return f"Polynomial({to_string(self, names)})"
 
 
-# -- division / normal form -------------------------------------------------
+# -- division ---------------------------------------------------------------
 
 class _Reducer:
     """Pre-extracted data for one divisor: leading monomial, inverse leading
@@ -354,18 +335,6 @@ def _reduce_prepped(f: Polynomial, reducers: list[_Reducer], order: TermOrder) -
         else:
             out[m] = c
     return Polynomial(f.field, f.n, out)
-
-
-def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
-    """Remainder of f under multivariate division by ``basis``.
-
-    The result is the true normal form when ``basis`` is a Groebner basis
-    for ``order``; otherwise it is the deterministic remainder obtained by
-    always using the first listed divisor whose leading monomial divides the
-    current term.
-    """
-    reducers = [_Reducer(g, order) for g in basis if not g.is_zero()]
-    return _reduce_prepped(f, reducers, order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:

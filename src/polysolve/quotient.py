@@ -11,9 +11,10 @@ store, -1 is neither.  ``_locate`` codes monomials over ``tails``, and
 table; ``_rows`` alone decodes codes into unit or stored rows.
 
 ``compute_frontier`` describes the frontier {x_i * eps : eps in B} \\ B by
-integer tables only: ``targets``, ``gen_row`` marking the leading
-monomials by their row of ``tails``, and ``witness_var``/``witness_row``
-giving every other member as x_k times a member one degree down.  It forms
+integer tables only: ``targets``, and for each member its ``source``, read
+through ``witness_var``: a leading monomial (``witness_var`` -1) by its row
+of ``tails``, every other member, x_k times a member one degree down
+(``witness_var`` k), by the index of that member.  It forms
 all n D products as one exponent array and locates them, with B and the
 leading monomials, by one sort (``_codes``).  Both computing builders read
 those tables; the multiplication matrices are built three ways:
@@ -53,7 +54,7 @@ import numpy as np
 
 from .errors import ClassificationFailure, NotReadable, NotZeroDimensional
 from .field import PrimeField
-from .gb import GroebnerBasis, _candidates, is_zero_dimensional
+from .gb import GroebnerBasis, _candidates, zero_dimensional_cause
 from .linalg import Matrix, OpCounter, _add_mod, _mul_arrays, _unit_ut_solve_in_place
 from .poly import Monomial, TermOrder
 
@@ -93,12 +94,14 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
     unless it is a leading monomial, so the degree-d standard monomials are
     the candidates of the degree-(d-1) ones (``gb._candidates``) that lead
     no generator.  The walk ends because zero-dimensionality (a pure power
-    of every variable among the leading monomials) is checked up front.
-    A rebuilt basis hands over its ``standard`` and ``tails`` and skips the
-    walk.
+    of every variable among the leading monomials) is checked up front:
+    this is where every solve checks it, and NotZeroDimensional names the
+    cause (``gb.zero_dimensional_cause``).  A rebuilt basis hands over its
+    ``standard`` and ``tails`` and skips the walk.
     """
-    if not is_zero_dimensional(gb):
-        raise NotZeroDimensional("quotient is not finite-dimensional over the field")
+    cause = zero_dimensional_cause(gb)
+    if cause:
+        raise NotZeroDimensional(cause)
     order = gb.order
     n = gb.n
     leads = gb.leading_monomials
@@ -131,18 +134,17 @@ class Frontier:
     ``targets[k, l]`` is the row code of x_k * eps_l over the normal-form
     table: j < D for eps_j, D + f for member f.  For a fixed k the map is
     injective, so member f provides a column of the k-th matrix exactly
-    when D + f occurs in ``targets[k]``.  ``gen_row[f]`` is the member's row of
-    ``QuotientStructure.tails`` when it is a leading monomial, else -1.
-    Every other member is x_k * t' for the member t' one degree down with
-    ``witness_var[f]`` = k and ``witness_row[f]`` = the index of t' (both -1
-    for a leading monomial); its normal form is T_k NF(t').
+    when D + f occurs in ``targets[k]``.  A member that is a leading
+    monomial has ``witness_var[f]`` = -1 and ``source[f]`` its row of
+    ``QuotientStructure.tails``.  Every other member is x_k * t' for the
+    member t' one degree down, with ``witness_var[f]`` = k and
+    ``source[f]`` the index of t'; its normal form is T_k NF(t').
     """
 
     exps: np.ndarray
     targets: np.ndarray
-    gen_row: np.ndarray
     witness_var: np.ndarray
-    witness_row: np.ndarray
+    source: np.ndarray
 
     def __len__(self):
         return self.exps.shape[0]
@@ -207,7 +209,7 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
     as exponent rows and coded together with B and the leading monomials
     by one sort (``_locate``), so every lookup is an array index: a product
     coded below D lands in B, a product coded D + r leads the generator of
-    ``tails`` row r (its ``gen_row``), and the ranks of the products not in
+    ``tails`` row r (its ``source``), and the ranks of the products not in
     B, renumbered densely in ascending order, are the frontier in order.
     A member t = x_i eps_l that leads no generator takes the first
     variable k for which t / x_k is a member.  For k = i that is eps_l,
@@ -222,9 +224,9 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
     ks, ls = np.nonzero((targets < 0) | (targets >= dim))
     members, f = np.unique(rank[ks, ls], return_inverse=True)
     total = members.size
-    var, base, gen_row = (np.empty(total, dtype=np.int64) for _ in range(3))
+    var, base, source = (np.empty(total, dtype=np.int64) for _ in range(3))
     # member f is x_var eps_base; it leads the generator of code - D, if any
-    var[f], base[f], gen_row[f] = ks, ls, np.maximum(targets[ks, ls] - dim, -1)
+    var[f], base[f], source[f] = ks, ls, np.maximum(targets[ks, ls] - dim, -1)
     targets[ks, ls] = dim + f
     # down[k, j] = l where eps_j / x_k = eps_l, else -1
     down = np.full((n, dim), -1, dtype=np.int64)
@@ -232,16 +234,17 @@ def compute_frontier(quotient: QuotientStructure, gb: GroebnerBasis) -> Frontier
     down[ks, targets[ks, ls]] = ls
     below = down[:, base]
     below = np.where(below >= 0, targets[var, below], -1)   # t / x_k, or -1
-    found = (below >= dim) & (gen_row < 0)
+    found = (below >= dim) & (source < 0)
     witness_var = np.where(found.any(axis=0), found.argmax(axis=0), -1)
-    witness_row = np.where(witness_var >= 0, below[witness_var, np.arange(total)] - dim, -1)
+    witnessed = np.flatnonzero(witness_var >= 0)
+    source[witnessed] = below[witness_var[witnessed], witnessed] - dim
     exps = quotient.exps[base]
     exps[np.arange(total), var] += 1
-    lost = np.flatnonzero((gen_row < 0) & (witness_var < 0))
+    lost = np.flatnonzero(source < 0)
     if lost.size:
         raise ClassificationFailure(f"{Monomial(exps[lost[0]].tolist())} is neither a leading "
                                     "monomial nor a shifted frontier monomial")
-    return Frontier(exps, targets, gen_row, witness_var, witness_row)
+    return Frontier(exps, targets, witness_var, source)
 
 
 @dataclass
@@ -279,12 +282,11 @@ def build_matrices_fglm(quotient: QuotientStructure, gb: GroebnerBasis,
     for k, l, f in zip(ks.tolist(), ls.tolist(), (targets[ks, ls] - dim).tolist()):
         cells[f].append((k, l))
     nf = np.zeros((len(frontier), dim), dtype=np.int64)
-    for f, (k, g, w) in enumerate(zip(frontier.witness_var.tolist(), frontier.gen_row.tolist(),
-                                      frontier.witness_row.tolist())):
+    for f, (k, s) in enumerate(zip(frontier.witness_var.tolist(), frontier.source.tolist())):
         if k < 0:
-            nf[f] = quotient.tails[g]
+            nf[f] = quotient.tails[s]
         else:
-            nf[f] = _mul_arrays(mats[k], nf[w, :, None], p).ravel()
+            nf[f] = _mul_arrays(mats[k], nf[s, :, None], p).ravel()
         for i, l in cells[f]:
             mats[i, :, l] = nf[f]
     out = [MulMatrix(i, Matrix(quotient.field, m.astype(np.int64))) for i, m in enumerate(mats)]
@@ -323,7 +325,7 @@ def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.nda
     dim = quotient.dimension
     total = len(frontier)
     targets = frontier.targets
-    gen_row, witness_var, witness_row = frontier.gen_row, frontier.witness_var, frontier.witness_row
+    witness_var, source = frontier.witness_var, frontier.source
     basis_deg = quotient.exps.sum(axis=1)
     deg = frontier.exps.sum(axis=1)
     cuts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
@@ -334,8 +336,8 @@ def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.nda
         low = int(np.searchsorted(basis_deg, deg[lo]))
         out = nf[lo:hi]
         flat = out.reshape(-1)
-        rg = np.flatnonzero(gen_row[lo:hi] >= 0)
-        out[rg] = quotient.tails[gen_row[lo + rg]]
+        rg = np.flatnonzero(witness_var[lo:hi] < 0)
+        out[rg] = quotient.tails[source[lo + rg]]
         # member r of the slice is its right side plus sum vals * member
         # cols, over the (r, cols, vals) entries with cols < r
         rows, cols, vals = [], [], []
@@ -343,7 +345,7 @@ def normal_form_table(quotient: QuotientStructure, frontier: Frontier) -> np.nda
             rk = np.flatnonzero(witness_var[lo:hi] == k)
             if not rk.size:
                 continue
-            w = nf[witness_row[lo + rk], :low]
+            w = nf[source[lo + rk], :low]
             tgt = targets[k, :low]
             basis = np.flatnonzero(tgt < dim)
             inside = np.flatnonzero(tgt >= dim + lo)

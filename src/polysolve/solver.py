@@ -36,10 +36,10 @@ import numpy as np
 from . import quotient
 from .change_order import (ROOT_SCAN_LIMIT, UnivariateRep, _eval_points, _root_points,
                            _scan_points, change_ordering)
-from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts,
-                     NotReadable, NotShapePosition, NotZeroDimensional)
+from .errors import (BudgetExceeded, ChangeOrderingFailed, ExhaustedRestarts, NotReadable,
+                     NotShapePosition)
 from .field import PrimeField
-from .gb import GroebnerBasis, buchberger, groebner_from_matrices, is_zero_dimensional
+from .gb import GroebnerBasis, buchberger, groebner_from_matrices
 from .linalg import Matrix, OpCounter, _mul_arrays
 from .poly import Polynomial, TermOrder, apply_change_of_variables
 from .quotient import (MulMatrix, QuotientStructure, compute_basis, compute_frontier,
@@ -93,17 +93,6 @@ def _require_system(F: list[Polynomial]) -> tuple[PrimeField, int]:
     if not F:
         raise ValueError("empty system")
     return F[0].field, F[0].n
-
-
-def _drl_prefix(F: list[Polynomial], fld: PrimeField,
-                n: int) -> tuple[GroebnerBasis, QuotientStructure]:
-    """Reduced DRL basis of a zero-dimensional ideal and its quotient basis."""
-    gb = buchberger(F, TermOrder.drl(n), field=fld)
-    if gb.contains_one():
-        raise NotZeroDimensional("the ideal contains 1; the system has no solutions")
-    if not is_zero_dimensional(gb):
-        raise NotZeroDimensional("some variable has no pure-power leading term")
-    return gb, compute_basis(gb)
 
 
 def _transformed_gb(table: np.ndarray, targets: np.ndarray, g: Matrix,
@@ -164,13 +153,15 @@ def _solve(F: list[Polynomial], rng, max_restarts: int | None) -> SolveReport:
     """One attempt per draw of g: the one draw None (g = identity) when
     ``max_restarts`` is None, else up to ``max_restarts`` random g, each
     drawn only after the attempt before failed, since ``change_ordering``
-    draws from the same ``rng``.  The stages are ``gb`` (the prefix and the
-    rebuilds), ``matrix`` (frontier, table, T_n reads) and ``chord``."""
+    draws from the same ``rng``.  The stages are ``gb`` (the DRL basis, its
+    quotient basis and the rebuilds), ``matrix`` (frontier, table, T_n
+    reads) and ``chord``."""
     fld, n = _require_system(F)
     times = dict.fromkeys(("gb", "matrix", "chord"), 0.0)
     t0 = time.perf_counter()
     with _stage(times, "gb"):
-        gb, Q = _drl_prefix(F, fld, n)
+        gb = buchberger(F, TermOrder.drl(n), field=fld)
+        Q = compute_basis(gb)   # NotZeroDimensional, with its cause
     with _stage(times, "matrix"):
         frontier = compute_frontier(Q, gb)
         table = normal_form_table(Q, frontier)

@@ -12,10 +12,36 @@ from polysolve.errors import ClassificationFailure, NotReadable
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger, is_zero_dimensional
 from polysolve.linalg import _mul_arrays, _sub_mod, _unit_ut_solve_in_place
-from polysolve.poly import Monomial, Polynomial, TermOrder
+from polysolve.poly import MAX_EXPONENT, Monomial, Polynomial, TermOrder, _Reducer, _reduce_prepped
 from polysolve.quotient import Frontier
 from polysolve.change_order import UnivariateRep
 from polysolve.recur import hankel_matrix, is_squarefree
+
+
+def mul_var(m: Monomial, i: int) -> Monomial:
+    """x_i m."""
+    e = m.exps
+    if e[i] >= MAX_EXPONENT:
+        raise OverflowError(f"exponent above {MAX_EXPONENT}")
+    return Monomial(e[:i] + (e[i] + 1,) + e[i + 1:])
+
+
+def div_var(m: Monomial, i: int) -> Monomial:
+    """m / x_i, for m divisible by x_i."""
+    e = m.exps
+    return Monomial(e[:i] + (e[i] - 1,) + e[i + 1:])
+
+
+def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
+    """Remainder of f under multivariate division by ``basis``.
+
+    The result is the true normal form when ``basis`` is a Groebner basis
+    for ``order``; otherwise it is the deterministic remainder obtained by
+    always using the first listed divisor whose leading monomial divides the
+    current term.
+    """
+    reducers = [_Reducer(g, order) for g in basis if not g.is_zero()]
+    return _reduce_prepped(f, reducers, order)
 
 
 def monomials_up_to(n: int, deg: int) -> list[Monomial]:
@@ -44,7 +70,7 @@ def random_zero_dim_system(field: PrimeField, n: int, degrees, rng: random.Rando
     for _ in range(max_attempts):
         F = [random_polynomial(field, n, d, rng) for d in degrees]
         gb = buchberger(F, order, field=field)
-        if not gb.contains_one() and is_zero_dimensional(gb):
+        if is_zero_dimensional(gb):
             return F, gb
     raise AssertionError("could not draw a zero-dimensional system")
 
@@ -173,7 +199,7 @@ def frontier_by_monomials(quotient, gb) -> Frontier:
     cells: dict[Monomial, list[tuple[int, int]]] = {}
     for l, eps in enumerate(quotient.basis):
         for i in range(n):
-            t = eps.mul_var(i)
+            t = mul_var(eps, i)
             j = index.get(t)
             if j is None:
                 cells.setdefault(t, []).append((i, l))
@@ -181,25 +207,24 @@ def frontier_by_monomials(quotient, gb) -> Frontier:
                 targets[i][l] = j
     monomials = sorted(cells, key=quotient.order.key)
     row = {t: f for f, t in enumerate(monomials)}
-    gen_row = [-1] * len(monomials)
     witness_var = [-1] * len(monomials)
-    witness_row = [-1] * len(monomials)
+    source = [-1] * len(monomials)
     for f, t in enumerate(monomials):
         for i, l in cells[t]:
             targets[i][l] = dim + f
         if t in lead_row:
-            gen_row[f] = lead_row[t]
+            source[f] = lead_row[t]
             continue
         for k in t.support():
-            w = row.get(t.div_var(k))
+            w = row.get(div_var(t, k))
             if w is not None:
-                witness_var[f], witness_row[f] = k, w
+                witness_var[f], source[f] = k, w
                 break
         else:
             raise ClassificationFailure(f"{t} is neither a leading monomial nor a shifted frontier monomial")
     exps = np.array([t.exps for t in monomials], dtype=np.int64).reshape(-1, n)
     return Frontier(exps, *(np.array(a, dtype=np.int64)
-                            for a in (targets, gen_row, witness_var, witness_row)))
+                            for a in (targets, witness_var, source)))
 
 
 def normal_form_table_int64(quotient, frontier) -> np.ndarray:
@@ -212,7 +237,7 @@ def normal_form_table_int64(quotient, frontier) -> np.ndarray:
     dim = quotient.dimension
     total = len(frontier)
     targets = frontier.targets
-    gen_row, witness_var, witness_row = frontier.gen_row, frontier.witness_var, frontier.witness_row
+    witness_var, source = frontier.witness_var, frontier.source
     basis_deg = np.array([eps.deg for eps in quotient.basis], dtype=np.int64)
     deg = np.zeros(total, dtype=np.int64)
     front = targets >= dim
@@ -224,13 +249,13 @@ def normal_form_table_int64(quotient, frontier) -> np.ndarray:
         low = int(np.searchsorted(basis_deg, deg[lo]))
         rhs = np.zeros((s, dim), dtype=np.int64)
         t = np.eye(s, dtype=np.int64)
-        rg = np.flatnonzero(gen_row[lo:hi] >= 0)
-        rhs[rg] = quotient.tails[gen_row[lo + rg]]
+        rg = np.flatnonzero(witness_var[lo:hi] < 0)
+        rhs[rg] = quotient.tails[source[lo + rg]]
         for k in range(n):
             rk = np.flatnonzero(witness_var[lo:hi] == k)
             if not rk.size:
                 continue
-            w = nf[witness_row[lo + rk], :low]
+            w = nf[source[lo + rk], :low]
             tgt = targets[k, :low]
             basis = tgt < dim
             inside = tgt >= dim + lo

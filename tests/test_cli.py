@@ -183,6 +183,18 @@ def test_exit_code_not_zero_dimensional(tmp_path, capsys):
     assert main(["matrices", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text, cause", [
+    ("x - 1\nx - 2\n", "the ideal contains 1; the system has no solutions"),
+    ("x^2\nx*y\n", "x2 has no pure-power leading term")])
+def test_not_zero_dimensional_names_one_cause(tmp_path, capsys, text, cause):
+    # solve and matrices stop at the same check, with the same message
+    path = tmp_path / "system.txt"
+    path.write_text("p = 7\nvars = x, y\n" + text)
+    for command in ("solve", "matrices"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {cause}\n"
+
+
 def test_exit_code_not_shape_position(tmp_path, capsys):
     path = tmp_path / "nsp.txt"
     path.write_text("p = 7\nvars = x, y\nx^2 - y\ny^2 - 1\n")

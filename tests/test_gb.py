@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (eliminate_block_by_rows, monomials_up_to, random_polynomial,
+from helpers import (eliminate_block_by_rows, monomials_up_to, normal_form, random_polynomial,
                      random_zero_dim_system, shape_instance, shape_system)
 from polysolve import gb as gb_module
 from polysolve.bench import appendix_family
@@ -14,8 +14,8 @@ from polysolve.field import PrimeField
 from polysolve.gb import (buchberger, groebner_from_matrices, is_zero_dimensional, lex_oracle,
                           shape_rep_from_lex)
 from polysolve.linalg import _ELIM_LEAF, _eliminate_block
-from polysolve.poly import (Monomial, Polynomial, TermOrder,
-                            apply_change_of_variables, normal_form, s_polynomial)
+from polysolve.poly import (Monomial, Polynomial, TermOrder, apply_change_of_variables,
+                            s_polynomial)
 from polysolve.quotient import (build_matrices_echelon, compute_basis, compute_frontier,
                                 normal_form_table)
 from polysolve.solver import _BAND, SolveConfig, _transformed_gb, _transformed_gb_from_matrices

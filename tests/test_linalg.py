@@ -274,7 +274,7 @@ def test_krylov_steps_match_naive_iteration(p, kind):
         assert np.count_nonzero(unit) == {"dense": 0, "permutation": dim}.get(kind, (dim + 1) // 2)
         r = rng.integers(0, p, dim)
         got = _krylov_steps(a, r, 2 * dim, p, unit, src)
-        assert got.flags.c_contiguous
+        assert got.T.flags.c_contiguous   # the rows of K^T, as the steps wrote them
         assert np.array_equal(got, _naive_krylov(Matrix(field, a), r, dim).a)
 
 
@@ -313,6 +313,22 @@ def test_krylov_steps_at_large_p_match_naive_iteration(kind, dim):
     got = krylov_columns(Matrix(PrimeField(p), a), r, dim, stats=stats)
     assert stats.steps == 2 * dim - 1
     assert np.array_equal(got.a, want)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("dim", [256, 300])
+def test_step_route_returns_its_rows_transposed(p, dim):
+    # the steps write K^T row by row, and K is its transpose view, not a copy
+    rng = np.random.default_rng(dim + p)
+    a = _krylov_step_input("some-unit", dim, p, rng)
+    r = rng.integers(0, p, dim)
+    stats = KrylovStats()
+    k = krylov_columns(Matrix(PrimeField(p), a), r, dim, stats=stats).a
+    assert stats.steps == 2 * dim - 1
+    rows = k.base
+    assert rows.shape == (2 * dim, dim) and rows.flags.c_contiguous
+    assert np.shares_memory(k, rows) and np.array_equal(k.T, rows)
+    assert np.array_equal(k, _int64_krylov(a, r, 2 * dim, p))
 
 
 def test_krylov_rejects_non_square(f7):

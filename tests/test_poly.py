@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import monomials_up_to, random_polynomial
+from helpers import div_var, monomials_up_to, mul_var, normal_form, random_polynomial
 from polysolve.change_order import _eval_points
 from polysolve.field import PrimeField
 from polysolve.linalg import Matrix, mat_mul
-from polysolve.poly import (Monomial, Polynomial, TermOrder,
-                            apply_change_of_variables, normal_form,
+from polysolve.poly import (Monomial, Polynomial, TermOrder, apply_change_of_variables,
                             s_polynomial, to_string)
 from polysolve.sysfile import parse_system
 
@@ -25,8 +24,8 @@ def test_monomial_basics():
     assert Monomial.one(2) == M(0, 0)
     assert Monomial.variable(3, 1) == M(0, 1, 0)
     assert m * M(1, 1) == M(3, 2)
-    assert m.mul_var(1) == M(2, 2)
-    assert m.div_var(0) == M(1, 1)
+    assert mul_var(m, 1) == M(2, 2)
+    assert div_var(m, 0) == M(1, 1)
     assert M(1, 0).divides(m) and not M(3, 0).divides(m)
     assert m.divided_by(M(1, 1)) == M(1, 0)
     assert M(2, 0).lcm(M(1, 1)) == M(2, 1)

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (frontier_by_monomials, nf_rows_by_monomials, normal_form_table_int64,
-                     random_zero_dim_system)
+from helpers import (div_var, frontier_by_monomials, mul_var, nf_rows_by_monomials,
+                     normal_form, normal_form_table_int64, random_zero_dim_system)
 from polysolve import gb as gb_module
 from polysolve.bench import appendix_family
 from polysolve.errors import NotReadable, NotZeroDimensional
 from polysolve.field import PrimeField
 from polysolve.gb import buchberger
 from polysolve.linalg import OpCounter
-from polysolve.poly import MAX_EXPONENT, Monomial, Polynomial, TermOrder, normal_form
+from polysolve.poly import MAX_EXPONENT, Monomial, Polynomial, TermOrder
 from polysolve.quotient import (_codes, _locate, _rows, build_matrices_echelon,
                                 build_matrices_fglm, compute_basis, compute_frontier,
                                 normal_form_table, try_read_Tn)
@@ -61,7 +61,7 @@ def test_basis_is_divisor_closed_and_drl_sorted():
         for m in q.basis:
             for i in range(n):
                 if m.exps[i]:
-                    assert m.div_var(i) in members
+                    assert div_var(m, i) in members
         for a, b in zip(q.basis, q.basis[1:]):
             assert order.greater(b, a)
 
@@ -128,8 +128,8 @@ def test_frontier_worked_example(f7):
     fr = compute_frontier(q, gb)
     # frontier = {y^2, xy, x^2}, every one a leading monomial (no products)
     assert [m.exps for m in fr.monomials] == [(0, 2), (1, 1), (2, 0)]
-    assert [gb.leading_monomials[r] for r in fr.gen_row] == fr.monomials
-    assert fr.witness_var.tolist() == fr.witness_row.tolist() == [-1, -1, -1]
+    assert [gb.leading_monomials[r] for r in fr.source] == fr.monomials
+    assert fr.witness_var.tolist() == [-1, -1, -1]
     assert fr.type2_nf == 0
 
 
@@ -143,13 +143,12 @@ def test_frontier_product_classification(f7):
     row = {m.exps: f for f, m in enumerate(fr.monomials)}
     assert set(row) == {(2, 0), (1, 1), (0, 3), (1, 2)}
     f = row[(1, 2)]
-    assert fr.gen_row[f] == -1
     assert fr.witness_var[f] == 1
-    assert fr.monomials[fr.witness_row[f]] == Monomial((1, 1))
+    assert fr.monomials[fr.source[f]] == Monomial((1, 1))
     for exps in ((2, 0), (1, 1), (0, 3)):
         g = row[exps]
-        assert gb.leading_monomials[fr.gen_row[g]] == Monomial(exps)
-        assert fr.witness_var[g] == fr.witness_row[g] == -1
+        assert fr.witness_var[g] == -1
+        assert gb.leading_monomials[fr.source[g]] == Monomial(exps)
     assert fr.type2_nf == 1
     # x*y^2 arises as x * (y^2): only parent variable is x (index 0)
     assert _parent_vars(fr, f) == [0]
@@ -163,21 +162,20 @@ def test_frontier_covers_all_products():
     q = compute_basis(gb)
     fr = compute_frontier(q, gb)
     basis = set(q.basis)
-    products = {b.mul_var(i) for b in q.basis for i in range(3)} - basis
+    products = {mul_var(b, i) for b in q.basis for i in range(3)} - basis
     assert set(fr.monomials) == products and len(fr) == len(products)
     assert fr.monomials == sorted(products, key=gb.order.key)
     for f, m in enumerate(fr.monomials):
         assert _parent_vars(fr, f) == [i for i in range(3)
-                                       if m.exps[i] and m.div_var(i) in basis]
+                                       if m.exps[i] and div_var(m, i) in basis]
         # a leading monomial, or x_k times a member one degree down
         if m in gb.leading_monomials:
-            assert gb.leading_monomials[fr.gen_row[f]] == m
-            assert fr.witness_var[f] == fr.witness_row[f] == -1
+            assert fr.witness_var[f] == -1
+            assert gb.leading_monomials[fr.source[f]] == m
         else:
-            assert fr.gen_row[f] == -1
-            w = fr.monomials[fr.witness_row[f]]
-            assert w.mul_var(int(fr.witness_var[f])) == m
-    witnessed = [f for f in range(len(fr)) if fr.gen_row[f] < 0]
+            w = fr.monomials[fr.source[f]]
+            assert mul_var(w, int(fr.witness_var[f])) == m
+    witnessed = [f for f in range(len(fr)) if fr.witness_var[f] >= 0]
     assert fr.type2_nf == len(witnessed)
     for i in range(3):
         assert fr.type2_for_var(i) == sum(i in _parent_vars(fr, f) for f in witnessed)
@@ -193,7 +191,7 @@ def test_frontier_targets_locate_products():
         assert fr.targets.shape == (n, dim)
         for k in range(n):
             for l, eps in enumerate(q.basis):
-                t = eps.mul_var(k)
+                t = mul_var(eps, k)
                 v = int(fr.targets[k, l])
                 if v < dim:
                     assert q.basis[v] == t
@@ -223,7 +221,7 @@ def _oracle_bases(p, kind):
 
 def _assert_same_frontier(got, want):
     assert got.monomials == want.monomials
-    for field in ("exps", "targets", "gen_row", "witness_var", "witness_row"):
+    for field in ("exps", "targets", "witness_var", "source"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
 
@@ -286,7 +284,7 @@ def test_row_codes_decode_to_unit_and_stored_rows(p, kind):
         where = {m: c for c, m in enumerate(q.basis)}
         where.update((m, dim + r) for r, m in enumerate(gb.leading_monomials))
         monos = q.basis + gb.leading_monomials
-        monos += [eps.mul_var(k) for k in range(n) for eps in q.basis]
+        monos += [mul_var(eps, k) for k in range(n) for eps in q.basis]
         code, _ = _locate(q, np.array([m.exps for m in monos], dtype=np.int64))
         assert code.tolist() == [where.get(m, -1) for m in monos]
         source = rng.integers(0, p, (5, dim)).astype(np.float64)
@@ -331,7 +329,7 @@ def test_free_read_matches_the_per_monomial_oracle(p):
                                          field, n) for _ in range(3)]
         for gb in bases:
             q = compute_basis(gb)
-            column = [eps.mul_var(n - 1) for eps in q.basis]
+            column = [mul_var(eps, n - 1) for eps in q.basis]
             counter = OpCounter()
             try:
                 want = nf_rows_by_monomials(q, column)

@@ -115,6 +115,22 @@ def test_unit_ideal_is_rejected(f7):
         assert "contains 1" in str(err.value)
 
 
+@pytest.mark.parametrize("case", ["unit", "line"])
+def test_zero_dimensionality_has_one_cause(f7, case):
+    # the quotient basis and both solves report the same cause: the ideal
+    # contains 1, or the first variable without a pure-power leading term
+    x, y = _xy(f7)
+    system = [x - _c(f7, 1), x - _c(f7, 2)] if case == "unit" else [x * x, x * y]
+    with pytest.raises(NotZeroDimensional) as want:
+        compute_basis(buchberger(system, TermOrder.drl(2)))
+    assert str(want.value) == {"unit": "the ideal contains 1; the system has no solutions",
+                               "line": "x2 has no pure-power leading term"}[case]
+    for solve in (solve_deterministic, solve_lasvegas):
+        with pytest.raises(NotZeroDimensional) as got:
+            solve(system, random.Random(0))
+        assert str(got.value) == str(want.value)
+
+
 def test_positive_dimension_is_rejected(f7):
     x, y = _xy(f7)
     with pytest.raises(NotZeroDimensional):
