@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +79,24 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
+@contextmanager
+def _file_names(system):
+    """Re-raise a ``NotZeroDimensional`` naming a variable, or a
+    ``NotReadable``, with the variable or monomial in the file's names."""
+    from .errors import NotReadable, NotZeroDimensional
+    from .poly import Polynomial, to_string
+
+    try:
+        yield
+    except NotZeroDimensional as exc:
+        if exc.var is None:
+            raise
+        raise NotZeroDimensional(var=exc.var, name=system.varnames[exc.var]) from None
+    except NotReadable as exc:
+        mono = Polynomial.from_terms(system.field, system.n, [(exc.offending, 1)])
+        raise NotReadable(exc.offending, to_string(mono, system.varnames)) from None
+
+
 def _rep_text(rep, varnames) -> str:
     from .poly import Polynomial, to_string
 
@@ -122,10 +141,11 @@ def _cmd_solve(args) -> int:
         return _bad_argument(f"--max-restarts must be at least 1, got {cfg.max_restarts}")
     system = parse_system(_read_file(args.file))
     rng = random.Random(args.seed)
-    if args.lv:
-        report = solve_lasvegas(system.polys, rng, config=cfg)
-    else:
-        report = solve_deterministic(system.polys, rng)
+    with _file_names(system):
+        if args.lv:
+            report = solve_lasvegas(system.polys, rng, config=cfg)
+        else:
+            report = solve_deterministic(system.polys, rng)
     try:
         solutions = rational_solutions(report)
     except BudgetExceeded:   # the field is too large to scan for roots
@@ -176,9 +196,8 @@ def _print_matrix(name: str, mat) -> None:
 
 
 def _cmd_matrices(args) -> int:
-    from .errors import NotReadable
     from .gb import buchberger
-    from .poly import Polynomial, TermOrder, to_string
+    from .poly import TermOrder
     from .quotient import (build_matrices_echelon, build_matrices_fglm,
                            compute_basis, compute_frontier, try_read_Tn)
     from .sysfile import parse_system
@@ -186,18 +205,15 @@ def _cmd_matrices(args) -> int:
     system = parse_system(_read_file(args.file))
     n = system.n
     gbd = buchberger(system.polys, TermOrder.drl(n), field=system.field)
-    Q = compute_basis(gbd)
-    frontier = compute_frontier(Q, gbd)
-    if args.method == "free":
-        try:
+    with _file_names(system):
+        Q = compute_basis(gbd)
+        frontier = compute_frontier(Q, gbd)
+        if args.method == "free":
             mats, computed = [try_read_Tn(Q, gbd)], 0
-        except NotReadable as exc:   # name the monomial in the file's variables
-            mono = Polynomial.from_terms(system.field, n, [(exc.offending, 1)])
-            raise NotReadable(exc.offending, to_string(mono, system.varnames)) from None
-    else:
-        build = build_matrices_fglm if args.method == "fglm" else build_matrices_echelon
-        mats, _ = build(Q, gbd, frontier)
-        computed = frontier.type2_nf
+        else:
+            build = build_matrices_fglm if args.method == "fglm" else build_matrices_echelon
+            mats, _ = build(Q, gbd, frontier)
+            computed = frontier.type2_nf
     if args.summary:
         print(f"D = {Q.dimension}, frontier size {len(frontier)}, "
               f"type-II members {frontier.type2_nf}")

@@ -36,7 +36,12 @@ class SingularMatrix(PolysolveError):
 class NotZeroDimensional(PolysolveError):
     """The ideal is not zero-dimensional: it contains 1, or some variable
     has no pure power among the leading terms, so the quotient is
-    infinite-dimensional.  The message names which."""
+    infinite-dimensional.  The message names which: ``cause``, or else the
+    variable ``var`` (its index), under ``name`` if given."""
+
+    def __init__(self, cause=None, var=None, name=None):
+        self.var = var
+        super().__init__(cause or f"{name or f'x{var + 1}'} has no pure-power leading term")
 
 
 class ClassificationFailure(PolysolveError):

@@ -24,11 +24,19 @@ reduced DRL basis of an ideal from its multiplication matrices, one total
 degree at a time: the coordinate vectors of a degree's candidate monomials
 come from one matrix product per variable used, and one elimination in
 ascending order sorts them into standard monomials and leading monomials.
-The elimination is the package's one general elimination,
-``linalg._row_echelon``, which works by halving, so its row operations are
-matrix products; the tails come at the end, from one pass over the recorded
-merges.  The matrices are held once as float64 residues, which the exact
-kernel multiplies without converting them.  The Las Vegas solver takes
+The matrices must be given in a basis ordered by degree, 1 first: for
+every d, the polynomials of degree below d reach exactly the span of the
+first few basis vectors.  An ideal's DRL standard monomials, ascending, are
+such a basis, and stay one after a linear change of variables, which maps
+the polynomials of degree below d onto themselves (the affine Hilbert
+function is unchanged: Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 9 section 3).  So the standard monomials found below
+degree d span the first coordinates, each degree's elimination
+(``linalg._eliminate_block``, by halving, so its row operations are matrix
+products) runs on the other columns alone, and the tails come at the end
+from one back-substitution by degree.  Input in any other basis raises
+ValueError.  The matrices are held once as float64 residues, which the
+exact kernel multiplies without converting them.  The Las Vegas solver takes
 every basis after a linear change of coordinates from it, fed with
 combinations of the original ideal's multiplication matrices, so no second
 ``buchberger`` run happens; its output is bit-identical to ``buchberger``'s
@@ -399,15 +407,15 @@ def buchberger(polys, order: TermOrder, field: PrimeField | None = None) -> Groe
     return GroebnerBasis(field, n, order, basis)
 
 
-def zero_dimensional_cause(gb: GroebnerBasis) -> str | None:
-    """Why the ideal is not zero-dimensional, or None when it is: it
-    contains 1, or the first variable without a pure power among the
-    leading monomials has none."""
+def zero_dimensional_cause(gb: GroebnerBasis) -> NotZeroDimensional | None:
+    """Why the ideal is not zero-dimensional, as the error to raise, or
+    None when it is: it contains 1, or the first variable without a pure
+    power among the leading monomials has none."""
     if gb.contains_one():
-        return "the ideal contains 1; the system has no solutions"
+        return NotZeroDimensional("the ideal contains 1; the system has no solutions")
     pure = {m.support()[0] for m in gb.leading_monomials if len(m.support()) == 1}
     lost = [i for i in range(gb.n) if i not in pure]
-    return f"x{lost[0] + 1} has no pure-power leading term" if lost else None
+    return NotZeroDimensional(var=lost[0]) if lost else None
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
@@ -432,7 +440,7 @@ def shape_rep_from_lex(gb: GroebnerBasis):
     last = n - 1
     cause = zero_dimensional_cause(gb)
     if cause:
-        raise NotZeroDimensional(cause)
+        raise cause
     if len(gb.polys) != n:
         raise NotShapePosition(f"LEX basis has {len(gb.polys)} elements, expected {n}")
     # ascending LEX order puts the univariate h_n first, then x_{n-1}, ... x_1
@@ -503,99 +511,52 @@ def _cover(monos: list[Monomial], prev: list[Monomial], n: int) -> list[tuple[in
             for m, i in zip(monos, var.tolist())]
 
 
-class _Echelon:
-    """Echelon form of a growing list of independent vectors.
-
-    With k vectors kept, their reduced echelon rows E are the identity at
-    the columns ``pivots``; only their other columns, ``free`` (ascending),
-    are stored, as ``red`` (k x len(free)).  A new vector v is reduced as
-    v[free] - v[pivots] @ red, and a merge rewrites only the columns that
-    stay free.  E = T @ (the kept vectors) for a transform T that is never
-    formed: each merge records its block factors in ``steps``, and
-    ``coordinates`` applies them.
-    """
-
-    def __init__(self, dim: int, p: int):
-        self.p = p
-        self.red = np.zeros((0, dim), dtype=np.int64)
-        self.pivots = np.zeros(0, dtype=np.intp)
-        self.free = np.arange(dim)
-        self.steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def insert(self, vecs: np.ndarray):
-        """Take the rows of ``vecs`` in order, keeping each one that is
-        independent of every vector kept before it.
-
-        Returns ``(new, dep)``, the indices of the kept and of the
-        dependent rows.
-        """
-        p = self.p
-        y = vecs[:, self.pivots]
-        resid = _sub_mod(vecs[:, self.free], _mul_arrays(y, self.red, p), p)
-        new, dep, echelon, pcols, gmat = _eliminate_block(resid, p)
-        if new:
-            # E' = [[I, -h], [0, I]] @ [[I, 0], [-gmat y[new], gmat]] @ [E; vecs[new]]
-            stay = np.ones(len(self.free), dtype=bool)
-            stay[pcols] = False
-            h = self.red[:, pcols]
-            fresh = echelon[:, stay]
-            self.red = np.vstack([_sub_mod(self.red[:, stay], _mul_arrays(h, fresh, p), p), fresh])
-            self.steps.append((h, gmat, _mul_arrays(gmat, y[new], p)))
-            self.pivots = np.concatenate([self.pivots, self.free[pcols]])
-            self.free = self.free[stay]
-        return new, dep
-
-    def coordinates(self, vecs: np.ndarray) -> np.ndarray:
-        """Coordinates on the kept vectors, in the order kept, of vectors in
-        their span.  Such a v is v[pivots] @ E, so its coordinates are
-        v[pivots] @ T, with T the product of every merge's factors."""
-        p = self.p
-        w = vecs[:, self.pivots]
-        k = len(self.pivots)
-        for h, gmat, gy in reversed(self.steps):
-            s = len(gmat)
-            k -= s
-            a = w[:, :k]
-            b = _sub_mod(w[:, k:k + s], _mul_arrays(a, h, p), p)
-            w[:, :k] = _sub_mod(a, _mul_arrays(b, gy, p), p)
-            w[:, k:k + s] = _mul_arrays(b, gmat, p)
-        return w
-
-
 def groebner_from_matrices(mats, field: PrimeField, n: int) -> GroebnerBasis:
     """Reduced Groebner basis under ``TermOrder.drl(n)`` from multiplication
-    matrices.
+    matrices given in a basis ordered by degree.
 
     ``mats[i]`` must represent multiplication by (the image of) x_i on a
-    D-dimensional quotient, in a basis whose coordinate vector for 1 is the
-    first unit vector.  ``mats`` holds n D x D arrays of canonical
-    residues, or is one n x D x D float64 stack of them, which is used
-    without a copy.  The products take M_i^T; the Las Vegas solver passes
-    the transposed view of a contiguous stack of the M_i^T, so they read
-    their operand contiguous rather than as a transposed view.
+    D-dimensional quotient, in a basis ordered by degree: its first vector
+    is 1 and, for every d, the images of the polynomials of degree below d
+    span exactly its first L_d vectors.  The standard monomials of a
+    degree-compatible order, ascending, are such a basis, for the ideal and
+    for its image under any linear change of variables (see the module
+    docstring); the Las Vegas solver passes the original ideal's.  ``mats``
+    holds n D x D arrays of canonical residues, or is one n x D x D float64
+    stack of them, which is used without a copy.  The products take M_i^T;
+    the Las Vegas solver passes the transposed view of a contiguous stack
+    of the M_i^T, so they read their operand contiguous rather than as a
+    transposed view.
+
     Monomials are taken one total degree at a time, as under DRL only
     leading monomials of lower degree can make a degree-d monomial a
-    non-candidate.  For each degree:
+    non-candidate.  The k = L_d standard monomials of degree below d span
+    the first k coordinates, so a degree-d candidate reduces against them
+    by dropping those coordinates.  For each degree:
 
     * the candidates (``_candidates``) get their coordinate vectors from
       one product per variable in a small cover of them (``_cover``),
       (vectors of their degree-(d-1) divisors) @ M_i^T;
-    * in ascending order, all at once, one product reduces them against
-      the echelon form of the standard monomials' vectors found so far,
-      and the halving elimination of the reduced block
-      (``_eliminate_block``) finds which are standard monomials; each
-      other one is the leading monomial of a reduced basis element;
-    * the new standard monomials' rows join the echelon form by one
-      product, which also records the merge's factors.
+    * in ascending order, one halving elimination of their columns past
+      the first k (``_eliminate_block``) finds which are standard
+      monomials; each other one is the leading monomial of a reduced basis
+      element.  With s new standard monomials, every column past k + s
+      must be zero, or the basis is not ordered by degree: ValueError.
 
-    The tails, the coordinates of the leading monomials' vectors on the
-    standard monomials' ones, come at the end from those factors
-    (``_Echelon.coordinates``).
+    When every degree passes that check, the kept vectors span the first
+    k coordinates at each step, so dropping them is the full reduction, and
+    the result is the one a general elimination gives: input in another
+    basis raises rather than returning a wrong basis.  The standard
+    monomials' vectors are then block triangular, a degree's s rows
+    invertible at its s columns, and the elimination returns that block's
+    inverse.  So the tails, the coordinates of the leading monomials'
+    vectors on the standard monomials' ones, come at the end from one
+    back-substitution by degree, the top degree first.
 
     Every product is exact (``_mul_arrays``).  The output comes out sorted
-    by leading monomial and is bit-identical to ``buchberger``'s, by uniqueness
-    of the reduced basis.  It comes in coordinate form: the kept
-    monomials as ``standard`` and the tails as ``tails``.
+    by leading monomial and is bit-identical to ``buchberger``'s, by
+    uniqueness of the reduced basis.  It comes in coordinate form: the
+    kept monomials as ``standard`` and the tails as ``tails``.
     """
     if len(mats) == 0:
         raise ValueError("need at least one multiplication matrix")
@@ -603,21 +564,28 @@ def groebner_from_matrices(mats, field: PrimeField, n: int) -> GroebnerBasis:
     mats = np.asarray(mats, dtype=np.float64)
     p = field.p
     dim = mats.shape[1]
-    echelon = _Echelon(dim, p)
     kept_monos: list[Monomial] = []
     lead_monos: list[Monomial] = []
     lead_vecs: list[np.ndarray] = []
+    # per degree: its first column k, its pivot columns, the inverse of its
+    # block there, and its rows' first k columns
+    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
     monos = [Monomial.one(n)]
     vecs = np.zeros((1, dim), dtype=np.int64)
     vecs[0, 0] = 1
+    k = 0
     while True:
-        std, dep = echelon.insert(vecs)
+        std, dep, _echelon, pcols, gmat = _eliminate_block(vecs[:, k:], p)
+        if vecs[:, k + len(std):].any():
+            raise ValueError("multiplication matrices not in a basis ordered by degree")
         lead_monos.extend(monos[r] for r in dep)
         lead_vecs.append(vecs[dep])
         kept_monos.extend(monos[r] for r in std)
         if not std:
             break
+        blocks.append((k, np.add(pcols, k), gmat, vecs[std, :k]))
+        k += len(std)
         prev_vecs = vecs[std]
         prev = [monos[r] for r in std]
         monos = _candidates(prev, order)
@@ -629,8 +597,13 @@ def groebner_from_matrices(mats, field: PrimeField, n: int) -> GroebnerBasis:
                 parents = prev_vecs[[cover[r][0] for r in rows]]
                 vecs[rows] = _mul_arrays(parents, mats[i].T, p)
 
-    if len(kept_monos) != dim:
+    if k != dim:
         raise NotZeroDimensional(
-            f"multiplication matrices span a {len(kept_monos)}-dimensional quotient, expected {dim}")
-    tails = echelon.coordinates(np.vstack(lead_vecs))
+            f"multiplication matrices span a {k}-dimensional quotient, expected {dim}")
+    w = np.vstack(lead_vecs)
+    tails = np.empty_like(w)
+    for lo, cols, gmat, low in reversed(blocks):
+        c = _mul_arrays(w[:, cols], gmat, p)   # coordinates on this degree's standard monomials
+        tails[:, lo:lo + len(cols)] = c
+        w = _sub_mod(w[:, :lo], _mul_arrays(c, low, p), p)
     return GroebnerBasis(field, n, order, None, lead_monos, kept_monos, tails)

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClassificationFailure, NotReadable, NotZeroDimensional
+from .errors import ClassificationFailure, NotReadable
 from .field import PrimeField
 from .gb import GroebnerBasis, _candidates, zero_dimensional_cause
 from .linalg import Matrix, OpCounter, _add_mod, _mul_arrays, _unit_ut_solve_in_place
@@ -101,7 +101,7 @@ def compute_basis(gb: GroebnerBasis) -> QuotientStructure:
     """
     cause = zero_dimensional_cause(gb)
     if cause:
-        raise NotZeroDimensional(cause)
+        raise cause
     order = gb.order
     n = gb.n
     leads = gb.leading_monomials

@@ -104,8 +104,12 @@ def _transformed_gb(table: np.ndarray, targets: np.ndarray, g: Matrix,
     transformed side acts on the original coordinates as
     M_j = sum_k (g^-1)[j,k] T_k; enumerating monomials against the M_j
     reproduces the transformed ideal's reduced basis exactly
-    (``groebner_from_matrices``).  Row l of T_k^T, column l of T_k, is
-    ``quotient._rows`` of the row code ``targets[k, l]`` over ``table``.  So
+    (``groebner_from_matrices``).  The rebuild needs a basis ordered by
+    degree, and the original one, the DRL standard monomials ascending, is
+    one for the transformed ideal too: a linear change of variables maps
+    the polynomials of degree below d onto themselves.  Row l of T_k^T,
+    column l of T_k, is ``quotient._rows`` of the row code
+    ``targets[k, l]`` over ``table``.  So
     the M_j^T are formed from the table directly, in bands of ``_BAND``
     rows l: one decode of the band's codes for all k, in float64, which the
     kernel reads unconverted, and one exact product by g^-1.  The M_j^T are

@@ -185,7 +185,7 @@ def test_exit_code_not_zero_dimensional(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, cause", [
     ("x - 1\nx - 2\n", "the ideal contains 1; the system has no solutions"),
-    ("x^2\nx*y\n", "x2 has no pure-power leading term")])
+    ("x^2\nx*y\n", "y has no pure-power leading term")])
 def test_not_zero_dimensional_names_one_cause(tmp_path, capsys, text, cause):
     # solve and matrices stop at the same check, with the same message
     path = tmp_path / "system.txt"

@@ -294,12 +294,19 @@ def _assert_same_basis(rebuilt, reference):
 
 # p = 65521 keeps every product on the single float64 GEMM; at 2^31 - 1 the
 # products cut one operand into digits and the matrix combination reduces
-# after every two terms
-@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_transformed_rebuild_matches_buchberger(p, n):
+# after every two terms.  An int is the appendix family in that many
+# variables; (n, degrees) is a random dense system, whose staircase is not
+# the appendix's squarefree one.
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("system", [4, 5, 6, pytest.param((2, (2, 3)), id="dense-2-3"),
+                                    pytest.param((3, (2, 2, 3)), id="dense-2-2-3")])
+def test_transformed_rebuild_matches_buchberger(p, system):
     field = PrimeField(p)
-    F = appendix_family(n, field, seed=n)
+    if isinstance(system, int):
+        n, F = system, appendix_family(system, field, seed=system)
+    else:
+        n, degrees = system
+        F = random_zero_dim_system(field, n, degrees, random.Random(p))[0]
     g = field.random_nonsingular_matrix(n, random.Random(p + n))
     order = TermOrder.drl(n)
     gb0 = buchberger(F, order)
@@ -459,6 +466,20 @@ def test_groebner_from_matrices_rejects_bad_input():
         padded.append(a)
     with pytest.raises(NotZeroDimensional):
         groebner_from_matrices(padded, field, n)
+
+
+def test_groebner_from_matrices_needs_a_basis_ordered_by_degree():
+    # swapping the basis vectors 1 and D - 1 keeps 1 first and describes the
+    # same quotient, but the degree-1 monomials then reach the top coordinate
+    field = PrimeField(65521)
+    n = 3
+    gb = buchberger(appendix_family(n, field), TermOrder.drl(n))
+    quotient = compute_basis(gb)
+    mats, _stats = build_matrices_echelon(quotient, gb)
+    perm = np.arange(quotient.dimension)
+    perm[[1, -1]] = perm[[-1, 1]]
+    with pytest.raises(ValueError, match="ordered by degree"):
+        groebner_from_matrices([m.matrix.a[np.ix_(perm, perm)] for m in mats], field, n)
 
 
 @settings(max_examples=10, deadline=None)
