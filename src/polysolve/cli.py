@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("matrices", help="multiplication matrices of the quotient")
     m.add_argument("file")
-    m.add_argument("--method", choices=["fglm", "echelon", "free"], default="echelon")
+    m.add_argument("--method", choices=["echelon", "free"], default="echelon")
     m.add_argument("--summary", action="store_true")
 
     b = sub.add_parser("bench", help="benchmark families")
@@ -198,8 +198,7 @@ def _print_matrix(name: str, mat) -> None:
 def _cmd_matrices(args) -> int:
     from .gb import buchberger
     from .poly import TermOrder
-    from .quotient import (build_matrices_echelon, build_matrices_fglm,
-                           compute_basis, compute_frontier, try_read_Tn)
+    from .quotient import build_matrices_echelon, compute_basis, compute_frontier, try_read_Tn
     from .sysfile import parse_system
 
     system = parse_system(_read_file(args.file))
@@ -211,8 +210,7 @@ def _cmd_matrices(args) -> int:
         if args.method == "free":
             mats, computed = [try_read_Tn(Q, gbd)], 0
         else:
-            build = build_matrices_fglm if args.method == "fglm" else build_matrices_echelon
-            mats, _ = build(Q, gbd, frontier)
+            mats, _ = build_matrices_echelon(Q, gbd, frontier)
             computed = frontier.type2_nf
     if args.summary:
         print(f"D = {Q.dimension}, frontier size {len(frontier)}, "

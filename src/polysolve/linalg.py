@@ -24,19 +24,19 @@ elimination, which ``Matrix.inverse`` reads) and in ``gb`` the F4 steps and
 the rebuild.
 
 The Krylov matrix [r | Tr | ... | T^(2w-1) r] of the change of ordering,
-``krylov_columns``, has two routes that give the same residues.  The
-doubling (Keller-Gehrig 1985) squares T ceil(log2 2w) times and multiplies
-the columns built so far by each power.  The step route builds one column
-per matrix-vector step, as a row of K^T: a unit row of T, whose only
-nonzero is a 1, makes its entry a gather, and only the dense rows take a
-product, ``_mul_arrays`` with a one-row left operand (the sparse-FGLM
-observation of Faugere and Mou, ISSAC 2011); K is the transpose view of
-K^T.  Steps run when T has at least 256 rows and at least half of them are
-unit rows.  Measured on 2 cores, on the appendix family's transposed T_n
-the steps are 1.4-2.2x faster at D = 256 and 1.8-4.5x at D = 512; at
-D = 128 the two routes are within 10% of each other.  On a dense T the
-steps are slower from D = 512 at p = 2^31 - 1 and at D = 2048 for
-p = 65521 (13.2 against 5.2 s).
+``krylov_columns``, has two routes that give the same residues; both write
+the rows of K^T and return its transpose view.  The doubling (Keller-Gehrig
+1985) keeps one power of T: the rows built so far, times the transposed
+power, give as many more, and the power is squared.  The step route builds
+one row per matrix-vector step: a unit row of T, whose only nonzero is a 1,
+makes its entry a gather, and only the dense rows take a product,
+``_mul_arrays`` with a one-row left operand (the sparse-FGLM observation of
+Faugere and Mou, ISSAC 2011).  Steps run when T has at least 256 rows and at
+least half of them are unit rows.  Measured on 2 cores, on the appendix
+family's transposed T_n the doubling is 1.3-1.5x faster at D = 128, and the
+steps 1.15-1.6x at D = 256 and 1.4-3.3x at D = 512.  On a dense T the steps
+are slower from D = 512 at p = 2^31 - 1 and at D = 2048 for p = 65521 (13.2
+against 5.2 s).
 
 Reductions avoid numpy's ``%``, which runs an integer division per element.
 ``_reduce`` takes x - (x // p) p instead, as numpy divides by a scalar
@@ -59,15 +59,15 @@ from .field import PrimeField
 
 _FLOAT_EXACT = 1 << 53
 _INVERSE_LEAF = 32  # family-det: 16 and 64 rows run about as fast, 128 slower
-# the smallest T that may take Krylov steps: at D = 128 neither route is faster
+# the smallest T that may take Krylov steps: on the family's T_n the doubling wins at D = 128
 _STEP_MIN_DIM = 256
 
 
 @dataclass
 class KrylovStats:
-    """Operation counts of ``krylov_columns``: the squarings and block
-    products of the doubling route, or the matrix-vector steps of the step
-    route.  The route not taken leaves its counts at 0."""
+    """Operation counts, which ``krylov_columns`` writes for both routes: the
+    squarings and block products of the doubling, or the matrix-vector
+    steps of the step route.  The route not taken leaves its counts at 0."""
 
     square_mults: int = 0
     rect_mults: int = 0
@@ -361,16 +361,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, _mul_arrays(a.a, b.a, a.field.p))
 
 
-def binary_power_table(t: Matrix, k: int) -> list[Matrix]:
-    """[T, T^2, T^4, ..., T^(2^k)] by k repeated squarings."""
-    if t.nrows != t.ncols:
-        raise DimensionMismatch("powers of a non-square matrix")
-    table = [t]
-    for _ in range(k):
-        table.append(mat_mul(table[-1], table[-1]))
-    return table
-
-
 def _unit_ut_inverse(nil: np.ndarray, p: int) -> np.ndarray:
     """(I - N)^(-1) for strictly upper-triangular N, ``nil`` (canonical
     residues), from matrix products only.
@@ -464,31 +454,22 @@ def _krylov_steps(a: np.ndarray, r: np.ndarray, total: int, p: int,
     return kt.T
 
 
-def _krylov_doubling(t: Matrix, r: np.ndarray, total: int,
-                     stats: KrylovStats | None) -> np.ndarray:
+def _krylov_doubling(t: Matrix, r: np.ndarray, total: int) -> np.ndarray:
     """[r | Tr | ... | T^(total-1) r] by doubling (Keller-Gehrig 1985).
 
-    Uses the binary power table of T and at each step multiplies the
-    already-built block of columns by the next stored power, so the number
-    of matrix products is logarithmic in ``total``, not linear.
+    One power of T is kept: the rows of K^T built so far, times the
+    transposed power, give as many rows more, and the power is squared,
+    the last time unused.  K is the transpose view of K^T.
     """
-    k = max(1, (total - 1).bit_length())  # ceil(log2(total)) for total >= 2
-    table = binary_power_table(t, k)
-    if stats is not None:
-        stats.square_mults += k
-    cols = np.zeros((t.nrows, total), dtype=np.int64)
-    cols[:, 0] = r
-    have = 1
-    j = 0
+    kt = np.empty((total, t.nrows), dtype=np.int64)
+    kt[0] = r
+    power, have = t, 1
     while have < total:
-        need = min(1 << j, total - have)
-        block = _mul_arrays(table[j].a, cols[:, :need], t.field.p)
-        cols[:, have:have + need] = block
-        if stats is not None:
-            stats.rect_mults += 1
+        need = min(have, total - have)
+        kt[have:have + need] = _mul_arrays(kt[:need], power.a.T, t.field.p)
         have += need
-        j += 1
-    return cols
+        power = mat_mul(power, power)
+    return kt.T
 
 
 def krylov_columns(t: Matrix, r, width: int, *,
@@ -499,8 +480,9 @@ def krylov_columns(t: Matrix, r, width: int, *,
     runs when T has at least ``_STEP_MIN_DIM`` rows and at least half of
     them are unit rows, as in the transposed multiplication matrices of the
     change of ordering; every other T goes to the doubling
-    (``_krylov_doubling``).  ``stats`` counts the steps of the one route or
-    the squarings and block products of the other.
+    (``_krylov_doubling``); both return the transpose view of the K^T they
+    wrote.  ``stats`` counts the steps of the one route or the squarings
+    and block products of the other, which the routes do not count.
     """
     if t.nrows != t.ncols:
         raise DimensionMismatch("Krylov iteration needs a square matrix")
@@ -518,4 +500,7 @@ def krylov_columns(t: Matrix, r, width: int, *,
             if stats is not None:
                 stats.steps += total - 1
             return Matrix(t.field, _krylov_steps(t.a, r, total, p, unit, src))
-    return Matrix(t.field, _krylov_doubling(t, r, total, stats))
+    if stats is not None:
+        stats.square_mults += (total - 1).bit_length()
+        stats.rect_mults += (total - 1).bit_length()
+    return Matrix(t.field, _krylov_doubling(t, r, total))

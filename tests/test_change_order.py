@@ -81,7 +81,7 @@ def test_krylov_routes_agree_on_family_tn(pipeline, p):
     assert D == 256 and 2 * np.count_nonzero(unit) >= D
     r = np.array(t.field.random_vector(D, random.Random(8)), dtype=np.int64)
     assert np.array_equal(_krylov_steps(t.a, r, 2 * D, p, unit, src),
-                          _krylov_doubling(t, r, 2 * D, None))
+                          _krylov_doubling(t, r, 2 * D))
 
 
 def test_change_ordering_reports_its_krylov_route():

@@ -11,8 +11,8 @@ from helpers import unit_ut_solve
 from polysolve.errors import DimensionMismatch, SingularMatrix
 from polysolve.field import PrimeField
 from polysolve.linalg import (KrylovStats, Matrix, _digits, _krylov_steps, _mul_arrays,
-                              _reduce, _row_echelon, _sub_mod, _unit_rows, binary_power_table,
-                              krylov_columns, mat_mul)
+                              _reduce, _row_echelon, _sub_mod, _unit_rows, krylov_columns,
+                              mat_mul)
 
 
 def _random_matrix(field, r, c, rng):
@@ -160,18 +160,6 @@ def test_density(f7):
     assert Matrix.zeros(f7, 2, 2).density() == 0.0
 
 
-def test_binary_power_table(f7):
-    t = Matrix.from_rows(f7, [[2]])
-    table = binary_power_table(t, 2)
-    assert [m.tolist() for m in table] == [[[2]], [[4]], [[2]]]  # 2, 4, 16 mod 7
-    rng = random.Random(2)
-    m = _random_matrix(PrimeField(101), 4, 4, rng)
-    table = binary_power_table(m, 3)
-    assert len(table) == 4
-    assert table[2] == mat_mul(table[1], table[1])
-    assert table[3] == mat_mul(table[2], table[2])
-
-
 def _back_substitute(t: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
     """T X = R for unit upper-triangular T, one row at a time in Python
     integers: the reference for the product-only solve."""
@@ -315,20 +303,33 @@ def test_krylov_steps_at_large_p_match_naive_iteration(kind, dim):
     assert np.array_equal(got.a, want)
 
 
-@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
-@pytest.mark.parametrize("dim", [256, 300])
-def test_step_route_returns_its_rows_transposed(p, dim):
-    # the steps write K^T row by row, and K is its transpose view, not a copy
+def _check_krylov_rows_transposed(kind: str, dim: int, p: int):
+    # both routes write K^T row by row, and K is its transpose view, not a copy
     rng = np.random.default_rng(dim + p)
-    a = _krylov_step_input("some-unit", dim, p, rng)
+    a = _krylov_step_input(kind, dim, p, rng)
     r = rng.integers(0, p, dim)
     stats = KrylovStats()
     k = krylov_columns(Matrix(PrimeField(p), a), r, dim, stats=stats).a
-    assert stats.steps == 2 * dim - 1
+    products = (2 * dim - 1).bit_length()
+    want = (2 * dim - 1, 0, 0) if dim >= 256 else (0, products, products)
+    assert (stats.steps, stats.square_mults, stats.rect_mults) == want
     rows = k.base
     assert rows.shape == (2 * dim, dim) and rows.flags.c_contiguous
     assert np.shares_memory(k, rows) and np.array_equal(k.T, rows)
     assert np.array_equal(k, _int64_krylov(a, r, 2 * dim, p))
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("dim", [256, 300])
+def test_step_route_returns_its_rows_transposed(p, dim):
+    _check_krylov_rows_transposed("some-unit", dim, p)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("kind, dim", [("dense", 1), ("dense", 8), ("dense", 200),
+                                       ("some-unit", 128)])
+def test_doubling_route_returns_its_rows_transposed(p, kind, dim):
+    _check_krylov_rows_transposed(kind, dim, p)
 
 
 def test_krylov_rejects_non_square(f7):
